@@ -20,7 +20,6 @@ from .circuit import (
     born_distribution,
     circuit_to_text,
     fidelity,
-    measure_shots,
     partial_trace,
     realize,
     tensor,
@@ -40,7 +39,7 @@ from .correlated import (
 )
 from .gates import CNOT, H, I, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
 from .hybrid import hybrid_encoder, hybrid_protect
-from .linalg import ComplexMatrix, Tolerance, equal_up_to_global_phase, kron, max_abs_diff
+from .linalg import ComplexMatrix, equal_up_to_global_phase, max_abs_diff
 from .noise_exp import NoiseModel, exact_success, run_named
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ __all__ = [
     "NoiseModel",
     "PlacedGate",
     "StateVector",
-    "Tolerance",
     "X",
     "Y",
     "Z",
@@ -77,10 +75,8 @@ __all__ = [
     "fidelity",
     "hybrid_encoder",
     "hybrid_protect",
-    "kron",
     "make_channel",
     "max_abs_diff",
-    "measure_shots",
     "partial_trace",
     "realize",
     "recursive_encoder",

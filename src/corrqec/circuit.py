@@ -11,7 +11,6 @@ with a PCG64 generator, so results are reproducible from the seed alone.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,16 +249,6 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     return np.bincount(idx, minlength=len(probs))
 
 
-def measure_shots(s, wires, shots: int, seed: int) -> Histogram:
-    """Sample computational-basis outcomes on the chosen wires."""
-    wires = sorted(set(int(w) for w in wires))
-    probs = born_distribution(s, wires)
-    hits = sample_counts(probs, shots, seed)
-    m = len(wires)
-    counts = {format(i, f"0{m}b"): int(c) for i, c in enumerate(hits) if c > 0}
-    return Histogram(n_measured=m, counts=counts, shots=int(shots))
-
-
 def fidelity(a: DensityMatrix | StateVector, b: StateVector) -> float:
     """<b|a|b> for a density matrix a; |<a|b>|^2 for a state vector a."""
     if a.n_wires != b.n_wires:
@@ -273,15 +262,3 @@ def fidelity(a: DensityMatrix | StateVector, b: StateVector) -> float:
 def circuit_to_text(c: Circuit) -> str:
     """One placed gate per line in time order."""
     return "\n".join(format_placed_gate(pg) for pg in c.gates) + ("\n" if c.gates else "")
-
-
-def histogram_to_json(h: Histogram) -> str:
-    payload = {"shots": h.shots, "counts": {k: int(v) for k, v in h.counts.items()}}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def histogram_to_csv(h: Histogram) -> str:
-    lines = ["bitstring,count"]
-    for key in sorted(h.counts):
-        lines.append(f"{key},{h.counts[key]}")
-    return "\n".join(lines) + "\n"

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import correlated, hybrid, noise_exp
 from .circuit import circuit_to_text, realize
-from .linalg import equal_up_to_global_phase, matrix_to_text, max_abs_diff
+from .linalg import equal_up_to_global_phase, matrix_to_text, max_abs_diff, tensor_power
 
 _BATTERY_SEED = 20240815
 
 
-def _block_case(w, off_tol, tl_tol):
+def _block_case(w):
     u = correlated.build_new_U()
     rep = correlated.verify_block_structure(u, w)
     i2w = np.kron(np.eye(2), np.asarray(w.array if hasattr(w, "array") else w))
@@ -95,7 +95,7 @@ def _checks():
         worst_off = worst_tl = 0.0
         for _ in range(20):
             w = correlated.random_su2(rng)
-            off, tl = _block_case(w, 1e-10, 1e-10)
+            off, tl = _block_case(w)
             worst_off, worst_tl = max(worst_off, off), max(worst_tl, tl)
         assert worst_off <= 1e-10 and worst_tl <= 1e-10, (
             f"off-diag {worst_off:.3e}, top-left {worst_tl:.3e}"
@@ -154,9 +154,7 @@ def _checks():
         worst = 1.0
         for _ in range(3):
             w = correlated.random_su2(rng).array
-            wn = np.array([[1.0 + 0j]])
-            for _ in range(5):
-                wn = np.kron(wn, w)
+            wn = tensor_power(w, 5)
             psi1, psi2, v = rand_state(), rand_state(), rand_state()
             full = tensor(basis_state(1, "0"), psi1, v, psi2, basis_state(1, "0"))
             out = enc.conj().T @ wn @ enc @ full.amplitudes
@@ -242,15 +240,16 @@ def _checks():
 
 def cmd_verify(out=None) -> int:
     out = sys.stdout if out is None else out
+    checks = _checks()
     failures = 0
-    for name, fn in _checks():
+    for name, fn in checks:
         try:
             detail = fn()
             print(f"PASS {name}: {detail}", file=out)
         except Exception as exc:  # noqa: BLE001 - battery must keep going
             failures += 1
             print(f"FAIL {name}: {exc}", file=out)
-    total = len(_checks())
+    total = len(checks)
     print(f"{total - failures}/{total} checks passed", file=out)
     return 0 if failures == 0 else 1
 
@@ -285,16 +284,15 @@ def cmd_run(args) -> int:
         "scheme": args.scheme,
         "shots": args.shots,
         "seed": args.seed,
-        "rounds": args.rounds,
         "noise": _parse_noise(args.noise),
     }
-    if args.scheme in ("corr3", "corr3-basic", "corr5"):
-        spec["w"] = args.w
-    else:
-        spec["n"] = args.n
-        if args.ancilla is not None:
-            spec["ancilla"] = args.ancilla
-        spec["errors"] = [t for t in args.errors.split(",") if t]
+    # Only the flags given on the command line: the spec holds the defaults
+    # and rejects flags that belong to the other scheme.
+    for key in ("w", "rounds", "n", "ancilla", "errors"):
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    if "errors" in spec:
+        spec["errors"] = [t for t in spec["errors"].split(",") if t]
     rep = noise_exp.run_named(spec)
     if args.format == "json":
         text = noise_exp.report_to_json(rep, ibm_bit_order=args.ibm_bit_order)
@@ -360,11 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run a named experiment and write a report")
     r.add_argument("--scheme", required=True, choices=["corr3", "corr3-basic", "corr5", "hybrid"])
-    r.add_argument("--w", default="h", help="attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json>")
-    r.add_argument("--rounds", type=int, default=1, help="attack repetitions between encode/decode")
-    r.add_argument("--n", type=int, default=3, help="register width (hybrid scheme)")
-    r.add_argument("--ancilla", default=None, help="hybrid ancilla: bits or ry:<alpha> (odd widths)")
-    r.add_argument("--errors", default="i", help="comma-separated hybrid attack tags (i,x,y,z)")
+    r.add_argument("--w", help="corr attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json> (default h)")
+    r.add_argument("--rounds", type=int, help="corr attack repetitions between encode/decode (default 1)")
+    r.add_argument("--n", type=int, help="hybrid register width (default 3)")
+    r.add_argument("--ancilla", help="hybrid ancilla: bits or ry:<alpha> (odd widths)")
+    r.add_argument("--errors", help="comma-separated hybrid attack tags i,x,y,z (default i)")
     r.add_argument("--shots", type=int, default=8192)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--noise", default="0", help="0 or comma list: p1=..,p2=..,readout=..")

@@ -36,8 +36,8 @@ from .circuit import (
     tensor,
     to_density,
 )
-from .gates import CNOT, Gate, PlacedGate, X, Z, controlled, ry, ry_x, x_ry
-from .linalg import ComplexMatrix, is_unitary
+from .gates import CNOT, Gate, H, I, PlacedGate, X, Y, Z, controlled, ry, ry_x, x_ry
+from .linalg import ComplexMatrix, is_unitary, tensor_power
 
 _S13 = np.sqrt(1.0 / 3.0)
 _S23 = np.sqrt(2.0 / 3.0)
@@ -114,9 +114,7 @@ def verify_block_structure(u, w) -> BlockReport:
         raise ValueError("encoder input is not unitary")
     if not is_unitary(wm, 1e-10):
         raise ValueError("attack input is not unitary")
-    wa = wm.array
-    w3 = np.kron(np.kron(wa, wa), wa)
-    m = um.array.conj().T @ w3 @ um.array
+    m = um.array.conj().T @ tensor_power(wm.array, 3) @ um.array
     off = max(float(np.abs(m[:4, 4:]).max()), float(np.abs(m[4:, :4]).max()))
     return BlockReport(
         top_left=ComplexMatrix(m[:4, :4]),
@@ -289,22 +287,13 @@ def make_channel(n: int, support) -> CorrelatedChannel:
     return CorrelatedChannel(int(n), tuple(pairs))
 
 
-def _channel_terms(ch: CorrelatedChannel) -> list[tuple[np.ndarray, float]]:
-    terms = []
-    for w, p in ch.support:
-        wn = np.array([[1.0 + 0j]])
-        for _ in range(ch.n_qubits):
-            wn = np.kron(wn, w.array)
-        terms.append((wn, p))
-    return terms
-
-
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.n_wires != ch.n_qubits:
         raise ValueError(f"channel acts on {ch.n_qubits} wires, state has {rho.n_wires}")
     a = rho.matrix.array
     out = np.zeros_like(a)
-    for wn, p in _channel_terms(ch):
+    for w, p in ch.support:
+        wn = tensor_power(w.array, ch.n_qubits)
         out += p * (wn @ a @ wn.conj().T)
     return DensityMatrix(out, rho.n_wires)
 
@@ -326,17 +315,11 @@ def three_qubit_protect(
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     u = build_new_U().array
-    state = tensor(basis_state(1, "0"), psi, v)
-    rho = to_density(state)
-    a = u @ rho.matrix.array @ u.conj().T
-    terms = _channel_terms(ch)
+    rho = to_density(tensor(basis_state(1, "0"), psi, v)).matrix.array
+    encoded = DensityMatrix(u @ rho @ u.conj().T, 3)
     for _ in range(rounds):
-        nxt = np.zeros_like(a)
-        for wn, p in terms:
-            nxt += p * (wn @ a @ wn.conj().T)
-        a = nxt
-    a = u.conj().T @ a @ u
-    out = DensityMatrix(a, 3)
+        encoded = apply_channel(ch, encoded)
+    out = DensityMatrix(u.conj().T @ encoded.matrix.array @ u, 3)
     fid = fidelity(partial_trace(out, [DATA_WIRE]), psi)
     return fid, out
 
@@ -358,10 +341,6 @@ def recursive_data_wires(k: int) -> list[int]:
     return [2 * j + 1 for j in range(k)]
 
 
-def recursive_zero_wires(k: int) -> list[int]:
-    return [0] + [2 * j for j in range(2, k + 1)]
-
-
 def recursive_encoder(k: int) -> Circuit:
     """Gate-level encoder on 2k+1 wires protecting k data qubits.
 
@@ -377,53 +356,24 @@ def recursive_encoder(k: int) -> Circuit:
     return Circuit(2 * int(k) + 1, tuple(placed))
 
 
-_NAMED_ATOMS = {
-    "i": [[1, 0], [0, 1]],
-    "x": [[0, 1], [1, 0]],
-    "y": [[0, -1j], [1j, 0]],
-    "z": [[1, 0], [0, -1]],
-    "h": (np.array([[1, 1], [1, -1]]) / np.sqrt(2)).tolist(),
-}
+_NAMED_ATOMS = {g.name.lower(): g for g in (I, X, Y, Z, H)}
 
 
 def atom_from_selector(sel: str) -> ComplexMatrix:
     """Parse an attack-unitary selector: h|x|y|z|i, ry:<alpha>, or
-    matrix:<json 2x2 of [re, im] pairs>."""
+    matrix:<json 2x2 of [re, im] pairs>, which must be unitary."""
     s = sel.strip().lower()
     if s in _NAMED_ATOMS:
-        return ComplexMatrix(_NAMED_ATOMS[s])
+        return _NAMED_ATOMS[s].matrix
     if s.startswith("ry:"):
         return ry(float(s[3:])).matrix
     if s.startswith("matrix:"):
-        rows = json.loads(sel.strip()[7:])
-        m = [[complex(re, im) for re, im in row] for row in rows]
-        cm = ComplexMatrix(m)
-        if cm.dim_rows != 2 or cm.dim_cols != 2:
-            raise ValueError("matrix selector must be 2x2")
-        return cm
+        try:
+            rows = [[complex(re, im) for re, im in row] for row in json.loads(sel.strip()[7:])]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix selector must be a JSON 2x2 of [re, im] pairs ({exc})") from None
+        return Gate("matrix", ComplexMatrix(rows), 1).matrix
     raise ValueError(f"unknown attack selector {sel!r}")
-
-
-def atom_to_selector(w: ComplexMatrix) -> str:
-    for name, rows in _NAMED_ATOMS.items():
-        if np.abs(w.array - np.asarray(rows, dtype=complex)).max() <= 1e-12:
-            return name
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in w.array]
-    return "matrix:" + json.dumps(rows)
-
-
-def channel_to_json(ch: CorrelatedChannel) -> str:
-    payload = {
-        "n": ch.n_qubits,
-        "support": [{"w": atom_to_selector(w), "p": p} for w, p in ch.support],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def channel_from_json(text_or_dict) -> CorrelatedChannel:
-    d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
-    support = [(atom_from_selector(item["w"]), float(item["p"])) for item in d["support"]]
-    return CorrelatedChannel(int(d["n"]), tuple(support))
 
 
 def random_su2(rng: np.random.Generator) -> ComplexMatrix:

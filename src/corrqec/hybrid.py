@@ -4,7 +4,7 @@ all-wire Pauli attacks (X, Y, or Z applied to every wire at once).
 The encoder family P_n (2 <= n <= 8) is built two independent ways: a
 matrix recursion seeded by the 4x4 and 8x8 bases, and a CNOT/H circuit
 recursion mirroring the diagrams. Both agree exactly (no global phase, no
-wire relabeling), which hybrid_encoder enforces at construction time.
+wire relabeling), which the `verify` battery checks for every width.
 
 Wire split (wire 0 = top = most significant): the ancilla occupies wire 0
 for odd n and wires 0..1 for even n; all remaining wires are data. After
@@ -17,7 +17,6 @@ diagonal, so classical basis-state ancillas read back deterministically
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +28,13 @@ from .circuit import (
     basis_state,
     fidelity,
     partial_trace,
-    realize,
     tensor,
 )
-from .gates import CNOT, H, PlacedGate, ry
-from .linalg import ComplexMatrix, equal_up_to_global_phase, is_unitary
+from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry
+from .linalg import ComplexMatrix, tensor_power
 
-PAULI_TAGS = ("I", "X", "Y", "Z")
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
+PAULI_TAGS = tuple(_PAULI)
 
 MIN_QUBITS = 2
 MAX_QUBITS = 8
@@ -113,20 +105,16 @@ class HybridEncoder:
     circuit: Circuit
 
     def __post_init__(self):
-        if not is_unitary(self.matrix, 1e-12):
-            raise ValueError("hybrid encoder matrix is not unitary")
         if self.circuit.n_wires != self.n_qubits:
             raise ValueError("circuit width does not match encoder width")
-        if not equal_up_to_global_phase(realize(self.circuit), self.matrix, 1e-10):
-            raise ValueError("hybrid encoder circuit does not realize its matrix")
 
 
 def hybrid_encoder(n: int) -> HybridEncoder:
     """Encoder for an n-wire register, 2 <= n <= 8.
 
     The circuit realizes the matrix exactly, with the identity wire
-    permutation (verified at construction; documented because the
-    equality check nominally allows a relabeling).
+    permutation. The `verify` battery and the test suite prove this for
+    every width, so construction does not repeat the proof.
     """
     n = _check_width(n)
     return HybridEncoder(
@@ -149,11 +137,7 @@ def data_wires(n: int) -> tuple[int, ...]:
 def error_unitary(n: int, tag: str) -> ComplexMatrix:
     """The attack: one Pauli applied to every wire simultaneously."""
     n = _check_width(n)
-    w = _PAULI[normalize_tag(tag)]
-    m = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        m = np.kron(m, w)
-    return ComplexMatrix(m)
+    return ComplexMatrix(tensor_power(_PAULI[normalize_tag(tag)], n))
 
 
 def conjugated_error(n: int, tag: str) -> ComplexMatrix:
@@ -291,32 +275,3 @@ def hybrid_protect(
             fidelity_vs_expected=fidelity(red, expected),
         )
     return fid_data, report
-
-
-def experiment_to_json(spec: dict) -> str:
-    payload = {
-        "n": int(spec["n"]),
-        "ancilla": str(spec["ancilla"]),
-        "errors": [normalize_tag(t).lower() for t in spec.get("errors", [])],
-        "shots": int(spec.get("shots", 8192)),
-        "seed": int(spec.get("seed", 0)),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def experiment_from_json(text_or_dict) -> dict:
-    d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else dict(text_or_dict)
-    n = _check_width(int(d["n"]))
-    ancilla = d.get("ancilla", "0" if n % 2 == 1 else "00")
-    parse_ancilla(n, ancilla)  # validate early
-    errors = [normalize_tag(t) for t in d.get("errors", ["I"])]
-    shots = int(d.get("shots", 8192))
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    return {
-        "n": n,
-        "ancilla": str(ancilla),
-        "errors": errors,
-        "shots": shots,
-        "seed": int(d.get("seed", 0)),
-    }

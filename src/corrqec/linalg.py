@@ -10,28 +10,7 @@ most significant one (top wire of a circuit diagram, wire index 0).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute per-entry bound used by comparison predicates."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        eps = float(self.epsilon)
-        if not np.isfinite(eps) or eps < 0:
-            raise ValueError(f"tolerance must be a finite non-negative real, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", eps)
-
-
-def _eps(tol) -> float:
-    if isinstance(tol, Tolerance):
-        return tol.epsilon
-    return Tolerance(float(tol)).epsilon
 
 
 class ComplexMatrix:
@@ -105,20 +84,12 @@ def _as_array(m) -> np.ndarray:
     return ComplexMatrix(m).array
 
 
-def kron(a, b) -> ComplexMatrix:
-    """Kronecker product; the first argument is the most significant factor."""
-    return ComplexMatrix(np.kron(_as_array(a), _as_array(b)))
-
-
-def matmul(a, b) -> ComplexMatrix:
-    aa, bb = _as_array(a), _as_array(b)
-    if aa.shape[1] != bb.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {aa.shape} x {bb.shape}")
-    return ComplexMatrix(aa @ bb)
-
-
-def dagger(a) -> ComplexMatrix:
-    return ComplexMatrix(_as_array(a).conj().T)
+def tensor_power(w, n: int) -> np.ndarray:
+    """w tensored with itself n times, the same factor on every wire."""
+    m = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        m = np.kron(m, w)
+    return m
 
 
 def is_unitary(a, tol) -> bool:
@@ -126,7 +97,7 @@ def is_unitary(a, tol) -> bool:
     if aa.shape[0] != aa.shape[1]:
         raise ValueError(f"is_unitary needs a square matrix, got {aa.shape}")
     dev = np.abs(aa.conj().T @ aa - np.eye(aa.shape[0])).max()
-    return bool(dev <= _eps(tol))
+    return bool(dev <= float(tol))
 
 
 def max_abs_diff(a, b) -> float:
@@ -141,7 +112,7 @@ def equal_up_to_global_phase(a, b, tol) -> bool:
     aa, bb = _as_array(a), _as_array(b)
     if aa.shape != bb.shape:
         raise ValueError(f"shape mismatch: {aa.shape} vs {bb.shape}")
-    eps = _eps(tol)
+    eps = float(tol)
     flat = np.argmax(np.abs(aa))
     pivot = aa.reshape(-1)[flat]
     if abs(pivot) == 0.0:
@@ -160,17 +131,3 @@ def matrix_to_text(m) -> str:
     for row in a:
         lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
     return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> ComplexMatrix:
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([complex(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError("empty matrix text")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix text")
-    return ComplexMatrix(rows)

@@ -31,13 +31,10 @@ from .circuit import (
     tensor,
     to_density,
 )
-from .gates import embed
+from .gates import X, Y, Z, embed
+from .linalg import tensor_power
 
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,6 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
-
-    def is_zero(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0 and self.p_readout == 0.0
 
 
 def _depolarize_wire(rho: np.ndarray, wire: int, n: int, p: float) -> np.ndarray:
@@ -114,14 +108,32 @@ class ExperimentReport:
             raise ValueError("success_probability must lie in [0, 1]")
 
 
-_SCHEMES = ("corr3", "corr3-basic", "corr5", "hybrid")
+# Correlated schemes: encoder circuit factory and k, the number of data
+# qubits on its 2k+1 wires. The lambdas look the factories up when called,
+# so a profiler that rebinds the module attributes still sees each call.
+_CORRELATED = {
+    "corr3": (lambda: correlated.standard_decomposition(), 1),
+    "corr3-basic": (lambda: correlated.basic_decomposition(), 1),
+    "corr5": (lambda: correlated.recursive_encoder(2), 2),
+}
+_SCHEMES = (*_CORRELATED, "hybrid")
+_COMMON_KEYS = {"scheme", "noise", "shots", "seed", "name"}
+_CORRELATED_KEYS = {"w", "rounds"}
+_HYBRID_KEYS = {"n", "ancilla", "errors"}
 
 
 def _normalize_spec(spec: dict) -> dict:
+    """Validate an experiment spec and fill in every default."""
     s = dict(spec)
     scheme = s.get("scheme")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown experiment scheme {scheme!r}; expected one of {_SCHEMES}")
+    unknown = set(s) - _COMMON_KEYS - _CORRELATED_KEYS - _HYBRID_KEYS
+    if unknown:
+        raise ValueError(f"unknown experiment parameters {sorted(unknown)}")
+    foreign = set(s) & (_CORRELATED_KEYS if scheme == "hybrid" else _HYBRID_KEYS)
+    if foreign:
+        raise ValueError(f"parameters {sorted(foreign)} do not apply to scheme {scheme!r}")
     noise = s.get("noise", {})
     if isinstance(noise, NoiseModel):
         nm = noise
@@ -136,13 +148,14 @@ def _normalize_spec(spec: dict) -> dict:
         "noise": nm,
         "shots": int(s.get("shots", 8192)),
         "seed": int(s.get("seed", 0)),
+        # hybrid specs cannot set rounds: their attack list is `errors`
         "rounds": int(s.get("rounds", 1)),
     }
     if out["shots"] < 1:
         raise ValueError("shots must be at least 1")
     if out["rounds"] < 1:
         raise ValueError("rounds must be at least 1")
-    if scheme in ("corr3", "corr3-basic", "corr5"):
+    if scheme in _CORRELATED:
         out["w"] = str(s.get("w", "h"))
         correlated.atom_from_selector(out["w"])  # validate early
         out["name"] = s.get("name") or scheme
@@ -165,40 +178,23 @@ def _normalize_spec(spec: dict) -> dict:
 def _build_experiment(ns: dict):
     """Return (encode circuit, initial state, attack unitaries, data wires,
     expected bit string) for a normalized experiment spec."""
-    scheme = ns["scheme"]
-    if scheme in ("corr3", "corr3-basic"):
-        circ = (
-            correlated.standard_decomposition()
-            if scheme == "corr3"
-            else correlated.basic_decomposition()
-        )
-        init = basis_state(3, "000")
+    if ns["scheme"] in _CORRELATED:
+        factory, k = _CORRELATED[ns["scheme"]]
+        circ = factory()
+        n = circ.n_wires
+        init = basis_state(n, "0" * n)
         w = correlated.atom_from_selector(ns["w"]).array
-        attack = [np.kron(np.kron(w, w), w)] * ns["rounds"]
-        data = [correlated.DATA_WIRE]
-        expected = "0"
-    elif scheme == "corr5":
-        circ = correlated.recursive_encoder(2)
-        init = basis_state(5, "00000")
-        w = correlated.atom_from_selector(ns["w"]).array
-        wn = np.array([[1.0 + 0j]])
-        for _ in range(5):
-            wn = np.kron(wn, w)
-        attack = [wn] * ns["rounds"]
-        data = correlated.recursive_data_wires(2)
-        expected = "00"
+        attack = [tensor_power(w, n)] * ns["rounds"]
+        data = correlated.recursive_data_wires(k)
     else:
         n = ns["n"]
-        enc = hybrid.hybrid_encoder(n)
-        circ = enc.circuit
+        circ = hybrid.hybrid_encoder(n).circuit
         anc = hybrid.parse_ancilla(n, ns["ancilla"])
         anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
-        dw = hybrid.data_wires(n)
-        init = tensor(anc_state, basis_state(len(dw), "0" * len(dw)))
+        data = list(hybrid.data_wires(n))
+        init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
         attack = [hybrid.error_unitary(n, t).array for t in ns["errors"]]
-        data = list(dw)
-        expected = "0" * len(dw)
-    return circ, init, attack, data, expected
+    return circ, init, attack, data, "0" * len(data)
 
 
 def _exact_distribution(ns: dict):

@@ -14,9 +14,6 @@ from corrqec.circuit import (
     circuit_to_text,
     dagger_circuit,
     fidelity,
-    histogram_to_csv,
-    histogram_to_json,
-    measure_shots,
     partial_trace,
     realize,
     sample_counts,
@@ -174,21 +171,6 @@ def test_sample_counts_accepts_generator():
     assert np.array_equal(sample_counts(probs, 500, g1), sample_counts(probs, 500, g2))
 
 
-def test_measure_shots_statistics():
-    """Sampled frequency stays within 3 sigma of the Born value."""
-    s = apply(bell_circuit(), basis_state(2, "00"))
-    h = measure_shots(s, [0, 1], 40000, 7)
-    assert h.shots == 40000
-    assert set(h.counts) <= {"00", "11"}
-    sigma = np.sqrt(40000 * 0.5 * 0.5)
-    assert abs(h.counts["00"] - 20000) < 3 * sigma
-
-
-def test_measure_shots_deterministic_outcome():
-    h = measure_shots(basis_state(2, "10"), [0, 1], 100, 1)
-    assert h.counts == {"10": 100}
-
-
 def test_histogram_validation():
     Histogram(n_measured=2, counts={"01": 3, "10": 1}, shots=4)
     with pytest.raises(ValueError):
@@ -197,14 +179,6 @@ def test_histogram_validation():
         Histogram(n_measured=2, counts={"01": 1}, shots=5)
     with pytest.raises(ValueError):
         Histogram(n_measured=1, counts={"0": -1}, shots=-1)
-
-
-def test_histogram_serialization():
-    h = Histogram(n_measured=2, counts={"10": 1, "00": 3}, shots=4)
-    assert histogram_to_json(h) == (
-        '{\n  "counts": {\n    "00": 3,\n    "10": 1\n  },\n  "shots": 4\n}\n'
-    )
-    assert histogram_to_csv(h) == "bitstring,count\n00,3\n10,1\n"
 
 
 def test_fidelity_examples():

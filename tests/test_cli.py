@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from corrqec import cli, correlated, hybrid
-from corrqec.linalg import matrix_from_text, max_abs_diff
+from corrqec.linalg import max_abs_diff
+
+
+def parse_matrix_text(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), dtype=complex, ndmin=2)
 
 
 def run_cli(argv, capsys):
@@ -146,6 +152,15 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
         ["run", "--scheme", "hybrid", "--n", "4", "--ancilla", "ry:0.5"],
         ["run", "--scheme", "hybrid", "--n", "2"],
         ["run", "--scheme", "corr3", "--shots", "0"],
+        ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[1,0]],[[0,0],[1,0]]]"],
+        ["run", "--scheme", "corr3", "--w", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"],
+        ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],
+        ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]]"],
+        ["run", "--scheme", "hybrid", "--n", "5", "--w", "h"],
+        ["run", "--scheme", "hybrid", "--n", "5", "--rounds", "2"],
+        ["run", "--scheme", "corr3", "--n", "5"],
+        ["run", "--scheme", "corr5", "--errors", "x"],
+        ["run", "--scheme", "corr3-basic", "--ancilla", "0"],
         ["dump", "nonsense"],
         ["dump", "circuit:hybrid11"],
         ["nonsense-command"],
@@ -160,11 +175,11 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
 def test_dump_encoder_round_trips(capsys):
     code, out, _ = run_cli(["dump", "u"], capsys)
     assert code == 0
-    m = matrix_from_text(out)
+    m = parse_matrix_text(out)
     assert max_abs_diff(m, correlated.build_new_U()) == 0.0
     code, out, _ = run_cli(["dump", "old-u"], capsys)
     assert code == 0
-    assert max_abs_diff(matrix_from_text(out), correlated.build_old_U()) == 0.0
+    assert max_abs_diff(parse_matrix_text(out), correlated.build_old_U()) == 0.0
 
 
 def test_dump_basic_circuit_line_count(capsys):
@@ -190,13 +205,13 @@ def test_dump_corr5_circuit(capsys):
 def test_dump_hybrid_targets(capsys):
     code, out, _ = run_cli(["dump", "pn:5"], capsys)
     assert code == 0
-    assert max_abs_diff(matrix_from_text(out), hybrid.hybrid_encoder(5).matrix) == 0.0
+    assert max_abs_diff(parse_matrix_text(out), hybrid.hybrid_encoder(5).matrix) == 0.0
     code, out, _ = run_cli(["dump", "p2"], capsys)
     assert code == 0
-    assert matrix_from_text(out).dim_rows == 4
+    assert parse_matrix_text(out).shape == (4, 4)
     code, out, _ = run_cli(["dump", "p3"], capsys)
     assert code == 0
-    assert matrix_from_text(out).dim_rows == 8
+    assert parse_matrix_text(out).shape == (8, 8)
     code, out, _ = run_cli(["dump", "circuit:hybrid6"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 9
@@ -207,7 +222,7 @@ def test_dump_to_file(tmp_path, capsys):
     code, out, _ = run_cli(["dump", "u", "--out", str(target)], capsys)
     assert code == 0
     assert "wrote" in out
-    assert max_abs_diff(matrix_from_text(target.read_text()), correlated.build_new_U()) == 0.0
+    assert max_abs_diff(parse_matrix_text(target.read_text()), correlated.build_new_U()) == 0.0
 
 
 def test_entry_point_help_exits_zero(capsys):

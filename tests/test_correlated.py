@@ -20,19 +20,15 @@ from corrqec.correlated import (
     CorrelatedChannel,
     apply_channel,
     atom_from_selector,
-    atom_to_selector,
     basic_decomposition,
     build_new_U,
     build_old_U,
-    channel_from_json,
-    channel_to_json,
     erroneous_decomposition_product,
     make_channel,
     random_su2,
     recursive_data_wires,
     recursive_encoder,
     recursive_triples,
-    recursive_zero_wires,
     standard_decomposition,
     three_qubit_protect,
     verify_block_structure,
@@ -277,10 +273,9 @@ def test_recursive_layout():
     assert recursive_triples(1) == [(0, 1, 2)]
     assert recursive_triples(2) == [(4, 3, 2), (0, 1, 2)]
     assert recursive_triples(3) == [(4, 3, 2), (6, 5, 4), (0, 1, 2)]
+    assert recursive_data_wires(1) == [1]
     assert recursive_data_wires(2) == [1, 3]
-    assert recursive_zero_wires(2) == [0, 4]
     assert recursive_data_wires(3) == [1, 3, 5]
-    assert recursive_zero_wires(3) == [0, 4, 6]
     with pytest.raises(ValueError):
         recursive_triples(0)
 
@@ -355,25 +350,21 @@ def test_recursive_encoder_k3_spot_check():
 def test_atom_selectors():
     for name, gate in (("h", H), ("x", X), ("y", Y), ("z", Z), ("i", I)):
         assert max_abs_diff(atom_from_selector(name), gate.matrix) == 0.0
-        assert atom_to_selector(gate.matrix) == name
     m = atom_from_selector("ry:0.5")
     assert abs(m[0, 0] - np.cos(0.25)) < 1e-15
     m = atom_from_selector('matrix:[[[0,0],[0,-1]],[[0,1],[0,0]]]')
     assert max_abs_diff(m, Y.matrix) == 0.0
     with pytest.raises(ValueError):
         atom_from_selector("q")
-    with pytest.raises(ValueError):
-        atom_from_selector("matrix:[[[1,0]]]")
-
-
-def test_channel_json_round_trip():
-    ch = make_channel(3, [(H, 0.25), (X, 0.75)])
-    back = channel_from_json(channel_to_json(ch))
-    assert back.n_qubits == 3
-    assert len(back.support) == 2
-    for (w1, p1), (w2, p2) in zip(ch.support, back.support):
-        assert max_abs_diff(w1, w2) == 0.0
-        assert p1 == p2
+    for bad in (
+        "matrix:[[[1,0]]]",  # not 2x2
+        "matrix:[[1]]",  # entries are not [re, im] pairs
+        "matrix:[[[1,0],[0,0]]",  # malformed JSON
+        "matrix:[[[1,0],[1,0]],[[0,0],[1,0]]]",  # not unitary
+        "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]",  # not unitary, determinant 1
+    ):
+        with pytest.raises(ValueError):
+            atom_from_selector(bad)
 
 
 def test_random_su2_is_special_unitary():

@@ -13,8 +13,6 @@ from corrqec.hybrid import (
     conjugated_error,
     data_wires,
     error_unitary,
-    experiment_from_json,
-    experiment_to_json,
     hybrid_encoder,
     hybrid_protect,
     normalize_tag,
@@ -272,25 +270,3 @@ def test_hybrid_protect_random_data_randomized():
             tags = [str(rng.choice(["X", "Y", "Z"])) for _ in range(3)]
             fid, _ = hybrid_protect(n, data, anc, tags)
             assert fid > 1 - 1e-9
-
-
-def test_experiment_json_round_trip():
-    spec = {"n": 5, "ancilla": "ry:2.356", "errors": ["x", "z"], "shots": 512, "seed": 3}
-    back = experiment_from_json(experiment_to_json(spec))
-    assert back["n"] == 5
-    assert back["ancilla"] == "ry:2.356"
-    assert back["errors"] == ["X", "Z"]
-    assert back["shots"] == 512 and back["seed"] == 3
-
-
-def test_experiment_json_defaults_and_validation():
-    back = experiment_from_json('{"n": 4}')
-    assert back["ancilla"] == "00"
-    assert back["errors"] == ["I"]
-    assert back["shots"] == 8192 and back["seed"] == 0
-    with pytest.raises(ValueError):
-        experiment_from_json('{"n": 1}')
-    with pytest.raises(ValueError):
-        experiment_from_json('{"n": 4, "ancilla": "ry:0.5"}')
-    with pytest.raises(ValueError):
-        experiment_from_json('{"n": 4, "shots": 0}')

@@ -27,9 +27,8 @@ SWEEP = [
 
 
 def test_noise_model_validation():
-    nm = NoiseModel()
-    assert nm.is_zero()
-    assert not NoiseModel(p1=0.1).is_zero()
+    assert NoiseModel() == NoiseModel(p1=0.0, p2=0.0, p_readout=0.0)
+    assert NoiseModel(p1=1).p1 == 1.0
     with pytest.raises(ValueError):
         NoiseModel(p1=-0.1)
     with pytest.raises(ValueError):
@@ -148,6 +147,32 @@ def test_spec_validation_errors():
         run_named({"scheme": "hybrid", "n": 4, "ancilla": "ry:0.5"})
     with pytest.raises(ValueError):
         run_named({"scheme": "hybrid", "n": 2})  # nothing to measure
+    with pytest.raises(ValueError):
+        exact_success({"scheme": "corr3", "w": "h", "bogus": 1})  # unknown to every scheme
+    # parameters of the other scheme are rejected, not ignored
+    for key, value in (("w", "h"), ("rounds", 1), ("rounds", 3)):
+        with pytest.raises(ValueError):
+            exact_success({"scheme": "hybrid", "n": 5, "errors": ["x"], key: value})
+    for key, value in (("n", 5), ("ancilla", "0"), ("errors", ["x"])):
+        for scheme in ("corr3", "corr3-basic", "corr5"):
+            with pytest.raises(ValueError):
+                exact_success({"scheme": scheme, "w": "h", key: value})
+
+
+def test_hybrid_spec_defaults_and_validation():
+    rep = run_named({"scheme": "hybrid", "n": 4})
+    assert rep.name == "hybrid4"
+    assert rep.config["ancilla"] == "00"
+    assert rep.config["errors"] == ["i"]
+    assert rep.config["rounds"] == 1
+    assert rep.histogram.shots == 8192 and rep.seed == 0
+    assert run_named({"scheme": "hybrid"}).config["n"] == 3
+    with pytest.raises(ValueError):
+        run_named({"scheme": "hybrid", "n": 1})
+    with pytest.raises(ValueError):
+        run_named({"scheme": "hybrid", "n": 4, "ancilla": "ry:0.5"})
+    with pytest.raises(ValueError):
+        run_named({"scheme": "hybrid", "n": 4, "shots": 0})
 
 
 def test_run_named_report_shape():
