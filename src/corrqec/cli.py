@@ -292,7 +292,7 @@ def cmd_run(args) -> int:
         if getattr(args, key) is not None:
             spec[key] = getattr(args, key)
     if "errors" in spec:
-        spec["errors"] = [t for t in spec["errors"].split(",") if t]
+        spec["errors"] = spec["errors"].split(",")
     rep = noise_exp.run_named(spec)
     if args.format == "json":
         text = noise_exp.report_to_json(rep, ibm_bit_order=args.ibm_bit_order)

@@ -128,19 +128,14 @@ def inverse(gate: Gate) -> Gate:
 
 
 def _wire_permutation(wires: tuple[int, ...], n: int) -> np.ndarray:
-    """Permutation matrix moving the listed wires to the front, in order."""
+    """Index array: entry i is basis index i with the listed wires moved to
+    the front, in order, and the other wires after them in ascending order."""
     order = list(wires) + [w for w in range(n) if w not in wires]
-    dim = 2**n
-    perm = np.zeros(dim, dtype=np.int64)
-    for i in range(dim):
-        j = 0
-        for t, w in enumerate(order):
-            bit = (i >> (n - 1 - w)) & 1
-            j |= bit << (n - 1 - t)
-        perm[i] = j
-    s = np.zeros((dim, dim), dtype=complex)
-    s[perm, np.arange(dim)] = 1.0
-    return s
+    i = np.arange(2**n)
+    perm = np.zeros(2**n, dtype=np.int64)
+    for t, w in enumerate(order):
+        perm |= ((i >> (n - 1 - w)) & 1) << (n - 1 - t)
+    return perm
 
 
 def embed(pg: PlacedGate, n: int) -> ComplexMatrix:
@@ -148,9 +143,9 @@ def embed(pg: PlacedGate, n: int) -> ComplexMatrix:
     if any(w >= n for w in pg.wires):
         raise ValueError(f"wires {pg.wires} out of range for a {n}-wire register")
     rest = n - pg.gate.arity
-    s = _wire_permutation(pg.wires, n)
+    perm = _wire_permutation(pg.wires, n)
     big = np.kron(pg.gate.matrix.array, np.eye(2**rest))
-    return ComplexMatrix(s.conj().T @ big @ s)
+    return ComplexMatrix(big[np.ix_(perm, perm)])
 
 
 def format_placed_gate(pg: PlacedGate) -> str:

@@ -18,6 +18,7 @@ diagonal, so classical basis-state ancillas read back deterministically
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -72,14 +73,19 @@ def _check_width(n: int) -> int:
     return n
 
 
+@cache
 def _matrix_rec(n: int) -> np.ndarray:
+    """The encoder matrix P_n, built once per width and shared read-only."""
     if n == 2:
         return p2_matrix().array
     if n == 3:
         return p3_matrix().array
     if n % 2 == 0:
-        return np.kron(np.eye(2), _matrix_rec(n - 1)) @ np.kron(p2_matrix().array, np.eye(2 ** (n - 2)))
-    return np.kron(np.eye(4), _matrix_rec(n - 2)) @ np.kron(p3_matrix().array, np.eye(2 ** (n - 3)))
+        m = np.kron(np.eye(2), _matrix_rec(n - 1)) @ np.kron(p2_matrix().array, np.eye(2 ** (n - 2)))
+    else:
+        m = np.kron(np.eye(4), _matrix_rec(n - 2)) @ np.kron(p3_matrix().array, np.eye(2 ** (n - 3)))
+    m.setflags(write=False)
+    return m
 
 
 def _shift(gates, offset: int):
@@ -109,6 +115,12 @@ class HybridEncoder:
             raise ValueError("circuit width does not match encoder width")
 
 
+def encoder_circuit(n: int) -> Circuit:
+    """The CNOT/H encoder circuit alone, without building its matrix."""
+    n = _check_width(n)
+    return Circuit(n, tuple(_circuit_gates(n)))
+
+
 def hybrid_encoder(n: int) -> HybridEncoder:
     """Encoder for an n-wire register, 2 <= n <= 8.
 
@@ -117,11 +129,7 @@ def hybrid_encoder(n: int) -> HybridEncoder:
     every width, so construction does not repeat the proof.
     """
     n = _check_width(n)
-    return HybridEncoder(
-        n_qubits=n,
-        matrix=ComplexMatrix(_matrix_rec(n)),
-        circuit=Circuit(n, tuple(_circuit_gates(n))),
-    )
+    return HybridEncoder(n_qubits=n, matrix=ComplexMatrix(_matrix_rec(n)), circuit=encoder_circuit(n))
 
 
 def ancilla_wires(n: int) -> tuple[int, ...]:
@@ -236,14 +244,17 @@ def hybrid_protect(
     anc = parse_ancilla(n, ancilla)
     tags = [normalize_tag(t) for t in errors]
 
-    folded = np.eye(2**n, dtype=complex)
+    # Every attack is one Pauli on all wires, so the sequence folds to the
+    # product of its 2x2 factors on all wires.
+    w = _PAULI["I"]
     for t in tags:
-        folded = error_unitary(n, t).array @ folded
+        w = _PAULI[t] @ w
+    folded = tensor_power(w, n)
 
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
-    out = p.conj().T @ folded @ p @ full.amplitudes
+    out = p.conj().T @ (folded @ (p @ full.amplitudes))
     rho = DensityMatrix(np.outer(out, out.conj()), n)
 
     fid_data = 1.0 if data is None else fidelity(partial_trace(rho, list(dw)), data)

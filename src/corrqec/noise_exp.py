@@ -1,11 +1,17 @@
 """Depolarizing gate noise and named, reproducible experiments.
 
 Noise placement: after every circuit gate, each touched wire gets a
-depolarizing kick, with strength p1 for one-wire gates and p2 split
-evenly over the touched wires for wider gates. The attack unitaries between encode
-and decode are applied exactly (they model the channel being corrected,
-not hardware error). Readout bit-flips, if enabled, act on the exact
-outcome distribution of the measured wires.
+single-wire depolarizing kick, with strength p1 for one-wire gates and p2
+split evenly over the touched wires for wider gates (p2/2 on each wire of
+a two-wire gate, not a 15-Pauli two-wire channel). The attack rounds
+between encode and decode are applied exactly, one 2x2 factor on every
+wire (they model the channel being corrected, not hardware error).
+Readout bit-flips, if enabled, act on the exact outcome distribution of
+the measured wires.
+
+The density matrix is held as a (2,)*2n tensor, and gates, kicks and
+attack factors contract only the axes of the wires they touch; no
+2^n x 2^n operator is ever formed.
 
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
@@ -31,10 +37,6 @@ from .circuit import (
     tensor,
     to_density,
 )
-from .gates import X, Y, Z, embed
-from .linalg import tensor_power
-
-_PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
 
 
 @dataclass(frozen=True)
@@ -51,36 +53,51 @@ class NoiseModel:
             object.__setattr__(self, name, v)
 
 
-def _depolarize_wire(rho: np.ndarray, wire: int, n: int, p: float) -> np.ndarray:
+def _apply_gate(t: np.ndarray, g: np.ndarray, wires, n: int) -> np.ndarray:
+    """g rho g-dagger for a k-wire gate g, with rho held as a (2,)*2n tensor
+    (row axes 0..n-1, column axes n..2n-1). Only the touched axes are
+    contracted; wires[0] receives the gate's most significant bit."""
+    k = len(wires)
+    g = g.reshape((2,) * (2 * k))
+    ins = tuple(range(k, 2 * k))
+    t = np.moveaxis(np.tensordot(g, t, axes=(ins, wires)), range(k), wires)
+    cols = tuple(n + w for w in wires)
+    return np.moveaxis(np.tensordot(g.conj(), t, axes=(ins, cols)), range(k), cols)
+
+
+def _depolarize_wire(t: np.ndarray, wire: int, n: int, p: float) -> np.ndarray:
+    """(1-p) rho + p (I/2 on `wire`, tensored with Tr_wire rho).
+
+    This is the Pauli form (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s,
+    since sum_{I,X,Y,Z} s rho s = 2 (I tensor Tr_wire rho).
+    """
     if p == 0.0:
-        return rho
-    d = 2**n
-    lo = 2 ** (n - 1 - wire)
-    hi = d // (2 * lo)
-    out = (1.0 - 0.75 * p) * rho
-    t = rho.reshape(hi, 2, lo, hi, 2, lo)
-    for pauli in _PAULIS:
-        kicked = np.einsum("ab,hbljcm,cd->haljdm", pauli, t, pauli.conj().T)
-        out = out + 0.25 * p * kicked.reshape(d, d)
-    return out
+        return t
+    hi, lo = 2**wire, 2 ** (n - 1 - wire)
+    v = t.reshape(hi, 2, lo, hi, 2, lo)
+    half_tr = (0.5 * p) * (v[:, 0, :, :, 0, :] + v[:, 1, :, :, 1, :])
+    out = (1.0 - p) * v
+    out[:, 0, :, :, 0, :] += half_tr
+    out[:, 1, :, :, 1, :] += half_tr
+    return out.reshape(t.shape)
 
 
 def _apply_noisy_array(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     n = c.n_wires
+    t = rho.reshape((2,) * (2 * n))
     for pg in c.gates:
-        u = embed(pg, n).array
-        rho = u @ rho @ u.conj().T
+        t = _apply_gate(t, pg.gate.matrix.array, pg.wires, n)
         strength = nm.p1 if pg.gate.arity == 1 else nm.p2 / pg.gate.arity
         for w in pg.wires:
-            rho = _depolarize_wire(rho, w, n, strength)
-    return rho
+            t = _depolarize_wire(t, w, n, strength)
+    return t.reshape(rho.shape)
 
 
 def apply_noisy(c: Circuit, rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
     """Run a circuit with per-gate depolarizing noise on touched wires."""
     if c.n_wires != rho.n_wires:
         raise ValueError(f"circuit has {c.n_wires} wires, state has {rho.n_wires}")
-    return DensityMatrix(_apply_noisy_array(c, rho.matrix.array.copy(), nm), c.n_wires)
+    return DensityMatrix(_apply_noisy_array(c, rho.matrix.array, nm), c.n_wires)
 
 
 def _readout_flip(probs: np.ndarray, p: float) -> np.ndarray:
@@ -168,6 +185,8 @@ def _normalize_spec(spec: dict) -> dict:
             ancilla = "0" if n % 2 == 1 else "00"
         hybrid.parse_ancilla(n, ancilla)
         errors = s.get("errors", ["I"])
+        if not errors:
+            raise ValueError("hybrid errors list is empty; use ['i'] for a run without attack")
         out["n"] = n
         out["ancilla"] = str(ancilla)
         out["errors"] = [hybrid.normalize_tag(t) for t in errors]
@@ -176,36 +195,38 @@ def _normalize_spec(spec: dict) -> dict:
 
 
 def _build_experiment(ns: dict):
-    """Return (encode circuit, initial state, attack unitaries, data wires,
-    expected bit string) for a normalized experiment spec."""
+    """Return (encode circuit, initial state, attack factors, data wires,
+    expected bit string) for a normalized experiment spec. Each attack
+    round is a 2x2 factor applied to every wire at once."""
     if ns["scheme"] in _CORRELATED:
         factory, k = _CORRELATED[ns["scheme"]]
         circ = factory()
         n = circ.n_wires
         init = basis_state(n, "0" * n)
-        w = correlated.atom_from_selector(ns["w"]).array
-        attack = [tensor_power(w, n)] * ns["rounds"]
+        attack = [correlated.atom_from_selector(ns["w"]).array] * ns["rounds"]
         data = correlated.recursive_data_wires(k)
     else:
         n = ns["n"]
-        circ = hybrid.hybrid_encoder(n).circuit
+        circ = hybrid.encoder_circuit(n)
         anc = hybrid.parse_ancilla(n, ns["ancilla"])
         anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
         data = list(hybrid.data_wires(n))
         init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
-        attack = [hybrid.error_unitary(n, t).array for t in ns["errors"]]
+        attack = [hybrid._PAULI[t] for t in ns["errors"]]
     return circ, init, attack, data, "0" * len(data)
 
 
 def _exact_distribution(ns: dict):
     circ, init, attack, data, expected = _build_experiment(ns)
     nm: NoiseModel = ns["noise"]
-    rho = to_density(init).matrix.array.copy()
-    rho = _apply_noisy_array(circ, rho, nm)
-    for u in attack:
-        rho = u @ rho @ u.conj().T
-    rho = _apply_noisy_array(dagger_circuit(circ), rho, nm)
-    probs = born_distribution(DensityMatrix(rho, circ.n_wires), data)
+    n = circ.n_wires
+    t = to_density(init).matrix.array.reshape((2,) * (2 * n))
+    t = _apply_noisy_array(circ, t, nm)
+    for w in attack:
+        for wire in range(n):
+            t = _apply_gate(t, w, (wire,), n)
+    t = _apply_noisy_array(dagger_circuit(circ), t, nm)
+    probs = born_distribution(DensityMatrix(t.reshape(2**n, 2**n), n), data)
     probs = _readout_flip(probs, nm.p_readout)
     return probs, data, expected
 

@@ -161,6 +161,8 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
         ["run", "--scheme", "corr3", "--n", "5"],
         ["run", "--scheme", "corr5", "--errors", "x"],
         ["run", "--scheme", "corr3-basic", "--ancilla", "0"],
+        ["run", "--scheme", "hybrid", "--n", "5", "--errors", ","],
+        ["run", "--scheme", "hybrid", "--n", "5", "--errors", "x,,y"],
         ["dump", "nonsense"],
         ["dump", "circuit:hybrid11"],
         ["nonsense-command"],

@@ -8,10 +8,12 @@ from corrqec.gates import ry
 from corrqec.hybrid import (
     MAX_QUBITS,
     MIN_QUBITS,
+    _matrix_rec,
     ancilla_block,
     ancilla_wires,
     conjugated_error,
     data_wires,
+    encoder_circuit,
     error_unitary,
     hybrid_encoder,
     hybrid_protect,
@@ -113,10 +115,21 @@ def test_circuit_gate_counts_grow_by_three():
         assert len(enc.circuit.gates) == 3 * (n // 2)
 
 
+def test_encoder_circuit_and_shared_encoder_matrix():
+    """encoder_circuit is the circuit of hybrid_encoder, and the memoized
+    encoder matrix that every caller shares cannot be written to."""
+    _matrix_rec.cache_clear()
+    for n in range(MIN_QUBITS, MAX_QUBITS + 1):
+        assert not _matrix_rec(n).flags.writeable
+        assert encoder_circuit(n) == hybrid_encoder(n).circuit
+
+
 def test_width_limits():
     for bad in (1, 9, 0, -3):
         with pytest.raises(ValueError):
             hybrid_encoder(bad)
+        with pytest.raises(ValueError):
+            encoder_circuit(bad)
     with pytest.raises(ValueError):
         error_unitary(1, "x")
 

@@ -147,6 +147,8 @@ def test_spec_validation_errors():
         run_named({"scheme": "hybrid", "n": 4, "ancilla": "ry:0.5"})
     with pytest.raises(ValueError):
         run_named({"scheme": "hybrid", "n": 2})  # nothing to measure
+    with pytest.raises(ValueError, match="'i'"):
+        run_named({"scheme": "hybrid", "n": 5, "errors": []})  # no attack is the i tag
     with pytest.raises(ValueError):
         exact_success({"scheme": "corr3", "w": "h", "bogus": 1})  # unknown to every scheme
     # parameters of the other scheme are rejected, not ignored
