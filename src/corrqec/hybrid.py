@@ -148,6 +148,20 @@ def error_unitary(n: int, tag: str) -> ComplexMatrix:
     return ComplexMatrix(tensor_power(_PAULI[normalize_tag(tag)], n))
 
 
+def attack_factor(tags) -> np.ndarray:
+    """The 2x2 factor of a whole attack sequence, applied in order.
+
+    Every attack is one Pauli on all wires, so the sequence folds to the
+    product of its Paulis on every wire. Pauli entries are 0, +-1 and +-i,
+    so the product is exact, and applying it once gives the same numbers
+    as applying the Paulis one by one.
+    """
+    w = _PAULI["I"]
+    for t in tags:
+        w = _PAULI[normalize_tag(t)] @ w
+    return w
+
+
 def conjugated_error(n: int, tag: str) -> ComplexMatrix:
     """Decode-side view of an attack: P-dagger (W tensored n times) P."""
     n = _check_width(n)
@@ -242,14 +256,7 @@ def hybrid_protect(
         got = None if data is None else data.n_wires
         raise ValueError(f"data must cover {len(dw)} wires for width {n}, got {got}")
     anc = parse_ancilla(n, ancilla)
-    tags = [normalize_tag(t) for t in errors]
-
-    # Every attack is one Pauli on all wires, so the sequence folds to the
-    # product of its 2x2 factors on all wires.
-    w = _PAULI["I"]
-    for t in tags:
-        w = _PAULI[t] @ w
-    folded = tensor_power(w, n)
+    folded = tensor_power(attack_factor(errors), n)
 
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc

@@ -197,7 +197,8 @@ def _normalize_spec(spec: dict) -> dict:
 def _build_experiment(ns: dict):
     """Return (encode circuit, initial state, attack factors, data wires,
     expected bit string) for a normalized experiment spec. Each attack
-    round is a 2x2 factor applied to every wire at once."""
+    round is a 2x2 factor applied to every wire at once; a hybrid Pauli
+    list is one round, the product of its Paulis."""
     if ns["scheme"] in _CORRELATED:
         factory, k = _CORRELATED[ns["scheme"]]
         circ = factory()
@@ -212,7 +213,9 @@ def _build_experiment(ns: dict):
         anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
         data = list(hybrid.data_wires(n))
         init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
-        attack = [hybrid._PAULI[t] for t in ns["errors"]]
+        # one factor for the whole list, so the cost of a run does not
+        # depend on how many Paulis it lists
+        attack = [hybrid.attack_factor(ns["errors"])]
     return circ, init, attack, data, "0" * len(data)
 
 

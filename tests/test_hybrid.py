@@ -11,6 +11,7 @@ from corrqec.hybrid import (
     _matrix_rec,
     ancilla_block,
     ancilla_wires,
+    attack_factor,
     conjugated_error,
     data_wires,
     encoder_circuit,
@@ -250,6 +251,15 @@ def test_hybrid_protect_folds_errors_in_order():
     z_on_zero = _P1["Z"] @ np.array([1, 0], dtype=complex)
     overlap = abs(np.vdot(rep.expected_state.amplitudes, z_on_zero))
     assert abs(overlap - 1.0) < 1e-10
+
+
+def test_attack_factor_is_the_ordered_product():
+    assert np.array_equal(attack_factor([]), _P1["I"])
+    assert np.array_equal(attack_factor(["X", "y"]), _P1["Y"] @ _P1["X"])
+    assert np.array_equal(attack_factor(["x", "y", "z"]), _P1["Z"] @ _P1["Y"] @ _P1["X"])
+    assert np.array_equal(attack_factor(["z", "z"]), _P1["I"])
+    with pytest.raises(ValueError):
+        attack_factor(["x", "q"])
 
 
 def test_hybrid_protect_width_two_is_all_ancilla():

@@ -3,11 +3,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corrqec.circuit import Circuit, apply, basis_state, to_density
+from corrqec.circuit import (
+    Circuit,
+    DensityMatrix,
+    apply,
+    basis_state,
+    born_distribution,
+    dagger_circuit,
+    to_density,
+)
 from corrqec.gates import CNOT, H, X, PlacedGate
+from corrqec.hybrid import _PAULI
 from corrqec.noise_exp import (
     ExperimentReport,
     NoiseModel,
+    _apply_gate,
+    _apply_noisy_array,
+    _build_experiment,
+    _exact_distribution,
+    _normalize_spec,
     apply_noisy,
     exact_success,
     report_to_csv,
@@ -94,6 +108,26 @@ def test_hybrid_noiseless_success():
     assert abs(s - 1.0) < 1e-10
     s = exact_success({"scheme": "hybrid", "n": 4, "ancilla": "11", "errors": ["y", "z"]})
     assert abs(s - 1.0) < 1e-10
+
+
+def test_folded_pauli_attack_matches_pauli_by_pauli():
+    # the run applies a hybrid Pauli list as one product factor; that must
+    # give the very same numbers as applying each Pauli in turn
+    for n, ancilla in ((5, "ry:0.7"), (6, "01")):
+        ns = _normalize_spec({"scheme": "hybrid", "n": n, "ancilla": ancilla,
+                              "errors": ["x", "y", "z", "y"],
+                              "noise": {"p1": 1e-3, "p2": 1e-2}})
+        circ, init, attack, data, _ = _build_experiment(ns)
+        assert len(attack) == 1
+        t = _apply_noisy_array(circ, to_density(init).matrix.array, ns["noise"])
+        t = t.reshape((2,) * (2 * n))
+        for tag in ns["errors"]:
+            for wire in range(n):
+                t = _apply_gate(t, _PAULI[tag], (wire,), n)
+        t = _apply_noisy_array(dagger_circuit(circ), t.reshape(2**n, 2**n), ns["noise"])
+        expect = born_distribution(DensityMatrix(t, n), data)
+        probs, _, _ = _exact_distribution(ns)
+        assert np.array_equal(probs, expect)
 
 
 def test_preset_noise_regression():
