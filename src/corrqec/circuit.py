@@ -221,6 +221,10 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
         probs = np.abs(s.amplitudes) ** 2
     else:
         probs = np.real(np.diag(s.matrix.array)).copy()
+        # Summing over unmeasured wires could hide negative mass; clipping
+        # below is for rounding only.
+        if probs.min() < _DM_PSD_FLOOR:
+            raise ValueError(f"density matrix has negative probability {probs.min():.3e}")
     t = probs.reshape((2,) * n)
     for w in sorted((w for w in range(n) if w not in wires), reverse=True):
         t = t.sum(axis=w)

@@ -16,24 +16,13 @@ import numpy as np
 class ComplexMatrix:
     """Immutable dense complex matrix.
 
-    Construct from a 2-D array-like, or from flat row-major entries plus
-    explicit dimensions. Entries must all be finite.
+    Construct from a 2-D array-like. Entries must all be finite.
     """
 
     __slots__ = ("_a",)
 
-    def __init__(self, entries, dim_rows: int | None = None, dim_cols: int | None = None):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=complex)
-        if dim_rows is not None or dim_cols is not None:
-            if dim_rows is None or dim_cols is None:
-                raise ValueError("give both dim_rows and dim_cols or neither")
-            if dim_rows <= 0 or dim_cols <= 0:
-                raise ValueError("dimensions must be positive")
-            if a.ndim != 1 or a.size != dim_rows * dim_cols:
-                raise ValueError(
-                    f"flat entries length {a.size} != dim_rows*dim_cols = {dim_rows * dim_cols}"
-                )
-            a = a.reshape(dim_rows, dim_cols)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -54,11 +43,6 @@ class ComplexMatrix:
     @property
     def dim_cols(self) -> int:
         return self._a.shape[1]
-
-    @property
-    def entries(self) -> list[complex]:
-        """Row-major entries as a flat list."""
-        return self._a.reshape(-1).tolist()
 
     def __getitem__(self, key):
         return self._a[key]

@@ -152,6 +152,14 @@ def test_born_distribution_marginal():
     p = born_distribution(s, [0, 1])
     assert np.abs(p - [0.5, 0, 0, 0.5]).max() < 1e-12
     assert np.abs(born_distribution(s, [1]) - [0.5, 0.5]).max() < 1e-12
+    # passes the positivity probes, yet one outcome has negative mass, which
+    # the marginal on wire 0 alone would hide
+    diag = np.full(16, 1.01 / 15)
+    diag[5] = -0.01
+    rho = DensityMatrix(np.diag(diag), 4)
+    for wires in ([0, 1, 2, 3], [0]):
+        with pytest.raises(ValueError):
+            born_distribution(rho, wires)
 
 
 def test_sample_counts_deterministic():

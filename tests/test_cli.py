@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +45,27 @@ def test_verify_fails_on_corrupted_encoder_table(capsys):
         correlated.NEW_U_ENTRIES[0][7] = saved
     assert code != 0
     assert "FAIL standard decomposition realizes the corrected encoder" in out
+
+
+def test_verify_fails_under_optimized_python():
+    """`python -O` strips `assert`; the battery must fail a corrupted table anyway."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys; from corrqec import cli, correlated; "
+        "correlated.NEW_U_ENTRIES[0][7] = 0.0; sys.exit(cli.main(['verify']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    for name in (
+        "corrected encoder is unitary",
+        "standard decomposition realizes the corrected encoder",
+        "basic decomposition realizes the corrected encoder",
+    ):
+        assert f"FAIL {name}: deviation 1.000e+00" in proc.stdout
 
 
 def test_run_writes_byte_identical_reports(tmp_path, capsys):
@@ -148,6 +171,8 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
         ["run", "--scheme", "bogus"],
         ["run", "--scheme", "corr3", "--noise", "p9=0.1"],
         ["run", "--scheme", "corr3", "--noise", "p1"],
+        ["run", "--scheme", "corr3", "--noise", "p1=0.1,p1=0.2"],
+        ["run", "--scheme", "corr3", "--noise", "readout=0.1,p_readout=0.3"],
         ["run", "--scheme", "corr3", "--w", "nope"],
         ["run", "--scheme", "hybrid", "--n", "4", "--ancilla", "ry:0.5"],
         ["run", "--scheme", "hybrid", "--n", "2"],

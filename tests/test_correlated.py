@@ -169,7 +169,7 @@ def test_block_structure_pauli_attacks():
 def test_block_structure_haar_randomized():
     rng = np.random.default_rng(31)
     u = build_new_U()
-    for _ in range(25):
+    for _ in range(100):
         w = random_su2(rng)
         rep = verify_block_structure(u, w)
         assert rep.off_diag_norm < 1e-10
@@ -243,10 +243,11 @@ def test_three_qubit_protect_random_mixture_three_rounds():
     rng = np.random.default_rng(53)
     atoms = [(random_su2(rng), 0.1) for _ in range(10)]
     ch = make_channel(3, atoms)
-    for _ in range(5):
-        fid, out = three_qubit_protect(rand_qubit(rng), rand_qubit(rng), ch, rounds=3)
-        assert abs(fid - 1.0) < 1e-9
-        assert fidelity(partial_trace(out, [0]), basis_state(1, "0")) > 1 - 1e-9
+    for rounds in (1, 3, 7):
+        for _ in range(5):
+            fid, out = three_qubit_protect(rand_qubit(rng), rand_qubit(rng), ch, rounds=rounds)
+            assert abs(fid - 1.0) < 1e-9
+            assert fidelity(partial_trace(out, [0]), basis_state(1, "0")) > 1 - 1e-9
 
 
 def test_three_qubit_protect_identity_channel_is_exact():

@@ -284,7 +284,7 @@ def test_hybrid_protect_data_shape_checked():
 
 def test_hybrid_protect_random_data_randomized():
     rng = np.random.default_rng(89)
-    for n in (3, 4, 5):
+    for n in range(3, MAX_QUBITS + 1):
         dw = len(data_wires(n))
         for _ in range(5):
             v = rng.normal(size=2**dw) + 1j * rng.normal(size=2**dw)
