@@ -1,7 +1,8 @@
 """Circuits, quantum states, measurement, and shot sampling.
 
-Circuits are time-ordered gate lists: gates[0] acts first, so the
-realized matrix is embed(gates[-1]) @ ... @ embed(gates[0]).
+Circuits are time-ordered gate lists (gates[0] acts first). Every gate goes
+through one kernel, `contract`: states are tensors with a length-2 axis per
+wire (rows, then columns), and a gate touches only its axes (arXiv:1802.08032).
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -15,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import PlacedGate, embed, format_placed_gate, inverse
+from .gates import PlacedGate, format_placed_gate, inverse
 from .linalg import ComplexMatrix
 
 _STATE_NORM_TOL = 1e-10
 _DM_HERM_TOL = 1e-10
 _DM_TRACE_TOL = 1e-10
 _DM_PSD_FLOOR = -1e-9
+_SAMPLE_CHUNK = 1 << 20  # draws per batch, so memory does not grow with shots
 
 
 @dataclass(frozen=True)
@@ -160,12 +162,25 @@ def to_density(s: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(a, a.conj()), s.n_wires)
 
 
+def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
+    """Gate g on the given axes of a (2,...,2) tensor; axes[0] gets its top bit."""
+    k = len(axes)
+    g = g.reshape((2,) * (2 * k))
+    return np.moveaxis(np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), axes)), range(k), axes)
+
+
+def conjugate(t: np.ndarray, g: np.ndarray, wires, n: int) -> np.ndarray:
+    """g rho g-dagger for rho as a (2,)*2n tensor: row axes, then column axes."""
+    return contract(contract(t, g, wires), g.conj(), tuple(n + w for w in wires))
+
+
 def realize(c: Circuit) -> ComplexMatrix:
     """Full unitary of the circuit: later gates multiply from the left."""
-    m = np.eye(2**c.n_wires, dtype=complex)
+    n = c.n_wires
+    t = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
     for pg in c.gates:
-        m = embed(pg, c.n_wires).array @ m
-    return ComplexMatrix(m)
+        t = contract(t, pg.gate.matrix.array, pg.wires)
+    return ComplexMatrix(t.reshape(2**n, 2**n))
 
 
 def dagger_circuit(c: Circuit) -> Circuit:
@@ -175,18 +190,18 @@ def dagger_circuit(c: Circuit) -> Circuit:
 
 def apply(c: Circuit, s: StateVector | DensityMatrix):
     """Run the circuit: vectors map to Us, densities to U rho U-dagger."""
-    if c.n_wires != s.n_wires:
-        raise ValueError(f"circuit has {c.n_wires} wires, state has {s.n_wires}")
+    n = c.n_wires
+    if n != s.n_wires:
+        raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
     if isinstance(s, StateVector):
-        amps = s.amplitudes.copy()
+        t = s.amplitudes.reshape((2,) * n)
         for pg in c.gates:
-            amps = embed(pg, c.n_wires).array @ amps
-        return StateVector(amps, c.n_wires)
-    rho = s.matrix.array.copy()
+            t = contract(t, pg.gate.matrix.array, pg.wires)
+        return StateVector(t.reshape(-1), n)
+    t = s.matrix.array.reshape((2,) * (2 * n))
     for pg in c.gates:
-        u = embed(pg, c.n_wires).array
-        rho = u @ rho @ u.conj().T
-    return DensityMatrix(rho, c.n_wires)
+        t = conjugate(t, pg.gate.matrix.array, pg.wires, n)
+    return DensityMatrix(t.reshape(2**n, 2**n), n)
 
 
 def partial_trace(d: DensityMatrix, keep) -> DensityMatrix:
@@ -248,9 +263,11 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(int(seed)))
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(shots), side="right")
-    idx = np.minimum(idx, len(probs) - 1)
-    return np.bincount(idx, minlength=len(probs))
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for done in range(0, shots, _SAMPLE_CHUNK):
+        idx = np.searchsorted(cdf, rng.random(min(_SAMPLE_CHUNK, shots - done)), side="right")
+        counts += np.bincount(np.minimum(idx, len(probs) - 1), minlength=len(probs))
+    return counts
 
 
 def fidelity(a: DensityMatrix | StateVector, b: StateVector) -> float:

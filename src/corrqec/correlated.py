@@ -370,7 +370,7 @@ def atom_from_selector(sel: str) -> ComplexMatrix:
     if s.startswith("matrix:"):
         try:
             rows = [[complex(re, im) for re, im in row] for row in json.loads(sel.strip()[7:])]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"matrix selector must be a JSON 2x2 of [re, im] pairs ({exc})") from None
         return Gate("matrix", ComplexMatrix(rows), 1).matrix
     raise ValueError(f"unknown attack selector {sel!r}")

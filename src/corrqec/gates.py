@@ -1,4 +1,4 @@
-"""Gate constructors and wire embedding.
+"""Gate constructors, and `embed`: the dense test reference for `circuit.contract`.
 
 A Gate is a named unitary on `arity` wires. A PlacedGate pins a gate to
 specific register wires; wires[0] receives the gate's most significant

@@ -9,9 +9,9 @@ wire (they model the channel being corrected, not hardware error).
 Readout bit-flips, if enabled, act on the exact outcome distribution of
 the measured wires.
 
-The density matrix is held as a (2,)*2n tensor, and gates, kicks and
-attack factors contract only the axes of the wires they touch; no
-2^n x 2^n operator is ever formed.
+The density matrix is held as a (2,)*2n tensor; gates and attack factors
+go through the kernel `circuit.conjugate` and kicks act on a reshaped
+view, each on its own wires' axes only, so no 2^n x 2^n operator is formed.
 
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
@@ -32,6 +32,8 @@ from .circuit import (
     Histogram,
     basis_state,
     born_distribution,
+    conjugate,
+    contract,
     dagger_circuit,
     sample_counts,
     tensor,
@@ -51,18 +53,6 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
-
-
-def _apply_gate(t: np.ndarray, g: np.ndarray, wires, n: int) -> np.ndarray:
-    """g rho g-dagger for a k-wire gate g, with rho held as a (2,)*2n tensor
-    (row axes 0..n-1, column axes n..2n-1). Only the touched axes are
-    contracted; wires[0] receives the gate's most significant bit."""
-    k = len(wires)
-    g = g.reshape((2,) * (2 * k))
-    ins = tuple(range(k, 2 * k))
-    t = np.moveaxis(np.tensordot(g, t, axes=(ins, wires)), range(k), wires)
-    cols = tuple(n + w for w in wires)
-    return np.moveaxis(np.tensordot(g.conj(), t, axes=(ins, cols)), range(k), cols)
 
 
 def _depolarize_wire(t: np.ndarray, wire: int, n: int, p: float) -> np.ndarray:
@@ -86,7 +76,7 @@ def _apply_noisy_array(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarra
     n = c.n_wires
     t = rho.reshape((2,) * (2 * n))
     for pg in c.gates:
-        t = _apply_gate(t, pg.gate.matrix.array, pg.wires, n)
+        t = conjugate(t, pg.gate.matrix.array, pg.wires, n)
         strength = nm.p1 if pg.gate.arity == 1 else nm.p2 / pg.gate.arity
         for w in pg.wires:
             t = _depolarize_wire(t, w, n, strength)
@@ -103,12 +93,10 @@ def apply_noisy(c: Circuit, rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix
 def _readout_flip(probs: np.ndarray, p: float) -> np.ndarray:
     if p == 0.0:
         return probs
-    m = int(np.log2(len(probs)))
     flip = np.array([[1.0 - p, p], [p, 1.0 - p]])
-    t = probs.reshape((2,) * m)
-    for axis in range(m):
-        t = np.tensordot(flip, t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
+    t = probs.reshape((2,) * int(np.log2(len(probs))))
+    for axis in range(t.ndim):
+        t = contract(t, flip, (axis,))
     return t.reshape(-1)
 
 
@@ -227,7 +215,7 @@ def _exact_distribution(ns: dict):
     t = _apply_noisy_array(circ, t, nm)
     for w in attack:
         for wire in range(n):
-            t = _apply_gate(t, w, (wire,), n)
+            t = conjugate(t, w, (wire,), n)
     t = _apply_noisy_array(dagger_circuit(circ), t, nm)
     probs = born_distribution(DensityMatrix(t.reshape(2**n, 2**n), n), data)
     probs = _readout_flip(probs, nm.p_readout)

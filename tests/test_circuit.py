@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from corrqec import circuit
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
@@ -177,6 +178,16 @@ def test_sample_counts_accepts_generator():
     g1 = np.random.Generator(np.random.PCG64(9))
     g2 = np.random.Generator(np.random.PCG64(9))
     assert np.array_equal(sample_counts(probs, 500, g1), sample_counts(probs, 500, g2))
+
+
+def test_sample_counts_in_chunks_keeps_the_stream(monkeypatch):
+    # shots are drawn in fixed-size batches so memory does not grow with
+    # them; batching must not change a single count
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    whole = sample_counts(probs, 1000, 5)
+    monkeypatch.setattr(circuit, "_SAMPLE_CHUNK", 7)
+    assert np.array_equal(sample_counts(probs, 1000, 5), whole)
+    assert whole.sum() == 1000
 
 
 def test_histogram_validation():

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrqec import cli, correlated, hybrid
 from corrqec.linalg import max_abs_diff
@@ -181,6 +187,7 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
         ["run", "--scheme", "corr3", "--w", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"],
         ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],
         ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]]"],
+        ["run", "--scheme", "corr3", "--w", "matrix:" + "[" * 5000],
         ["run", "--scheme", "hybrid", "--n", "5", "--w", "h"],
         ["run", "--scheme", "hybrid", "--n", "5", "--rounds", "2"],
         ["run", "--scheme", "corr3", "--n", "5"],
@@ -197,6 +204,66 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert code == 2, argv
     assert list(tmp_path.iterdir()) == []  # no partial files left behind
+
+
+# Valid and malformed tokens for each flag; `{tmp}` is the example's own
+# temporary directory. Shots, rounds and widths stay small so each run is
+# quick. `--ibm-bit-order` takes no value.
+_RUN_TOKENS = {
+    "--w": ("h", "y", "i", "ry:1.1", "ry:inf", "nope", "", "matrix:[[1]]",
+            "matrix:[[[0,0],[1,0]],[[1,0],[0,0]]]", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"),
+    "--rounds": ("1", "3", "0", "-2", "x"),
+    "--n": ("2", "3", "4", "6", "8", "9", "0", "x"),
+    "--ancilla": ("0", "1", "01", "11", "ry:0.7", "ry:x", "2", ""),
+    "--errors": ("i", "x", "y,z", "x,y,z", ",", "x,,y", "q"),
+    "--shots": ("1", "64", "0", "-5", "1e3"),
+    "--seed": ("0", "7", "-1", "x", str(2**70)),
+    "--noise": ("0", "p1=1e-3,p2=1e-2", "readout=0.5", "p1=2", "p9=0.1", "p1", "p1=nan",
+                "p1=0.1,p1=0.2"),
+    "--format": ("json", "csv", "xml"),
+    "--out": ("{tmp}/r.out", "{tmp}/missing/r.out", "{tmp}"),
+    "--ibm-bit-order": (),
+}
+_SCHEMES = ("corr3", "corr3-basic", "corr5", "hybrid", "bogus")
+_DUMP_TARGETS = ("u", "old-u", "p2", "p3", "pn:2", "pn:5", "pn:8", "pn:9", "pn:x",
+                 "circuit:standard3", "circuit:basic3", "circuit:corr5", "circuit:hybrid2",
+                 "circuit:hybrid8", "circuit:hybrid9", "circuit:nope", "nonsense", "")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    if draw(st.booleans()):
+        argv = ["dump", draw(st.sampled_from(_DUMP_TARGETS))]
+        if draw(st.booleans()):
+            argv += ["--out", draw(st.sampled_from(_RUN_TOKENS["--out"]))]
+        return argv
+    argv = ["run", "--scheme", draw(st.sampled_from(_SCHEMES))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_RUN_TOKENS)), unique=True)):
+        argv.append(flag)
+        if _RUN_TOKENS[flag]:
+            argv.append(draw(st.sampled_from(_RUN_TOKENS[flag])))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzzed_argv())
+@example(["run", "--scheme", "corr3", "--w", "matrix:" + "[" * 5000])
+def test_fuzzed_argv_exits_0_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"CORRQEC_OUTPUT_DIR": tmp}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([a.replace("{tmp}", tmp) for a in argv])
+        assert code in (0, 2), argv
+        if code == 2:
+            assert os.listdir(tmp) == [], argv  # a rejected command writes nothing
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's library example runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_dump_encoder_round_trips(capsys):

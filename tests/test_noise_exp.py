@@ -9,6 +9,7 @@ from corrqec.circuit import (
     apply,
     basis_state,
     born_distribution,
+    conjugate,
     dagger_circuit,
     to_density,
 )
@@ -17,7 +18,6 @@ from corrqec.hybrid import _PAULI
 from corrqec.noise_exp import (
     ExperimentReport,
     NoiseModel,
-    _apply_gate,
     _apply_noisy_array,
     _build_experiment,
     _exact_distribution,
@@ -123,7 +123,7 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         t = t.reshape((2,) * (2 * n))
         for tag in ns["errors"]:
             for wire in range(n):
-                t = _apply_gate(t, _PAULI[tag], (wire,), n)
+                t = conjugate(t, _PAULI[tag], (wire,), n)
         t = _apply_noisy_array(dagger_circuit(circ), t.reshape(2**n, 2**n), ns["noise"])
         expect = born_distribution(DensityMatrix(t, n), data)
         probs, _, _ = _exact_distribution(ns)

@@ -1,4 +1,5 @@
-"""Property tests of the noise engine and of `embed` against dense oracles.
+"""Property tests of the gate kernel, the noise engine and `embed`
+against dense oracles.
 
 The oracles are the dense formulas: a gate is embedded as S-dagger
 (g tensor I) S with S the 2^n x 2^n wire permutation matrix, applied as
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrqec.circuit import Circuit
+from corrqec.circuit import Circuit, DensityMatrix, StateVector, apply, realize
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
 from corrqec.linalg import ComplexMatrix
 from corrqec.noise_exp import NoiseModel, _apply_noisy_array, _depolarize_wire
@@ -109,6 +110,21 @@ def test_noisy_engine_matches_dense_oracle(case):
     assert np.abs(got - dense_noisy(c, rho, nm)).max() <= 1e-13
     assert abs(np.trace(got) - 1.0) <= 1e-12
     assert np.abs(got - got.conj().T).max() <= 1e-13
+
+
+@_SETTINGS
+@given(noisy_cases())
+def test_realize_and_apply_match_the_dense_product(case):
+    c, rho, _ = case
+    n = c.n_wires
+    u = np.eye(2**n, dtype=complex)
+    for pg in c.gates:
+        u = dense_embed(pg.gate.matrix.array, pg.wires, n) @ u
+    assert np.abs(realize(c).array - u).max() <= 1e-13
+    v = rho[:, 0] / np.linalg.norm(rho[:, 0])
+    assert np.abs(apply(c, StateVector(v, n)).amplitudes - u @ v).max() <= 1e-13
+    got = apply(c, DensityMatrix(rho, n)).matrix.array
+    assert np.abs(got - u @ rho @ u.conj().T).max() <= 1e-13
 
 
 @_SETTINGS
