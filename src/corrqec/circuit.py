@@ -3,6 +3,8 @@
 Circuits are time-ordered gate lists (gates[0] acts first). Every gate goes
 through one kernel, `contract`: states are tensors with a length-2 axis per
 wire (rows, then columns), and a gate touches only its axes (arXiv:1802.08032).
+States are checked where they enter the package; the images of checked states
+under a unitary or CPTP map are trusted and built without checks.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -73,11 +75,10 @@ class StateVector:
         return f"StateVector({self.n_wires} wires)"
 
 
-_PSD_PROBES = 8
-
-
 class DensityMatrix:
-    """Mixed state on n_wires qubits: Hermitian, unit trace, PSD (sampled)."""
+    """Mixed state on n_wires qubits: Hermitian, unit trace and PSD, with
+    positivity checked exactly (a Cholesky factor of rho + 1e-9 I exists).
+    `_trusted` builds states derived from checked ones, without checks."""
 
     __slots__ = ("_m", "n_wires")
 
@@ -93,15 +94,19 @@ class DensityMatrix:
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > _DM_TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        rng = np.random.default_rng(20240801)
-        for _ in range(_PSD_PROBES):
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            v /= np.linalg.norm(v)
-            q = float(np.real(v.conj() @ a @ v))
-            if q < _DM_PSD_FLOOR:
-                raise ValueError(f"density matrix fails positivity probe ({q})")
+        try:
+            np.linalg.cholesky(a - _DM_PSD_FLOOR * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"density matrix has an eigenvalue below {_DM_PSD_FLOOR}") from None
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "n_wires", n)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray, n: int) -> DensityMatrix:
+        d = object.__new__(cls)
+        object.__setattr__(d, "_m", ComplexMatrix(a))
+        object.__setattr__(d, "n_wires", n)
+        return d
 
     @property
     def matrix(self) -> ComplexMatrix:
@@ -159,7 +164,7 @@ def tensor(*states: StateVector) -> StateVector:
 
 def to_density(s: StateVector) -> DensityMatrix:
     a = s.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()), s.n_wires)
+    return DensityMatrix._trusted(np.outer(a, a.conj()), s.n_wires)
 
 
 def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
@@ -201,7 +206,7 @@ def apply(c: Circuit, s: StateVector | DensityMatrix):
     t = s.matrix.array.reshape((2,) * (2 * n))
     for pg in c.gates:
         t = conjugate(t, pg.gate.matrix.array, pg.wires, n)
-    return DensityMatrix(t.reshape(2**n, 2**n), n)
+    return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
 
 
 def partial_trace(d: DensityMatrix, keep) -> DensityMatrix:
@@ -217,7 +222,7 @@ def partial_trace(d: DensityMatrix, keep) -> DensityMatrix:
     for w in sorted(drop, reverse=True):
         t = np.trace(t, axis1=w, axis2=w + t.ndim // 2)
     k = len(keep)
-    return DensityMatrix(t.reshape(2**k, 2**k), k)
+    return DensityMatrix._trusted(t.reshape(2**k, 2**k), k)
 
 
 def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
@@ -235,15 +240,11 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
     if isinstance(s, StateVector):
         probs = np.abs(s.amplitudes) ** 2
     else:
-        probs = np.real(np.diag(s.matrix.array)).copy()
-        # Summing over unmeasured wires could hide negative mass; clipping
-        # below is for rounding only.
-        if probs.min() < _DM_PSD_FLOOR:
-            raise ValueError(f"density matrix has negative probability {probs.min():.3e}")
+        probs = np.real(np.diag(s.matrix.array))
     t = probs.reshape((2,) * n)
     for w in sorted((w for w in range(n) if w not in wires), reverse=True):
         t = t.sum(axis=w)
-    out = np.maximum(t.reshape(-1), 0.0)
+    out = np.maximum(t.reshape(-1), 0.0)  # rounding only: states are PSD
     total = out.sum()
     if total <= 0:
         raise ValueError("degenerate distribution")

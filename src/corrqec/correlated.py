@@ -295,7 +295,7 @@ def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
     for w, p in ch.support:
         wn = tensor_power(w.array, ch.n_qubits)
         out += p * (wn @ a @ wn.conj().T)
-    return DensityMatrix(out, rho.n_wires)
+    return DensityMatrix._trusted(out, rho.n_wires)
 
 
 def three_qubit_protect(
@@ -316,10 +316,10 @@ def three_qubit_protect(
         raise ValueError("rounds must be at least 1")
     u = build_new_U().array
     rho = to_density(tensor(basis_state(1, "0"), psi, v)).matrix.array
-    encoded = DensityMatrix(u @ rho @ u.conj().T, 3)
+    encoded = DensityMatrix(u @ rho @ u.conj().T, 3)  # checked: u reads a mutable table
     for _ in range(rounds):
         encoded = apply_channel(ch, encoded)
-    out = DensityMatrix(u.conj().T @ encoded.matrix.array @ u, 3)
+    out = DensityMatrix._trusted(u.conj().T @ encoded.matrix.array @ u, 3)
     fid = fidelity(partial_trace(out, [DATA_WIRE]), psi)
     return fid, out
 

@@ -262,7 +262,7 @@ def hybrid_protect(
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
     out = p.conj().T @ (folded @ (p @ full.amplitudes))
-    rho = DensityMatrix(np.outer(out, out.conj()), n)
+    rho = DensityMatrix._trusted(np.outer(out, out.conj()), n)
 
     fid_data = 1.0 if data is None else fidelity(partial_trace(rho, list(dw)), data)
 

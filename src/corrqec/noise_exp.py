@@ -83,13 +83,6 @@ def _apply_noisy_array(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarra
     return t.reshape(rho.shape)
 
 
-def apply_noisy(c: Circuit, rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
-    """Run a circuit with per-gate depolarizing noise on touched wires."""
-    if c.n_wires != rho.n_wires:
-        raise ValueError(f"circuit has {c.n_wires} wires, state has {rho.n_wires}")
-    return DensityMatrix(_apply_noisy_array(c, rho.matrix.array, nm), c.n_wires)
-
-
 def _readout_flip(probs: np.ndarray, p: float) -> np.ndarray:
     if p == 0.0:
         return probs
@@ -183,16 +176,16 @@ def _normalize_spec(spec: dict) -> dict:
 
 
 def _build_experiment(ns: dict):
-    """Return (encode circuit, initial state, attack factors, data wires,
-    expected bit string) for a normalized experiment spec. Each attack
-    round is a 2x2 factor applied to every wire at once; a hybrid Pauli
-    list is one round, the product of its Paulis."""
+    """Return (encode circuit, initial state, attack, data wires, expected
+    bit string) for a normalized experiment spec. The attack lists (2x2
+    factor, repeats) pairs; a round applies its factor to every wire, and a
+    hybrid Pauli list is one round, the product of its Paulis."""
     if ns["scheme"] in _CORRELATED:
         factory, k = _CORRELATED[ns["scheme"]]
         circ = factory()
         n = circ.n_wires
         init = basis_state(n, "0" * n)
-        attack = [correlated.atom_from_selector(ns["w"]).array] * ns["rounds"]
+        attack = [(correlated.atom_from_selector(ns["w"]).array, ns["rounds"])]
         data = correlated.recursive_data_wires(k)
     else:
         n = ns["n"]
@@ -203,7 +196,7 @@ def _build_experiment(ns: dict):
         init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
         # one factor for the whole list, so the cost of a run does not
         # depend on how many Paulis it lists
-        attack = [hybrid.attack_factor(ns["errors"])]
+        attack = [(hybrid.attack_factor(ns["errors"]), 1)]
     return circ, init, attack, data, "0" * len(data)
 
 
@@ -213,9 +206,10 @@ def _exact_distribution(ns: dict):
     n = circ.n_wires
     t = to_density(init).matrix.array.reshape((2,) * (2 * n))
     t = _apply_noisy_array(circ, t, nm)
-    for w in attack:
-        for wire in range(n):
-            t = conjugate(t, w, (wire,), n)
+    for w, repeats in attack:
+        for _ in range(repeats):
+            for wire in range(n):
+                t = conjugate(t, w, (wire,), n)
     t = _apply_noisy_array(dagger_circuit(circ), t, nm)
     probs = born_distribution(DensityMatrix(t.reshape(2**n, 2**n), n), data)
     probs = _readout_flip(probs, nm.p_readout)

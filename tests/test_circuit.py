@@ -60,6 +60,17 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2), 1)  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]), 1)  # negative eigenvalue
+    diag = np.full(16, 1.01 / 15)
+    diag[5] = -0.01  # negative mass on one outcome
+    with pytest.raises(ValueError):
+        DensityMatrix(np.diag(diag), 4)
+    # one eigenvalue of -1e-6 behind a diagonal that looks fine: 255 equal
+    # eigenvalues off the uniform superposition, -1e-6 on it
+    proj = np.full((256, 256), 1 / 256)
+    rho = (1 + 1e-6) / 255 * (np.eye(256) - proj) - 1e-6 * proj
+    assert np.diag(rho).min() > 1e-3
+    with pytest.raises(ValueError):
+        DensityMatrix(rho, 8)
 
 
 def test_circuit_validation():
@@ -153,14 +164,6 @@ def test_born_distribution_marginal():
     p = born_distribution(s, [0, 1])
     assert np.abs(p - [0.5, 0, 0, 0.5]).max() < 1e-12
     assert np.abs(born_distribution(s, [1]) - [0.5, 0.5]).max() < 1e-12
-    # passes the positivity probes, yet one outcome has negative mass, which
-    # the marginal on wire 0 alone would hide
-    diag = np.full(16, 1.01 / 15)
-    diag[5] = -0.01
-    rho = DensityMatrix(np.diag(diag), 4)
-    for wires in ([0, 1, 2, 3], [0]):
-        with pytest.raises(ValueError):
-            born_distribution(rho, wires)
 
 
 def test_sample_counts_deterministic():

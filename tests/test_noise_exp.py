@@ -22,7 +22,6 @@ from corrqec.noise_exp import (
     _build_experiment,
     _exact_distribution,
     _normalize_spec,
-    apply_noisy,
     exact_success,
     report_to_csv,
     report_to_json,
@@ -54,23 +53,23 @@ def test_noise_model_validation():
 def test_zero_noise_is_plain_application():
     c = Circuit(2, (PlacedGate(H, (0,)), PlacedGate(CNOT, (0, 1))))
     rho = to_density(basis_state(2, "00"))
-    noisy = apply_noisy(c, rho, NoiseModel())
+    noisy = _apply_noisy_array(c, rho.matrix.array, NoiseModel())
     plain = apply(c, rho)
-    assert np.abs(noisy.matrix.array - plain.matrix.array).max() < 1e-14
+    assert np.abs(noisy - plain.matrix.array).max() < 1e-14
 
 
 def test_full_depolarizing_after_single_gate():
     """p1=1 scrambles the touched wire to the maximally mixed state."""
     c = Circuit(1, (PlacedGate(X, (0,)),))
     rho = to_density(basis_state(1, "0"))
-    out = apply_noisy(c, rho, NoiseModel(p1=1.0))
-    assert np.abs(out.matrix.array - np.eye(2) / 2).max() < 1e-12
+    out = _apply_noisy_array(c, rho.matrix.array, NoiseModel(p1=1.0))
+    assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
 
 def test_depolarizing_leaves_untouched_wires_alone():
     c = Circuit(2, (PlacedGate(X, (0,)),))
     rho = to_density(basis_state(2, "01"))
-    out = apply_noisy(c, rho, NoiseModel(p1=1.0)).matrix.array
+    out = _apply_noisy_array(c, rho.matrix.array, NoiseModel(p1=1.0))
     # wire 0 fully mixed, wire 1 still |1>
     expect = np.kron(np.eye(2) / 2, np.diag([0.0, 1.0]))
     assert np.abs(out - expect).max() < 1e-12
@@ -81,14 +80,9 @@ def test_noisy_application_preserves_trace():
     c = Circuit(2, (PlacedGate(H, (1,)), PlacedGate(CNOT, (1, 0)), PlacedGate(X, (0,))))
     for _ in range(5):
         p1, p2 = rng.uniform(0, 0.3, size=2)
-        out = apply_noisy(c, to_density(basis_state(2, "00")), NoiseModel(p1=p1, p2=p2))
-        assert abs(np.trace(out.matrix.array) - 1.0) < 1e-12
-
-
-def test_apply_noisy_wire_mismatch():
-    c = Circuit(2, (PlacedGate(H, (0,)),))
-    with pytest.raises(ValueError):
-        apply_noisy(c, to_density(basis_state(1, "0")), NoiseModel())
+        rho = to_density(basis_state(2, "00")).matrix.array
+        out = _apply_noisy_array(c, rho, NoiseModel(p1=p1, p2=p2))
+        assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_noiseless_success_is_certain():
@@ -101,6 +95,13 @@ def test_noiseless_success_is_certain():
 def test_noiseless_success_many_rounds():
     s = exact_success({"scheme": "corr3", "w": "h", "rounds": 7, "noise": {}})
     assert abs(s - 1.0) < 1e-10
+
+
+def test_rounds_are_a_repeat_count_not_a_list():
+    # building a run allocates nothing per round, so a huge --rounds cannot
+    # exhaust memory before the first attack is applied
+    _, _, attack, _, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
+    assert len(attack) == 1 and attack[0][1] == 10**12
 
 
 def test_hybrid_noiseless_success():

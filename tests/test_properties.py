@@ -1,5 +1,5 @@
 """Property tests of the gate kernel, the noise engine and `embed`
-against dense oracles.
+against dense oracles, and of the states the package builds unchecked.
 
 The oracles are the dense formulas: a gate is embedded as S-dagger
 (g tensor I) S with S the 2^n x 2^n wire permutation matrix, applied as
@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrqec.circuit import Circuit, DensityMatrix, StateVector, apply, realize
+from corrqec.circuit import Circuit, DensityMatrix, StateVector, apply, partial_trace, realize
+from corrqec.correlated import apply_channel, make_channel
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
 from corrqec.linalg import ComplexMatrix
 from corrqec.noise_exp import NoiseModel, _apply_noisy_array, _depolarize_wire
@@ -135,6 +136,44 @@ def test_closed_form_depolarizing_is_the_pauli_sum(case):
     rho = random_density(np.random.default_rng(seed), n)
     got = _depolarize_wire(rho.reshape((2,) * (2 * n)), wire, n, p).reshape(rho.shape)
     assert np.abs(got - pauli_depolarize(rho, wire, n, p)).max() <= 1e-15
+
+
+@st.composite
+def producer_cases(draw):
+    """A mixed or pure input state, a noisy circuit, a kept wire set and a
+    mixture of one to three Haar-random U(2) tensor-power attacks."""
+    c, rho, nm = draw(noisy_cases())
+    n = c.n_wires
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        v /= np.linalg.norm(v)
+        rho = np.outer(v, v.conj())
+    weights = rng.dirichlet(np.ones(draw(st.integers(1, 3))))
+    ch = make_channel(n, [(random_unitary(rng, 1), w) for w in weights])
+    keep = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return c, rho, nm, ch, keep
+
+
+@_SETTINGS
+@given(producer_cases())
+def test_unchecked_producers_make_valid_states(case):
+    # apply, partial_trace and apply_channel skip the DensityMatrix checks,
+    # and the noisy pass works on bare arrays; their outputs must still be states
+    c, rho, nm, ch, keep = case
+    n = c.n_wires
+    dm = DensityMatrix(rho, n)
+    outputs = (
+        (apply(c, dm).matrix.array, n),
+        (partial_trace(dm, keep).matrix.array, len(keep)),
+        (apply_channel(ch, dm).matrix.array, n),
+        (_apply_noisy_array(c, rho, nm), n),
+    )
+    for a, k in outputs:
+        DensityMatrix(a, k)
+        assert np.linalg.eigvalsh(a).min() >= -1e-12
+        assert abs(np.trace(a) - 1.0) <= 1e-12
+        assert np.abs(a - a.conj().T).max() <= 1e-13
 
 
 @st.composite
