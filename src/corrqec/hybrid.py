@@ -27,6 +27,7 @@ from .circuit import (
     DensityMatrix,
     StateVector,
     basis_state,
+    contract,
     fidelity,
     partial_trace,
     tensor,
@@ -256,12 +257,15 @@ def hybrid_protect(
         got = None if data is None else data.n_wires
         raise ValueError(f"data must cover {len(dw)} wires for width {n}, got {got}")
     anc = parse_ancilla(n, ancilla)
-    folded = tensor_power(attack_factor(errors), n)
+    factor = attack_factor(errors)
 
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
-    out = p.conj().T @ (folded @ (p @ full.amplitudes))
+    t = (p @ full.amplitudes).reshape((2,) * n)
+    for wire in range(n):
+        t = contract(t, factor, (wire,))
+    out = p.conj().T @ t.reshape(-1)
     rho = DensityMatrix._trusted(np.outer(out, out.conj()), n)
 
     fid_data = 1.0 if data is None else fidelity(partial_trace(rho, list(dw)), data)
@@ -283,7 +287,7 @@ def hybrid_protect(
             preserved_with_certainty=bool(exact and readback == anc),
         )
     else:
-        block = ancilla_block(n, ComplexMatrix(p.conj().T @ folded @ p))
+        block = ancilla_block(n, ComplexMatrix(p.conj().T @ tensor_power(factor, n) @ p))
         expected = StateVector(block.array @ anc_state.amplitudes, 1)
         red = partial_trace(rho, [0])
         report = AncillaReport(

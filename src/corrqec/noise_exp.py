@@ -9,9 +9,11 @@ wire (they model the channel being corrected, not hardware error).
 Readout bit-flips, if enabled, act on the exact outcome distribution of
 the measured wires.
 
-The density matrix is held as a (2,)*2n tensor; gates and attack factors
-go through the kernel `circuit.conjugate` and kicks act on a reshaped
-view, each on its own wires' axes only, so no 2^n x 2^n operator is formed.
+The density matrix is a (2,)*2n tensor, row axes then column axes, so a
+k-wire gate g and its kicks are one 4^k x 4^k superoperator D_k(p) (g
+tensor conj(g)) that the kernel `circuit.contract` applies to the gate's
+row and column axes in one pass (arXiv:1802.08032). The attack rounds fold
+into one factor W^rounds, applied per wire as the 4x4 W tensor conj(W).
 
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .circuit import (
     Histogram,
     basis_state,
     born_distribution,
-    conjugate,
     contract,
     dagger_circuit,
     sample_counts,
@@ -55,32 +57,45 @@ class NoiseModel:
             object.__setattr__(self, name, v)
 
 
-def _depolarize_wire(t: np.ndarray, wire: int, n: int, p: float) -> np.ndarray:
-    """(1-p) rho + p (I/2 on `wire`, tensored with Tr_wire rho).
-
-    This is the Pauli form (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s,
-    since sum_{I,X,Y,Z} s rho s = 2 (I tensor Tr_wire rho).
-    """
-    if p == 0.0:
-        return t
-    hi, lo = 2**wire, 2 ** (n - 1 - wire)
-    v = t.reshape(hi, 2, lo, hi, 2, lo)
-    half_tr = (0.5 * p) * (v[:, 0, :, :, 0, :] + v[:, 1, :, :, 1, :])
-    out = (1.0 - p) * v
-    out[:, 0, :, :, 0, :] += half_tr
-    out[:, 1, :, :, 1, :] += half_tr
-    return out.reshape(t.shape)
+@lru_cache(maxsize=64)  # a run needs 1-3 entries; a sweep must not pile them up
+def _kicks(k: int, p: float) -> np.ndarray:
+    """D_k(p), a depolarizing kick of strength p on each of k wires: a
+    read-only 4^k x 4^k superoperator in (row axes, column axes) order.
+    One wire's kick (1-p) rho + p (I/2 tensor Tr_wire rho) is, on its
+    (row, column) axis pair, (1-p) I_4 + (p/2) v v^T with v = (1, 0, 0, 1)."""
+    v = np.array([1.0, 0.0, 0.0, 1.0])
+    one = (1.0 - p) * np.eye(4) + (0.5 * p) * np.outer(v, v)
+    d = np.eye(4**k).reshape((2,) * (4 * k))
+    for i in range(k):
+        d = contract(d, one, (i, k + i))
+    d = d.reshape(4**k, 4**k)
+    d.setflags(write=False)
+    return d
 
 
 def _apply_noisy_array(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     n = c.n_wires
     t = rho.reshape((2,) * (2 * n))
     for pg in c.gates:
-        t = conjugate(t, pg.gate.matrix.array, pg.wires, n)
-        strength = nm.p1 if pg.gate.arity == 1 else nm.p2 / pg.gate.arity
-        for w in pg.wires:
-            t = _depolarize_wire(t, w, n, strength)
+        g, k = pg.gate.matrix.array, pg.gate.arity
+        strength = nm.p1 if k == 1 else nm.p2 / k
+        superop = _kicks(k, strength) @ np.kron(g, g.conj())
+        t = contract(t, superop, pg.wires + tuple(n + w for w in pg.wires))
     return t.reshape(rho.shape)
+
+
+def _apply_attack(t: np.ndarray, w: np.ndarray, repeats: int, n: int) -> np.ndarray:
+    """`repeats` rounds of w on every wire, folded into one factor W^repeats.
+    Rounding drifts a long product off unitarity (H^(2e9) by 4e-7), so a
+    power is projected onto the nearest unitary, the polar factor u vh of
+    its SVD."""
+    if repeats > 1:
+        u, _, vh = np.linalg.svd(np.linalg.matrix_power(w, repeats))
+        w = u @ vh
+    superop = np.kron(w, w.conj())
+    for wire in range(n):
+        t = contract(t, superop, (wire, n + wire))
+    return t
 
 
 def _readout_flip(probs: np.ndarray, p: float) -> np.ndarray:
@@ -207,9 +222,7 @@ def _exact_distribution(ns: dict):
     t = to_density(init).matrix.array.reshape((2,) * (2 * n))
     t = _apply_noisy_array(circ, t, nm)
     for w, repeats in attack:
-        for _ in range(repeats):
-            for wire in range(n):
-                t = conjugate(t, w, (wire,), n)
+        t = _apply_attack(t, w, repeats, n)
     t = _apply_noisy_array(dagger_circuit(circ), t, nm)
     probs = born_distribution(DensityMatrix(t.reshape(2**n, 2**n), n), data)
     probs = _readout_flip(probs, nm.p_readout)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -128,6 +129,20 @@ def test_run_corr5_noisy_success_below_one(tmp_path, capsys):
     assert code == 0
     d = json.loads(out.read_text())
     assert 0.0 < d["success_probability"] < 1.0
+
+
+def test_huge_rounds_run_fast_and_keep_the_period(tmp_path, capsys):
+    # rounds fold into one factor W^rounds, so 2e9 rounds cost one round; H
+    # and X square to the identity, so an even count reads like two rounds
+    for w in ("h", "x"):
+        base = ["run", "--scheme", "corr3", "--w", w, "--noise", "p1=0.001,p2=0.01"]
+        start = time.perf_counter()
+        code, _, _ = run_cli(base + ["--rounds", "2000000000", "--out", str(tmp_path / "a.json")], capsys)
+        assert code == 0 and time.perf_counter() - start < 1.0
+        code, _, _ = run_cli(base + ["--rounds", "2", "--out", str(tmp_path / "b.json")], capsys)
+        assert code == 0
+        a, b = (json.loads((tmp_path / f).read_text()) for f in ("a.json", "b.json"))
+        assert abs(a["success_probability"] - b["success_probability"]) <= 1e-12
 
 
 def test_run_csv_format(tmp_path, capsys):

@@ -18,8 +18,10 @@ from corrqec.hybrid import _PAULI
 from corrqec.noise_exp import (
     ExperimentReport,
     NoiseModel,
+    _apply_attack,
     _apply_noisy_array,
     _build_experiment,
+    _kicks,
     _exact_distribution,
     _normalize_spec,
     exact_success,
@@ -102,6 +104,31 @@ def test_rounds_are_a_repeat_count_not_a_list():
     # exhaust memory before the first attack is applied
     _, _, attack, _, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
     assert len(attack) == 1 and attack[0][1] == 10**12
+
+
+def test_folded_rounds_match_round_by_round():
+    # the rounds are applied as one factor W^rounds, projected back onto the
+    # unitaries; it must match applying a Haar-random W round by round
+    rng = np.random.default_rng(5)
+    n = 3
+    for rounds in range(1, 8):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        w = q * (np.diag(r) / np.abs(np.diag(r)))
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        t = (a @ a.conj().T / np.trace(a @ a.conj().T)).reshape((2,) * (2 * n))
+        expect = t
+        for _ in range(rounds):
+            for wire in range(n):
+                expect = conjugate(expect, w, (wire,), n)
+        assert np.abs(_apply_attack(t, w, rounds, n) - expect).max() <= 1e-13
+
+
+def test_kick_cache_stays_bounded_over_a_noise_sweep():
+    # the kick superoperators are cached per (k, p); a long sweep over noise
+    # strengths in one process must not keep one per strength
+    for i in range(200):
+        _kicks(2, i / 400)
+    assert _kicks.cache_info().currsize <= 64
 
 
 def test_hybrid_noiseless_success():

@@ -5,6 +5,9 @@ The oracles are the dense formulas: a gate is embedded as S-dagger
 (g tensor I) S with S the 2^n x 2^n wire permutation matrix, applied as
 u rho u-dagger, and a depolarizing kick is the three-Pauli sum
 (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s.
+
+The hybrid scheme's success probability cannot increase with gate noise
+or with readout noise up to 0.5, which is checked here too.
 """
 from __future__ import annotations
 
@@ -12,11 +15,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrqec.circuit import Circuit, DensityMatrix, StateVector, apply, partial_trace, realize
+from corrqec.circuit import (
+    Circuit,
+    DensityMatrix,
+    StateVector,
+    apply,
+    contract,
+    partial_trace,
+    realize,
+)
 from corrqec.correlated import apply_channel, make_channel
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
 from corrqec.linalg import ComplexMatrix
-from corrqec.noise_exp import NoiseModel, _apply_noisy_array, _depolarize_wire
+from corrqec.noise_exp import NoiseModel, _apply_noisy_array, _kicks, exact_success
 
 _PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -130,12 +141,19 @@ def test_realize_and_apply_match_the_dense_product(case):
 
 @_SETTINGS
 @given(st.integers(1, 5).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, n - 1), probabilities, seeds)))
+    lambda n: st.tuples(st.just(n), st.permutations(range(n)), probabilities, seeds)))
 def test_closed_form_depolarizing_is_the_pauli_sum(case):
-    n, wire, p, seed = case
+    n, order, p, seed = case
     rho = random_density(np.random.default_rng(seed), n)
-    got = _depolarize_wire(rho.reshape((2,) * (2 * n)), wire, n, p).reshape(rho.shape)
+    t = rho.reshape((2,) * (2 * n))
+    wire = order[0]
+    got = contract(t, _kicks(1, p), (wire, n + wire)).reshape(rho.shape)
     assert np.abs(got - pauli_depolarize(rho, wire, n, p)).max() <= 1e-15
+    if n >= 2:
+        a, b = order[:2]
+        got = contract(t, _kicks(2, p), (a, b, n + a, n + b)).reshape(rho.shape)
+        expect = pauli_depolarize(pauli_depolarize(rho, a, n, p), b, n, p)
+        assert np.abs(got - expect).max() <= 1e-15
 
 
 @st.composite
@@ -191,3 +209,28 @@ def test_embed_is_the_dense_permutation_product(case):
     pg, n = case
     expect = dense_embed(pg.gate.matrix.array, pg.wires, n)
     assert np.array_equal(embed(pg, n).array, expect)
+
+
+@st.composite
+def hybrid_noise_steps(draw):
+    """A hybrid spec, and a noise model and the same with one of p1, p2 or
+    readout raised (readout stays at most 0.5)."""
+    n = draw(st.integers(3, 6))
+    if n % 2:
+        ancilla = draw(st.sampled_from(("0", "1")) | angles.map(lambda a: f"ry:{a}"))
+    else:
+        ancilla = draw(st.sampled_from(("00", "01", "10", "11")))
+    errors = draw(st.lists(st.sampled_from("ixyz"), min_size=1, max_size=4))
+    low = {"p1": draw(probabilities), "p2": draw(probabilities),
+           "p_readout": draw(st.floats(0.0, 0.5))}
+    key = draw(st.sampled_from(sorted(low)))
+    high = dict(low, **{key: draw(st.floats(low[key], 0.5 if key == "p_readout" else 1.0))})
+    spec = {"scheme": "hybrid", "n": n, "ancilla": ancilla, "errors": errors}
+    return spec, low, high
+
+
+@_SETTINGS
+@given(hybrid_noise_steps())
+def test_hybrid_success_does_not_increase_with_noise(case):
+    spec, low, high = case
+    assert exact_success(dict(spec, noise=high)) <= exact_success(dict(spec, noise=low)) + 1e-12
