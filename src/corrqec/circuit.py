@@ -1,10 +1,19 @@
-"""Circuits, quantum states, measurement, and shot sampling.
+"""Circuits, quantum states, gate noise, measurement, and shot sampling.
 
 Circuits are time-ordered gate lists (gates[0] acts first). Every gate goes
 through one kernel, `contract`: states are tensors with a length-2 axis per
 wire (rows, then columns), and a gate touches only its axes (arXiv:1802.08032).
 States are checked where they enter the package; the images of checked states
 under a unitary or CPTP map are trusted and built without checks.
+
+`apply` is the one density-matrix pass. After every gate, each touched wire
+gets a single-wire depolarizing kick: p1 for a one-wire gate, p2 split evenly
+over the wires of a wider gate (p2/2 on each wire of a two-wire gate, not a
+15-Pauli two-wire channel). So a k-wire gate g and its kicks are one 4^k x 4^k
+superoperator D_k(p) (g tensor conj(g)) on the gate's row and column axes.
+`attack` applies one 2x2 unitary W exactly to every wire (it models the channel
+being corrected, not hardware error), as W tensor conj(W) on each (row, column)
+axis pair of a density matrix.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -15,11 +24,12 @@ with a PCG64 generator, so results are reproducible from the seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .gates import PlacedGate, format_placed_gate, inverse
-from .linalg import ComplexMatrix
+from .linalg import ComplexMatrix, is_unitary
 
 _STATE_NORM_TOL = 1e-10
 _DM_HERM_TOL = 1e-10
@@ -142,11 +152,11 @@ def basis_state(n_wires: int, bits: str | int) -> StateVector:
     if isinstance(bits, str):
         if len(bits) != n_wires or any(ch not in "01" for ch in bits):
             raise ValueError(f"bad bit string {bits!r} for {n_wires} wires")
-        idx = int(bits, 2) if bits else 0
-    else:
-        idx = int(bits)
+        bits = int(bits, 2) if bits else 0
+    if isinstance(bits, bool) or not isinstance(bits, (int, np.integer)) or not 0 <= bits < 2**n_wires:
+        raise ValueError(f"basis index {bits!r} is not an integer in [0, {2**n_wires})")
     amps = np.zeros(2**n_wires, dtype=complex)
-    amps[idx] = 1.0
+    amps[bits] = 1.0
     return StateVector(amps, n_wires)
 
 
@@ -174,11 +184,6 @@ def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), axes)), range(k), axes)
 
 
-def conjugate(t: np.ndarray, g: np.ndarray, wires, n: int) -> np.ndarray:
-    """g rho g-dagger for rho as a (2,)*2n tensor: row axes, then column axes."""
-    return contract(contract(t, g, wires), g.conj(), tuple(n + w for w in wires))
-
-
 def realize(c: Circuit) -> ComplexMatrix:
     """Full unitary of the circuit: later gates multiply from the left."""
     n = c.n_wires
@@ -193,19 +198,75 @@ def dagger_circuit(c: Circuit) -> Circuit:
     return Circuit(c.n_wires, tuple(PlacedGate(inverse(pg.gate), pg.wires) for pg in reversed(c.gates)))
 
 
-def apply(c: Circuit, s: StateVector | DensityMatrix):
-    """Run the circuit: vectors map to Us, densities to U rho U-dagger."""
+@dataclass(frozen=True)
+class NoiseModel:
+    """Depolarizing gate noise for `apply`; p_readout flips measured bits."""
+
+    p1: float = 0.0
+    p2: float = 0.0
+    p_readout: float = 0.0
+
+    def __post_init__(self):
+        for name in ("p1", "p2", "p_readout"):
+            v = float(getattr(self, name))
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            object.__setattr__(self, name, v)
+
+
+@lru_cache(maxsize=64)  # a run needs 1-3 entries; a sweep must not pile them up
+def _kicks(k: int, p: float) -> np.ndarray:
+    """D_k(p), a depolarizing kick of strength p on each of k wires: a
+    read-only 4^k x 4^k superoperator in (row axes, column axes) order.
+    One wire's kick (1-p) rho + p (I/2 tensor Tr_wire rho) is, on its
+    (row, column) axis pair, (1-p) I_4 + (p/2) v v^T with v = (1, 0, 0, 1)."""
+    v = np.array([1.0, 0.0, 0.0, 1.0])
+    one = (1.0 - p) * np.eye(4) + (0.5 * p) * np.outer(v, v)
+    d = np.eye(4**k).reshape((2,) * (4 * k))
+    for i in range(k):
+        d = contract(d, one, (i, k + i))
+    d = d.reshape(4**k, 4**k)
+    d.setflags(write=False)
+    return d
+
+
+def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None = None):
+    """Run the circuit: vectors map to Us, densities to U rho U-dagger with
+    each gate followed by its kicks. A vector takes no gate noise."""
     n = c.n_wires
     if n != s.n_wires:
         raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
+    nm = noise or NoiseModel()
     if isinstance(s, StateVector):
+        if nm.p1 or nm.p2:
+            raise ValueError("gate noise mixes the state; apply it to a DensityMatrix")
         t = s.amplitudes.reshape((2,) * n)
         for pg in c.gates:
             t = contract(t, pg.gate.matrix.array, pg.wires)
         return StateVector(t.reshape(-1), n)
     t = s.matrix.array.reshape((2,) * (2 * n))
     for pg in c.gates:
-        t = conjugate(t, pg.gate.matrix.array, pg.wires, n)
+        g, k = pg.gate.matrix.array, pg.gate.arity
+        superop = _kicks(k, nm.p1 if k == 1 else nm.p2 / k) @ np.kron(g, g.conj())
+        t = contract(t, superop, pg.wires + tuple(n + w for w in pg.wires))
+    return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
+
+
+def attack(s: StateVector | DensityMatrix, w):
+    """The 2x2 unitary w on every wire at once, one contraction per wire."""
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (2, 2) or not is_unitary(w, 1e-12):  # a Gate's tolerance
+        raise ValueError("attack factor must be a 2x2 unitary within 1e-12")
+    n = s.n_wires
+    if isinstance(s, StateVector):
+        t = s.amplitudes.reshape((2,) * n)
+        for wire in range(n):
+            t = contract(t, w, (wire,))
+        return StateVector(t.reshape(-1), n)
+    superop = np.kron(w, w.conj())
+    t = s.matrix.array.reshape((2,) * (2 * n))
+    for wire in range(n):
+        t = contract(t, superop, (wire, n + wire))
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
 
 

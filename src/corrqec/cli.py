@@ -19,6 +19,7 @@ import numpy as np
 from . import correlated, hybrid, noise_exp
 from .circuit import (
     StateVector,
+    attack,
     basis_state,
     circuit_to_text,
     fidelity,
@@ -28,7 +29,7 @@ from .circuit import (
     to_density,
 )
 from .gates import H
-from .linalg import equal_up_to_global_phase, matrix_to_text, max_abs_diff, tensor_power
+from .linalg import equal_up_to_global_phase, matrix_to_text, max_abs_diff
 
 _BATTERY_SEED = 20240815
 
@@ -138,7 +139,7 @@ def _recovery_five() -> str:
         w = correlated.random_su2(rng).array
         psi1, psi2, v = _rand_qubit(rng), _rand_qubit(rng), _rand_qubit(rng)
         full = tensor(zero, psi1, v, psi2, zero)
-        out = enc.conj().T @ tensor_power(w, 5) @ enc @ full.amplitudes
+        out = enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes
         rho = to_density(StateVector(out, 5))
         expect = ((1, psi1), (3, psi2), (0, zero), (4, zero), (2, StateVector(w @ v.amplitudes, 1)))
         for wire, target in expect:

@@ -30,6 +30,7 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
+    attack,
     basis_state,
     fidelity,
     partial_trace,
@@ -290,11 +291,7 @@ def make_channel(n: int, support) -> CorrelatedChannel:
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.n_wires != ch.n_qubits:
         raise ValueError(f"channel acts on {ch.n_qubits} wires, state has {rho.n_wires}")
-    a = rho.matrix.array
-    out = np.zeros_like(a)
-    for w, p in ch.support:
-        wn = tensor_power(w.array, ch.n_qubits)
-        out += p * (wn @ a @ wn.conj().T)
+    out = sum(p * attack(rho, w.array).matrix.array for w, p in ch.support)
     return DensityMatrix._trusted(out, rho.n_wires)
 
 

@@ -26,8 +26,8 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
+    attack,
     basis_state,
-    contract,
     fidelity,
     partial_trace,
     tensor,
@@ -262,10 +262,7 @@ def hybrid_protect(
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
-    t = (p @ full.amplitudes).reshape((2,) * n)
-    for wire in range(n):
-        t = contract(t, factor, (wire,))
-    out = p.conj().T @ t.reshape(-1)
+    out = p.conj().T @ attack(StateVector(p @ full.amplitudes, n), factor).amplitudes
     rho = DensityMatrix._trusted(np.outer(out, out.conj()), n)
 
     fid_data = 1.0 if data is None else fidelity(partial_trace(rho, list(dw)), data)

@@ -1,19 +1,12 @@
-"""Depolarizing gate noise and named, reproducible experiments.
+"""Named, reproducible experiments under depolarizing gate noise.
 
-Noise placement: after every circuit gate, each touched wire gets a
-single-wire depolarizing kick, with strength p1 for one-wire gates and p2
-split evenly over the touched wires for wider gates (p2/2 on each wire of
-a two-wire gate, not a 15-Pauli two-wire channel). The attack rounds
-between encode and decode are applied exactly, one 2x2 factor on every
-wire (they model the channel being corrected, not hardware error).
-Readout bit-flips, if enabled, act on the exact outcome distribution of
-the measured wires.
-
-The density matrix is a (2,)*2n tensor, row axes then column axes, so a
-k-wire gate g and its kicks are one 4^k x 4^k superoperator D_k(p) (g
-tensor conj(g)) that the kernel `circuit.contract` applies to the gate's
-row and column axes in one pass (arXiv:1802.08032). The attack rounds fold
-into one factor W^rounds, applied per wire as the 4x4 W tensor conj(W).
+An experiment is encode -> attack -> decode -> measure the data wires. The
+encoder and its inverse run through `circuit.apply` with the spec's
+`NoiseModel` (its docstring says where the kicks go), and the attack is one
+2x2 factor that `circuit.attack` applies exactly to every wire: W^rounds for
+the correlated schemes, the product of the Pauli list for hybrid. Readout
+bit-flips, if enabled, act on the exact outcome distribution of the
+measured wires.
 
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
@@ -24,15 +17,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import correlated, hybrid
 from .circuit import (
-    Circuit,
     DensityMatrix,
     Histogram,
+    NoiseModel,
+    apply,
+    attack,
     basis_state,
     born_distribution,
     contract,
@@ -41,61 +35,6 @@ from .circuit import (
     tensor,
     to_density,
 )
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    p1: float = 0.0
-    p2: float = 0.0
-    p_readout: float = 0.0
-
-    def __post_init__(self):
-        for name in ("p1", "p2", "p_readout"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
-
-
-@lru_cache(maxsize=64)  # a run needs 1-3 entries; a sweep must not pile them up
-def _kicks(k: int, p: float) -> np.ndarray:
-    """D_k(p), a depolarizing kick of strength p on each of k wires: a
-    read-only 4^k x 4^k superoperator in (row axes, column axes) order.
-    One wire's kick (1-p) rho + p (I/2 tensor Tr_wire rho) is, on its
-    (row, column) axis pair, (1-p) I_4 + (p/2) v v^T with v = (1, 0, 0, 1)."""
-    v = np.array([1.0, 0.0, 0.0, 1.0])
-    one = (1.0 - p) * np.eye(4) + (0.5 * p) * np.outer(v, v)
-    d = np.eye(4**k).reshape((2,) * (4 * k))
-    for i in range(k):
-        d = contract(d, one, (i, k + i))
-    d = d.reshape(4**k, 4**k)
-    d.setflags(write=False)
-    return d
-
-
-def _apply_noisy_array(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    n = c.n_wires
-    t = rho.reshape((2,) * (2 * n))
-    for pg in c.gates:
-        g, k = pg.gate.matrix.array, pg.gate.arity
-        strength = nm.p1 if k == 1 else nm.p2 / k
-        superop = _kicks(k, strength) @ np.kron(g, g.conj())
-        t = contract(t, superop, pg.wires + tuple(n + w for w in pg.wires))
-    return t.reshape(rho.shape)
-
-
-def _apply_attack(t: np.ndarray, w: np.ndarray, repeats: int, n: int) -> np.ndarray:
-    """`repeats` rounds of w on every wire, folded into one factor W^repeats.
-    Rounding drifts a long product off unitarity (H^(2e9) by 4e-7), so a
-    power is projected onto the nearest unitary, the polar factor u vh of
-    its SVD."""
-    if repeats > 1:
-        u, _, vh = np.linalg.svd(np.linalg.matrix_power(w, repeats))
-        w = u @ vh
-    superop = np.kron(w, w.conj())
-    for wire in range(n):
-        t = contract(t, superop, (wire, n + wire))
-    return t
 
 
 def _readout_flip(probs: np.ndarray, p: float) -> np.ndarray:
@@ -135,6 +74,16 @@ _CORRELATED_KEYS = {"w", "rounds"}
 _HYBRID_KEYS = {"n", "ancilla", "errors"}
 
 
+def _integer(s: dict, key: str, default: int, least: int) -> int:
+    """An integer spec value; a bool or a float is rejected, not truncated."""
+    v = s.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{key} must be at least {least}, got {v}")
+    return int(v)
+
+
 def _normalize_spec(spec: dict) -> dict:
     """Validate an experiment spec and fill in every default."""
     s = dict(spec)
@@ -159,23 +108,17 @@ def _normalize_spec(spec: dict) -> dict:
     out = {
         "scheme": scheme,
         "noise": nm,
-        "shots": int(s.get("shots", 8192)),
-        "seed": int(s.get("seed", 0)),
+        "shots": _integer(s, "shots", 8192, 1),
+        "seed": _integer(s, "seed", 0, 0),
         # hybrid specs cannot set rounds: their attack list is `errors`
-        "rounds": int(s.get("rounds", 1)),
+        "rounds": _integer(s, "rounds", 1, 1),
     }
-    if out["shots"] < 1:
-        raise ValueError("shots must be at least 1")
-    if out["rounds"] < 1:
-        raise ValueError("rounds must be at least 1")
     if scheme in _CORRELATED:
         out["w"] = str(s.get("w", "h"))
         correlated.atom_from_selector(out["w"])  # validate early
         out["name"] = s.get("name") or scheme
     else:
-        n = int(s.get("n", 3))
-        if n < 3:
-            raise ValueError("hybrid experiments need at least one data wire to measure (n >= 3)")
+        n = _integer(s, "n", 3, 3)  # n = 2 has no data wire to measure
         ancilla = s.get("ancilla")
         if ancilla is None:
             ancilla = "0" if n % 2 == 1 else "00"
@@ -191,16 +134,21 @@ def _normalize_spec(spec: dict) -> dict:
 
 
 def _build_experiment(ns: dict):
-    """Return (encode circuit, initial state, attack, data wires, expected
-    bit string) for a normalized experiment spec. The attack lists (2x2
-    factor, repeats) pairs; a round applies its factor to every wire, and a
-    hybrid Pauli list is one round, the product of its Paulis."""
+    """Return (encode circuit, initial state, attack factor, data wires,
+    expected bit string) for a normalized experiment spec. The attack is
+    one 2x2 factor for every wire: W^rounds, or the hybrid Pauli product,
+    so the cost of a run depends on neither the rounds nor the list."""
     if ns["scheme"] in _CORRELATED:
         factory, k = _CORRELATED[ns["scheme"]]
         circ = factory()
         n = circ.n_wires
         init = basis_state(n, "0" * n)
-        attack = [(correlated.atom_from_selector(ns["w"]).array, ns["rounds"])]
+        w = correlated.atom_from_selector(ns["w"]).array
+        if ns["rounds"] > 1:
+            # rounding drifts a long power off unitarity (H^(2e9) by 4e-7):
+            # project it onto the nearest unitary, the polar factor u vh
+            u, _, vh = np.linalg.svd(np.linalg.matrix_power(w, ns["rounds"]))
+            w = u @ vh
         data = correlated.recursive_data_wires(k)
     else:
         n = ns["n"]
@@ -209,22 +157,17 @@ def _build_experiment(ns: dict):
         anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
         data = list(hybrid.data_wires(n))
         init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
-        # one factor for the whole list, so the cost of a run does not
-        # depend on how many Paulis it lists
-        attack = [(hybrid.attack_factor(ns["errors"]), 1)]
-    return circ, init, attack, data, "0" * len(data)
+        w = hybrid.attack_factor(ns["errors"])
+    return circ, init, w, data, "0" * len(data)
 
 
 def _exact_distribution(ns: dict):
-    circ, init, attack, data, expected = _build_experiment(ns)
+    circ, init, w, data, expected = _build_experiment(ns)
     nm: NoiseModel = ns["noise"]
-    n = circ.n_wires
-    t = to_density(init).matrix.array.reshape((2,) * (2 * n))
-    t = _apply_noisy_array(circ, t, nm)
-    for w, repeats in attack:
-        t = _apply_attack(t, w, repeats, n)
-    t = _apply_noisy_array(dagger_circuit(circ), t, nm)
-    probs = born_distribution(DensityMatrix(t.reshape(2**n, 2**n), n), data)
+    rho = apply(circ, to_density(init), nm)
+    rho = apply(dagger_circuit(circ), attack(rho, w), nm)
+    # the one check of a run's state, at the boundary before measurement
+    probs = born_distribution(DensityMatrix(rho.matrix, circ.n_wires), data)
     probs = _readout_flip(probs, nm.p_readout)
     return probs, data, expected
 

@@ -8,8 +8,10 @@ from corrqec.circuit import (
     Circuit,
     DensityMatrix,
     Histogram,
+    NoiseModel,
     StateVector,
     apply,
+    attack,
     basis_state,
     born_distribution,
     circuit_to_text,
@@ -44,6 +46,11 @@ def test_basis_state_string_and_index():
         basis_state(2, "012")
     with pytest.raises(ValueError):
         basis_state(2, "0")
+    assert np.array_equal(basis_state(2, 3).amplitudes, basis_state(2, "11").amplitudes)
+    assert basis_state(2, np.int64(0)).amplitudes[0] == 1.0
+    for index in (-1, 4, True, 1.0):  # no wrap-around, IndexError or bool-as-int
+        with pytest.raises(ValueError):
+            basis_state(2, index)
 
 
 def test_tensor_first_is_most_significant():
@@ -114,6 +121,28 @@ def test_apply_vector_and_density_agree():
 def test_apply_wire_mismatch():
     with pytest.raises(ValueError):
         apply(bell_circuit(), basis_state(3, "000"))
+
+
+def test_apply_noise_needs_a_density_matrix():
+    s = basis_state(2, "00")
+    for nm in (NoiseModel(p1=0.1), NoiseModel(p2=0.1)):
+        with pytest.raises(ValueError):
+            apply(bell_circuit(), s, nm)
+    # readout noise acts on outcome distributions, not on the state
+    for nm in (NoiseModel(), NoiseModel(p_readout=0.1)):
+        assert np.array_equal(apply(bell_circuit(), s, nm).amplitudes,
+                              apply(bell_circuit(), s).amplitudes)
+
+
+def test_attack_takes_a_2x2_unitary():
+    s = basis_state(2, "00")
+    for w in (np.eye(4), [[1, 0], [0, 1.01]], [[1, 1], [0, 1]]):
+        with pytest.raises(ValueError):
+            attack(s, w)
+        with pytest.raises(ValueError):
+            attack(to_density(s), w)
+    assert attack(s, X.matrix.array).amplitudes[3] == 1.0
+    assert attack(to_density(s), X.matrix.array).matrix.array[3, 3] == 1.0
 
 
 def test_dagger_circuit_inverts():

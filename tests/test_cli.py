@@ -198,6 +198,7 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
         ["run", "--scheme", "hybrid", "--n", "4", "--ancilla", "ry:0.5"],
         ["run", "--scheme", "hybrid", "--n", "2"],
         ["run", "--scheme", "corr3", "--shots", "0"],
+        ["run", "--scheme", "corr3", "--seed", "-1"],
         ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[1,0]],[[0,0],[1,0]]]"],
         ["run", "--scheme", "corr3", "--w", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"],
         ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],

@@ -1,27 +1,30 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import corrqec
+from corrqec import circuit
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
+    _kicks,
     apply,
+    attack,
     basis_state,
     born_distribution,
-    conjugate,
     dagger_circuit,
+    realize,
     to_density,
 )
 from corrqec.gates import CNOT, H, X, PlacedGate
-from corrqec.hybrid import _PAULI
+from corrqec.hybrid import _PAULI, attack_factor
 from corrqec.noise_exp import (
     ExperimentReport,
     NoiseModel,
-    _apply_attack,
-    _apply_noisy_array,
     _build_experiment,
-    _kicks,
     _exact_distribution,
     _normalize_spec,
     exact_success,
@@ -42,6 +45,7 @@ SWEEP = [
 
 
 def test_noise_model_validation():
+    assert corrqec.NoiseModel is NoiseModel is circuit.NoiseModel  # defined once, in circuit
     assert NoiseModel() == NoiseModel(p1=0.0, p2=0.0, p_readout=0.0)
     assert NoiseModel(p1=1).p1 == 1.0
     with pytest.raises(ValueError):
@@ -55,23 +59,24 @@ def test_noise_model_validation():
 def test_zero_noise_is_plain_application():
     c = Circuit(2, (PlacedGate(H, (0,)), PlacedGate(CNOT, (0, 1))))
     rho = to_density(basis_state(2, "00"))
-    noisy = _apply_noisy_array(c, rho.matrix.array, NoiseModel())
-    plain = apply(c, rho)
-    assert np.abs(noisy - plain.matrix.array).max() < 1e-14
+    u = realize(c).array
+    expect = u @ rho.matrix.array @ u.conj().T
+    for out in (apply(c, rho), apply(c, rho, NoiseModel())):
+        assert np.abs(out.matrix.array - expect).max() < 1e-14
 
 
 def test_full_depolarizing_after_single_gate():
     """p1=1 scrambles the touched wire to the maximally mixed state."""
     c = Circuit(1, (PlacedGate(X, (0,)),))
     rho = to_density(basis_state(1, "0"))
-    out = _apply_noisy_array(c, rho.matrix.array, NoiseModel(p1=1.0))
+    out = apply(c, rho, NoiseModel(p1=1.0)).matrix.array
     assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
 
 def test_depolarizing_leaves_untouched_wires_alone():
     c = Circuit(2, (PlacedGate(X, (0,)),))
     rho = to_density(basis_state(2, "01"))
-    out = _apply_noisy_array(c, rho.matrix.array, NoiseModel(p1=1.0))
+    out = apply(c, rho, NoiseModel(p1=1.0)).matrix.array
     # wire 0 fully mixed, wire 1 still |1>
     expect = np.kron(np.eye(2) / 2, np.diag([0.0, 1.0]))
     assert np.abs(out - expect).max() < 1e-12
@@ -82,8 +87,8 @@ def test_noisy_application_preserves_trace():
     c = Circuit(2, (PlacedGate(H, (1,)), PlacedGate(CNOT, (1, 0)), PlacedGate(X, (0,))))
     for _ in range(5):
         p1, p2 = rng.uniform(0, 0.3, size=2)
-        rho = to_density(basis_state(2, "00")).matrix.array
-        out = _apply_noisy_array(c, rho, NoiseModel(p1=p1, p2=p2))
+        rho = to_density(basis_state(2, "00"))
+        out = apply(c, rho, NoiseModel(p1=p1, p2=p2)).matrix.array
         assert abs(np.trace(out) - 1.0) < 1e-12
 
 
@@ -100,10 +105,10 @@ def test_noiseless_success_many_rounds():
 
 
 def test_rounds_are_a_repeat_count_not_a_list():
-    # building a run allocates nothing per round, so a huge --rounds cannot
-    # exhaust memory before the first attack is applied
-    _, _, attack, _, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
-    assert len(attack) == 1 and attack[0][1] == 10**12
+    # the rounds fold into one factor at once, so a huge --rounds cannot
+    # exhaust memory or time before the attack is applied
+    _, _, w, _, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
+    assert np.abs(w - np.eye(2)).max() <= 1e-12  # H^(10^12) = I
 
 
 def test_folded_rounds_match_round_by_round():
@@ -114,13 +119,16 @@ def test_folded_rounds_match_round_by_round():
     for rounds in range(1, 8):
         q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         w = q * (np.diag(r) / np.abs(np.diag(r)))
+        sel = "matrix:" + json.dumps([[[z.real, z.imag] for z in row] for row in w])
+        ns = _normalize_spec({"scheme": "corr3", "w": sel, "rounds": rounds})
+        _, _, folded, _, _ = _build_experiment(ns)
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        t = (a @ a.conj().T / np.trace(a @ a.conj().T)).reshape((2,) * (2 * n))
-        expect = t
+        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T), n)
+        expect = rho
         for _ in range(rounds):
-            for wire in range(n):
-                expect = conjugate(expect, w, (wire,), n)
-        assert np.abs(_apply_attack(t, w, rounds, n) - expect).max() <= 1e-13
+            expect = attack(expect, w)
+        got = attack(rho, folded).matrix.array
+        assert np.abs(got - expect.matrix.array).max() <= 1e-13
 
 
 def test_kick_cache_stays_bounded_over_a_noise_sweep():
@@ -145,15 +153,13 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         ns = _normalize_spec({"scheme": "hybrid", "n": n, "ancilla": ancilla,
                               "errors": ["x", "y", "z", "y"],
                               "noise": {"p1": 1e-3, "p2": 1e-2}})
-        circ, init, attack, data, _ = _build_experiment(ns)
-        assert len(attack) == 1
-        t = _apply_noisy_array(circ, to_density(init).matrix.array, ns["noise"])
-        t = t.reshape((2,) * (2 * n))
+        circ, init, w, data, _ = _build_experiment(ns)
+        assert np.array_equal(w, attack_factor(ns["errors"]))
+        rho = apply(circ, to_density(init), ns["noise"])
         for tag in ns["errors"]:
-            for wire in range(n):
-                t = conjugate(t, _PAULI[tag], (wire,), n)
-        t = _apply_noisy_array(dagger_circuit(circ), t.reshape(2**n, 2**n), ns["noise"])
-        expect = born_distribution(DensityMatrix(t, n), data)
+            rho = attack(rho, _PAULI[tag])
+        rho = apply(dagger_circuit(circ), rho, ns["noise"])
+        expect = born_distribution(DensityMatrix(rho.matrix, n), data)
         probs, _, _ = _exact_distribution(ns)
         assert np.array_equal(probs, expect)
 
@@ -221,6 +227,15 @@ def test_spec_validation_errors():
         for scheme in ("corr3", "corr3-basic", "corr5"):
             with pytest.raises(ValueError):
                 exact_success({"scheme": scheme, "w": "h", key: value})
+    # counts are integers: a float or a bool is rejected, not truncated, and
+    # the message names the key
+    for key, value in (("shots", 2.9), ("rounds", 2.5), ("rounds", True), ("seed", 1.0),
+                       ("seed", -1), ("seed", False), ("shots", True), ("shots", "8")):
+        with pytest.raises(ValueError, match=key):
+            run_named({"scheme": "corr3", "w": "h", key: value})
+    for value in (3.7, True, 2):
+        with pytest.raises(ValueError, match="n must"):
+            run_named({"scheme": "hybrid", "n": value})
 
 
 def test_hybrid_spec_defaults_and_validation():

@@ -1,9 +1,11 @@
-"""Property tests of the gate kernel, the noise engine and `embed`
-against dense oracles, and of the states the package builds unchecked.
+"""Property tests of the gate kernel, the noise engine, the all-wire attack
+and `embed` against dense oracles, and of the states the package builds
+unchecked.
 
 The oracles are the dense formulas: a gate is embedded as S-dagger
 (g tensor I) S with S the 2^n x 2^n wire permutation matrix, applied as
-u rho u-dagger, and a depolarizing kick is the three-Pauli sum
+u rho u-dagger, an attack is W tensored n times, and a depolarizing kick
+is the three-Pauli sum
 (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s.
 
 The hybrid scheme's success probability cannot increase with gate noise
@@ -18,16 +20,19 @@ from hypothesis import strategies as st
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
+    NoiseModel,
     StateVector,
+    _kicks,
     apply,
+    attack,
     contract,
     partial_trace,
     realize,
 )
 from corrqec.correlated import apply_channel, make_channel
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
-from corrqec.linalg import ComplexMatrix
-from corrqec.noise_exp import NoiseModel, _apply_noisy_array, _kicks, exact_success
+from corrqec.linalg import ComplexMatrix, tensor_power
+from corrqec.noise_exp import exact_success
 
 _PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -117,7 +122,7 @@ def noisy_cases(draw):
 @given(noisy_cases())
 def test_noisy_engine_matches_dense_oracle(case):
     c, rho, nm = case
-    got = _apply_noisy_array(c, rho, nm)
+    got = apply(c, DensityMatrix(rho, c.n_wires), nm).matrix.array
     assert got.shape == rho.shape
     assert np.abs(got - dense_noisy(c, rho, nm)).max() <= 1e-13
     assert abs(np.trace(got) - 1.0) <= 1e-12
@@ -156,6 +161,22 @@ def test_closed_form_depolarizing_is_the_pauli_sum(case):
         assert np.abs(got - expect).max() <= 1e-15
 
 
+@_SETTINGS
+@given(st.integers(1, 5), seeds)
+def test_attack_is_the_dense_tensor_power(n, seed):
+    # the per-wire attack against the dense W tensored n times, on a pure
+    # and on a mixed state, for a Haar-random U(2) factor
+    rng = np.random.default_rng(seed)
+    w = random_unitary(rng, 1)
+    wn = tensor_power(w, n)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)
+    assert np.abs(attack(StateVector(v, n), w).amplitudes - wn @ v).max() <= 1e-13
+    rho = random_density(rng, n)
+    got = attack(DensityMatrix(rho, n), w).matrix.array
+    assert np.abs(got - wn @ rho @ wn.conj().T).max() <= 1e-13
+
+
 @st.composite
 def producer_cases(draw):
     """A mixed or pure input state, a noisy circuit, a kept wire set and a
@@ -176,8 +197,8 @@ def producer_cases(draw):
 @_SETTINGS
 @given(producer_cases())
 def test_unchecked_producers_make_valid_states(case):
-    # apply, partial_trace and apply_channel skip the DensityMatrix checks,
-    # and the noisy pass works on bare arrays; their outputs must still be states
+    # apply (noiseless and noisy), attack, partial_trace and apply_channel
+    # skip the DensityMatrix checks; their outputs must still be states
     c, rho, nm, ch, keep = case
     n = c.n_wires
     dm = DensityMatrix(rho, n)
@@ -185,7 +206,8 @@ def test_unchecked_producers_make_valid_states(case):
         (apply(c, dm).matrix.array, n),
         (partial_trace(dm, keep).matrix.array, len(keep)),
         (apply_channel(ch, dm).matrix.array, n),
-        (_apply_noisy_array(c, rho, nm), n),
+        (apply(c, dm, nm).matrix.array, n),
+        (attack(dm, ch.support[0][0].array).matrix.array, n),
     )
     for a, k in outputs:
         DensityMatrix(a, k)

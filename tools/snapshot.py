@@ -1,0 +1,88 @@
+"""Write every output that must stay byte-identical across engine changes.
+
+Usage: python tools/snapshot.py <checkout> <outdir>
+
+Runs `corrqec` from <checkout>/src, in process, over the command lines of
+this repo's `perfbench/workloads.oracle_grid()` and writes into <outdir>:
+
+  reports/NNNN.json, reports/NNNN.csv   each grid argv, in both formats
+  runs.txt     per report: file name, exit code, stdout and stderr
+  dump.txt     each `dump` target's exit code and output
+  verify.txt   `verify` stdout and exit code
+
+Reports are written under relative paths from inside <outdir>, so the
+`wrote ...` lines do not depend on where <outdir> is. Run it at two
+checkouts and compare the two directories with `diff -r`.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import oracle_grid  # noqa: E402
+
+DUMP_TARGETS = (
+    "u", "old-u", "p2", "p3", *(f"pn:{n}" for n in range(2, 9)),
+    "circuit:standard3", "circuit:basic3", "circuit:corr5",
+    *(f"circuit:hybrid{n}" for n in range(2, 9)),
+)
+
+
+def _run(main, argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_snapshot(outdir, ops) -> None:
+    """Write the reports of `ops` (perfbench Ops), the dumps and `verify`
+    into outdir with the `corrqec` already imported."""
+    from corrqec.cli import main
+
+    outdir = Path(outdir)
+    (outdir / "reports").mkdir(parents=True)
+    runs, dumps = [], []
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        for i, op in enumerate(ops):
+            for fmt in ("json", "csv"):
+                argv = list(op.argv)
+                argv[argv.index("--format") + 1] = fmt
+                name = f"reports/{i:04d}.{fmt}"
+                code, out, err = _run(main, argv + ["--out", name])
+                runs.append(f"{name} exit={code}\n{out}{err}")
+        for target in DUMP_TARGETS:
+            code, out, err = _run(main, ["dump", target])
+            dumps.append(f"== {target} exit={code}\n{out}{err}")
+        code, out, err = _run(main, ["verify"])
+    finally:
+        os.chdir(cwd)
+    (outdir / "runs.txt").write_text("".join(runs), encoding="utf-8")
+    (outdir / "dump.txt").write_text("".join(dumps), encoding="utf-8")
+    (outdir / "verify.txt").write_text(f"{out}{err}exit={code}\n", encoding="utf-8")
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    checkout, outdir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    sys.path.insert(0, str(checkout / "src"))
+    import corrqec
+
+    print(f"corrqec from {Path(corrqec.__file__).parent}")
+    ops = oracle_grid()
+    write_snapshot(outdir, ops)
+    print(f"wrote {2 * len(ops)} reports, {len(DUMP_TARGETS)} dumps and verify to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
