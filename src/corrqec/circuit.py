@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gates import PlacedGate, format_placed_gate, inverse
-from .linalg import ComplexMatrix, is_unitary
+from .linalg import is_unitary
 
 _STATE_NORM_TOL = 1e-10
 _DM_HERM_TOL = 1e-10
@@ -61,10 +61,12 @@ class StateVector:
 
     def __init__(self, amplitudes, n_wires: int | None = None):
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if a.size == 0:
+            raise ValueError("a state needs at least one amplitude")
         n = int(np.log2(a.size)) if n_wires is None else int(n_wires)
         if a.size != 2**n:
             raise ValueError(f"amplitude length {a.size} is not 2^{n}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > _STATE_NORM_TOL:
@@ -88,17 +90,21 @@ class StateVector:
 class DensityMatrix:
     """Mixed state on n_wires qubits: Hermitian, unit trace and PSD, with
     positivity checked exactly (a Cholesky factor of rho + 1e-9 I exists).
-    `_trusted` builds states derived from checked ones, without checks."""
+    The constructor copies its input; `matrix` is read-only. `_trusted`
+    builds states derived from checked ones, without checks."""
 
     __slots__ = ("_m", "n_wires")
 
     def __init__(self, matrix, n_wires: int | None = None):
-        m = matrix if isinstance(matrix, ComplexMatrix) else ComplexMatrix(matrix)
-        n = int(np.log2(m.dim_rows)) if n_wires is None else int(n_wires)
+        a = np.array(matrix, dtype=complex)
+        if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"density matrix must be square and non-empty, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("density matrix entries must be finite (no NaN/Inf)")
+        n = int(np.log2(a.shape[0])) if n_wires is None else int(n_wires)
         d = 2**n
-        if m.dim_rows != d or m.dim_cols != d:
-            raise ValueError(f"matrix is {m.dim_rows}x{m.dim_cols}, expected {d}x{d}")
-        a = m.array
+        if a.shape != (d, d):
+            raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, expected {d}x{d}")
         if np.abs(a - a.conj().T).max() > _DM_HERM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(a))
@@ -108,18 +114,20 @@ class DensityMatrix:
             np.linalg.cholesky(a - _DM_PSD_FLOOR * np.eye(d))
         except np.linalg.LinAlgError:
             raise ValueError(f"density matrix has an eigenvalue below {_DM_PSD_FLOOR}") from None
-        object.__setattr__(self, "_m", m)
+        a.setflags(write=False)
+        object.__setattr__(self, "_m", a)
         object.__setattr__(self, "n_wires", n)
 
     @classmethod
     def _trusted(cls, a: np.ndarray, n: int) -> DensityMatrix:
+        a.setflags(write=False)
         d = object.__new__(cls)
-        object.__setattr__(d, "_m", ComplexMatrix(a))
+        object.__setattr__(d, "_m", a)
         object.__setattr__(d, "n_wires", n)
         return d
 
     @property
-    def matrix(self) -> ComplexMatrix:
+    def matrix(self) -> np.ndarray:
         return self._m
 
     def __setattr__(self, name, value):
@@ -184,13 +192,13 @@ def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), axes)), range(k), axes)
 
 
-def realize(c: Circuit) -> ComplexMatrix:
+def realize(c: Circuit) -> np.ndarray:
     """Full unitary of the circuit: later gates multiply from the left."""
     n = c.n_wires
     t = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
     for pg in c.gates:
         t = contract(t, pg.gate.matrix.array, pg.wires)
-    return ComplexMatrix(t.reshape(2**n, 2**n))
+    return t.reshape(2**n, 2**n)
 
 
 def dagger_circuit(c: Circuit) -> Circuit:
@@ -244,7 +252,7 @@ def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None =
         for pg in c.gates:
             t = contract(t, pg.gate.matrix.array, pg.wires)
         return StateVector(t.reshape(-1), n)
-    t = s.matrix.array.reshape((2,) * (2 * n))
+    t = s.matrix.reshape((2,) * (2 * n))
     for pg in c.gates:
         g, k = pg.gate.matrix.array, pg.gate.arity
         superop = _kicks(k, nm.p1 if k == 1 else nm.p2 / k) @ np.kron(g, g.conj())
@@ -264,7 +272,7 @@ def attack(s: StateVector | DensityMatrix, w):
             t = contract(t, w, (wire,))
         return StateVector(t.reshape(-1), n)
     superop = np.kron(w, w.conj())
-    t = s.matrix.array.reshape((2,) * (2 * n))
+    t = s.matrix.reshape((2,) * (2 * n))
     for wire in range(n):
         t = contract(t, superop, (wire, n + wire))
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
@@ -279,7 +287,7 @@ def partial_trace(d: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep set {keep} out of range for {d.n_wires} wires")
     n = d.n_wires
     drop = [w for w in range(n) if w not in keep]
-    t = d.matrix.array.reshape((2,) * (2 * n))
+    t = d.matrix.reshape((2,) * (2 * n))
     for w in sorted(drop, reverse=True):
         t = np.trace(t, axis1=w, axis2=w + t.ndim // 2)
     k = len(keep)
@@ -301,7 +309,7 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
     if isinstance(s, StateVector):
         probs = np.abs(s.amplitudes) ** 2
     else:
-        probs = np.real(np.diag(s.matrix.array))
+        probs = np.real(np.diag(s.matrix))
     t = probs.reshape((2,) * n)
     for w in sorted((w for w in range(n) if w not in wires), reverse=True):
         t = t.sum(axis=w)
@@ -339,7 +347,7 @@ def fidelity(a: DensityMatrix | StateVector, b: StateVector) -> float:
     if isinstance(a, StateVector):
         return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
     v = b.amplitudes
-    return float(np.real(v.conj() @ a.matrix.array @ v))
+    return float(np.real(v.conj() @ a.matrix @ v))
 
 
 def circuit_to_text(c: Circuit) -> str:

@@ -50,13 +50,13 @@ def _rand_qubit(rng) -> StateVector:
 
 
 def _unitary(u) -> str:
-    dev = max_abs_diff(u.array.conj().T @ u.array, np.eye(8))
+    dev = max_abs_diff(u.conj().T @ u, np.eye(8))
     _require(dev <= 1e-12, f"deviation {dev:.3e}")
     return f"max deviation {dev:.3e}"
 
 
 def _shared_columns() -> str:
-    d = max_abs_diff(correlated.build_new_U().array[:, :4], correlated.build_old_U().array[:, :4])
+    d = max_abs_diff(correlated.build_new_U()[:, :4], correlated.build_old_U()[:, :4])
     _require(d <= 1e-15, f"first four columns differ by {d:.3e}")
     return "first four columns identical"
 
@@ -87,7 +87,7 @@ def _refutation_distance() -> str:
 
 
 def _refutation_spots() -> str:
-    m = correlated.erroneous_decomposition_product().array
+    m = correlated.erroneous_decomposition_product()
     d = max(abs(m[1, 0] - 0.7071), abs(m[3, 3] - 0.8165))
     _require(d < 5e-5, f"spot entries off by {d:.2e}")
     return "published spot entries reproduced to 4 decimals"
@@ -101,7 +101,7 @@ def _blocks_random() -> str:
         w = correlated.random_su2(rng)
         rep = correlated.verify_block_structure(u, w)
         worst_off = max(worst_off, rep.off_diag_norm)
-        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w.array)))
+        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w)))
     _require(worst_off <= 1e-10 and worst_tl <= 1e-10,
              f"off-diag {worst_off:.3e}, top-left {worst_tl:.3e}")
     return f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
@@ -113,8 +113,8 @@ def _blocks_hadamard() -> str:
     _require(rep.off_diag_norm <= 1e-12, f"off-diag {rep.off_diag_norm:.3e}")
     _require(equal_up_to_global_phase(rep.top_left, i2h, 1e-10), "top-left not I (x) H up to phase")
     # H has determinant -1, and the construction pins the block to det(W) * W.
-    pivot = np.unravel_index(np.argmax(np.abs(rep.top_left.array)), (4, 4))
-    phase = rep.top_left.array[pivot] / i2h[pivot]
+    pivot = np.unravel_index(np.argmax(np.abs(rep.top_left)), (4, 4))
+    phase = rep.top_left[pivot] / i2h[pivot]
     _require(abs(phase + 1.0) <= 1e-10, f"alignment phase {phase:.6f}, expected -1")
     return "top-left = -(I (x) H) exactly; phase matches the determinant"
 
@@ -132,11 +132,11 @@ def _recovery_three() -> str:
 
 def _recovery_five() -> str:
     rng = np.random.default_rng(_BATTERY_SEED + 2)
-    enc = realize(correlated.recursive_encoder(2)).array
+    enc = realize(correlated.recursive_encoder(2))
     zero = basis_state(1, "0")
     worst = 1.0
     for _ in range(3):
-        w = correlated.random_su2(rng).array
+        w = correlated.random_su2(rng)
         psi1, psi2, v = _rand_qubit(rng), _rand_qubit(rng), _rand_qubit(rng)
         full = tensor(zero, psi1, v, psi2, zero)
         out = enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes
@@ -164,7 +164,7 @@ def _hybrid_conjugation() -> str:
         for tag in ("X", "Y", "Z"):
             c = hybrid.conjugated_error(n, tag)
             a = hybrid.ancilla_block(n, c)
-            worst = max(worst, max_abs_diff(c, np.kron(a.array, np.eye(d))))
+            worst = max(worst, max_abs_diff(c, np.kron(a, np.eye(d))))
     _require(worst <= 1e-10, f"factor residual {worst:.3e}")
     return f"all attacks factor off the data wires (residual {worst:.3e})"
 

@@ -79,23 +79,23 @@ DATA_WIRE = 1
 SINK_WIRE = 2
 
 
-def build_old_U() -> ComplexMatrix:
+def build_old_U() -> np.ndarray:
     """Earlier published 8x8 encoder (reads the mutable entry table)."""
-    return ComplexMatrix(OLD_U_ENTRIES)
+    return np.array(OLD_U_ENTRIES, dtype=complex)
 
 
-def build_new_U() -> ComplexMatrix:
+def build_new_U() -> np.ndarray:
     """Corrected 8x8 encoder (reads the mutable entry table)."""
-    return ComplexMatrix(NEW_U_ENTRIES)
+    return np.array(NEW_U_ENTRIES, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockReport:
     """4x4 diagonal blocks of a conjugated three-wire attack, plus the
     largest off-diagonal entry magnitude."""
 
-    top_left: ComplexMatrix
-    bottom_right: ComplexMatrix
+    top_left: np.ndarray
+    bottom_right: np.ndarray
     off_diag_norm: float
 
     def __post_init__(self):
@@ -105,23 +105,18 @@ class BlockReport:
 
 def verify_block_structure(u, w) -> BlockReport:
     """Report the block structure of U-dagger (W tensor W tensor W) U."""
-    um = u if isinstance(u, ComplexMatrix) else ComplexMatrix(u)
-    wm = w if isinstance(w, ComplexMatrix) else ComplexMatrix(w)
-    if um.dim_rows != 8 or um.dim_cols != 8:
+    um, wm = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
+    if um.shape != (8, 8):
         raise ValueError("encoder must be 8x8")
-    if wm.dim_rows != 2 or wm.dim_cols != 2:
+    if wm.shape != (2, 2):
         raise ValueError("attack unitary must be 2x2")
     if not is_unitary(um, 1e-10):
         raise ValueError("encoder input is not unitary")
     if not is_unitary(wm, 1e-10):
         raise ValueError("attack input is not unitary")
-    m = um.array.conj().T @ tensor_power(wm.array, 3) @ um.array
+    m = um.conj().T @ tensor_power(wm, 3) @ um
     off = max(float(np.abs(m[:4, 4:]).max()), float(np.abs(m[4:, :4]).max()))
-    return BlockReport(
-        top_left=ComplexMatrix(m[:4, :4]),
-        bottom_right=ComplexMatrix(m[4:, 4:]),
-        off_diag_norm=off,
-    )
+    return BlockReport(top_left=m[:4, :4], bottom_right=m[4:, 4:], off_diag_norm=off)
 
 
 def standard_decomposition() -> Circuit:
@@ -169,7 +164,7 @@ def _columns_unitary(cols) -> np.ndarray:
     return np.column_stack([np.asarray(c, dtype=complex) for c in cols])
 
 
-def erroneous_decomposition_product() -> ComplexMatrix:
+def erroneous_decomposition_product() -> np.ndarray:
     """Product of a previously published six-stage construction.
 
     The result is unitary but does NOT reproduce the earlier encoder it
@@ -246,15 +241,16 @@ def erroneous_decomposition_product() -> ComplexMatrix:
             k3(e1, e0, e1),
         ]
     )
-    return ComplexMatrix(stage6 @ stage5 @ stage4 @ stage3 @ stage2 @ stage1)
+    return stage6 @ stage5 @ stage4 @ stage3 @ stage2 @ stage1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatedChannel:
-    """Finitely supported mixture of all-wire tensor-power attacks."""
+    """Finitely supported mixture of all-wire tensor-power attacks. Each
+    atom is copied once, into a read-only 2x2 array."""
 
     n_qubits: int
-    support: tuple[tuple[ComplexMatrix, float], ...]
+    support: tuple[tuple[np.ndarray, float], ...]
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -262,14 +258,15 @@ class CorrelatedChannel:
         sup = []
         total = 0.0
         for w, p in self.support:
-            wm = w if isinstance(w, ComplexMatrix) else ComplexMatrix(w)
-            if wm.dim_rows != 2 or wm.dim_cols != 2:
+            wm = np.array(w, dtype=complex)
+            if wm.shape != (2, 2):
                 raise ValueError("channel atoms must be 2x2")
             if not is_unitary(wm, 1e-12):
                 raise ValueError("channel atom is not unitary within 1e-12")
             pf = float(p)
             if pf < 0:
                 raise ValueError(f"negative probability {pf}")
+            wm.setflags(write=False)
             sup.append((wm, pf))
             total += pf
         if abs(total - 1.0) > 1e-12:
@@ -278,8 +275,8 @@ class CorrelatedChannel:
 
 
 def make_channel(n: int, support) -> CorrelatedChannel:
-    """Build a channel from (atom, probability) pairs; atoms may be Gates,
-    ComplexMatrix values, or plain 2x2 array-likes."""
+    """Build a channel from (atom, probability) pairs; atoms may be Gates
+    or 2x2 array-likes."""
     pairs = []
     for w, p in support:
         if isinstance(w, Gate):
@@ -291,7 +288,7 @@ def make_channel(n: int, support) -> CorrelatedChannel:
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.n_wires != ch.n_qubits:
         raise ValueError(f"channel acts on {ch.n_qubits} wires, state has {rho.n_wires}")
-    out = sum(p * attack(rho, w.array).matrix.array for w, p in ch.support)
+    out = sum(p * attack(rho, w).matrix for w, p in ch.support)
     return DensityMatrix._trusted(out, rho.n_wires)
 
 
@@ -311,12 +308,12 @@ def three_qubit_protect(
     rounds = int(rounds)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    u = build_new_U().array
-    rho = to_density(tensor(basis_state(1, "0"), psi, v)).matrix.array
+    u = build_new_U()
+    rho = to_density(tensor(basis_state(1, "0"), psi, v)).matrix
     encoded = DensityMatrix(u @ rho @ u.conj().T, 3)  # checked: u reads a mutable table
     for _ in range(rounds):
         encoded = apply_channel(ch, encoded)
-    out = DensityMatrix._trusted(u.conj().T @ encoded.matrix.array @ u, 3)
+    out = DensityMatrix._trusted(u.conj().T @ encoded.matrix @ u, 3)
     fid = fidelity(partial_trace(out, [DATA_WIRE]), psi)
     return fid, out
 
@@ -356,28 +353,29 @@ def recursive_encoder(k: int) -> Circuit:
 _NAMED_ATOMS = {g.name.lower(): g for g in (I, X, Y, Z, H)}
 
 
-def atom_from_selector(sel: str) -> ComplexMatrix:
+def atom_from_selector(sel: str) -> np.ndarray:
     """Parse an attack-unitary selector: h|x|y|z|i, ry:<alpha>, or
-    matrix:<json 2x2 of [re, im] pairs>, which must be unitary."""
+    matrix:<json 2x2 of [re, im] pairs>, which must be unitary. Returns
+    the read-only matrix of the selected gate."""
     s = sel.strip().lower()
     if s in _NAMED_ATOMS:
-        return _NAMED_ATOMS[s].matrix
+        return _NAMED_ATOMS[s].matrix.array
     if s.startswith("ry:"):
-        return ry(float(s[3:])).matrix
+        return ry(float(s[3:])).matrix.array
     if s.startswith("matrix:"):
         try:
             rows = [[complex(re, im) for re, im in row] for row in json.loads(sel.strip()[7:])]
         except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"matrix selector must be a JSON 2x2 of [re, im] pairs ({exc})") from None
-        return Gate("matrix", ComplexMatrix(rows), 1).matrix
+        return Gate("matrix", ComplexMatrix(rows), 1).matrix.array
     raise ValueError(f"unknown attack selector {sel!r}")
 
 
-def random_su2(rng: np.random.Generator) -> ComplexMatrix:
+def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random 2x2 special unitary (QR of a Ginibre sample, then
     phase-fixed so the determinant is exactly 1)."""
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     q = q / np.sqrt(np.linalg.det(q))
-    return ComplexMatrix(q)
+    return q

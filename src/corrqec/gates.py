@@ -34,12 +34,12 @@ class Gate:
         if self.arity < 1:
             raise ValueError("gate arity must be at least 1")
         d = 2**self.arity
-        if self.matrix.dim_rows != d or self.matrix.dim_cols != d:
+        rows, cols = self.matrix.array.shape
+        if (rows, cols) != (d, d):
             raise ValueError(
-                f"gate {self.name!r}: matrix is {self.matrix.dim_rows}x{self.matrix.dim_cols}, "
-                f"expected {d}x{d} for arity {self.arity}"
+                f"gate {self.name!r}: matrix is {rows}x{cols}, expected {d}x{d} for arity {self.arity}"
             )
-        if not is_unitary(self.matrix, _UNITARY_TOL):
+        if not is_unitary(self.matrix.array, _UNITARY_TOL):
             raise ValueError(f"gate {self.name!r}: matrix is not unitary within {_UNITARY_TOL}")
 
 
@@ -63,7 +63,7 @@ class PlacedGate:
 
 def _gate(name: str, rows) -> Gate:
     m = ComplexMatrix(rows)
-    arity = int(np.log2(m.dim_rows))
+    arity = int(np.log2(m.array.shape[0]))
     return Gate(name, m, arity)
 
 
@@ -138,14 +138,14 @@ def _wire_permutation(wires: tuple[int, ...], n: int) -> np.ndarray:
     return perm
 
 
-def embed(pg: PlacedGate, n: int) -> ComplexMatrix:
+def embed(pg: PlacedGate, n: int) -> np.ndarray:
     """Unitary on 2^n acting as pg.gate on its wires and identity elsewhere."""
     if any(w >= n for w in pg.wires):
         raise ValueError(f"wires {pg.wires} out of range for a {n}-wire register")
     rest = n - pg.gate.arity
     perm = _wire_permutation(pg.wires, n)
     big = np.kron(pg.gate.matrix.array, np.eye(2**rest))
-    return ComplexMatrix(big[np.ix_(perm, perm)])
+    return big[np.ix_(perm, perm)]
 
 
 def format_placed_gate(pg: PlacedGate) -> str:

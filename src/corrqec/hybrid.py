@@ -33,7 +33,7 @@ from .circuit import (
     tensor,
 )
 from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry
-from .linalg import ComplexMatrix, tensor_power
+from .linalg import tensor_power
 
 _PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
 PAULI_TAGS = tuple(_PAULI)
@@ -49,13 +49,12 @@ def normalize_tag(tag: str) -> str:
     return t
 
 
-def p2_matrix() -> ComplexMatrix:
+def p2_matrix() -> np.ndarray:
     """4x4 base encoder: (I tensor Z + X tensor X) / sqrt(2)."""
-    m = (np.kron(_PAULI["I"], _PAULI["Z"]) + np.kron(_PAULI["X"], _PAULI["X"])) / np.sqrt(2.0)
-    return ComplexMatrix(m)
+    return (np.kron(_PAULI["I"], _PAULI["Z"]) + np.kron(_PAULI["X"], _PAULI["X"])) / np.sqrt(2.0)
 
 
-def p3_matrix() -> ComplexMatrix:
+def p3_matrix() -> np.ndarray:
     """8x8 base encoder: the XOR permutation |abc> -> |a^c, a^b, a^b^c>."""
     m = np.zeros((8, 8), dtype=complex)
     for a in range(2):
@@ -64,7 +63,7 @@ def p3_matrix() -> ComplexMatrix:
                 src = (a << 2) | (b << 1) | c
                 dst = ((a ^ c) << 2) | ((a ^ b) << 1) | (a ^ b ^ c)
                 m[dst, src] = 1.0
-    return ComplexMatrix(m)
+    return m
 
 
 def _check_width(n: int) -> int:
@@ -78,13 +77,13 @@ def _check_width(n: int) -> int:
 def _matrix_rec(n: int) -> np.ndarray:
     """The encoder matrix P_n, built once per width and shared read-only."""
     if n == 2:
-        return p2_matrix().array
-    if n == 3:
-        return p3_matrix().array
-    if n % 2 == 0:
-        m = np.kron(np.eye(2), _matrix_rec(n - 1)) @ np.kron(p2_matrix().array, np.eye(2 ** (n - 2)))
+        m = p2_matrix()
+    elif n == 3:
+        m = p3_matrix()
+    elif n % 2 == 0:
+        m = np.kron(np.eye(2), _matrix_rec(n - 1)) @ np.kron(p2_matrix(), np.eye(2 ** (n - 2)))
     else:
-        m = np.kron(np.eye(4), _matrix_rec(n - 2)) @ np.kron(p3_matrix().array, np.eye(2 ** (n - 3)))
+        m = np.kron(np.eye(4), _matrix_rec(n - 2)) @ np.kron(p3_matrix(), np.eye(2 ** (n - 3)))
     m.setflags(write=False)
     return m
 
@@ -105,10 +104,10 @@ def _circuit_gates(n: int) -> list[PlacedGate]:
     return three + _shift(_circuit_gates(n - 2), 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridEncoder:
     n_qubits: int
-    matrix: ComplexMatrix
+    matrix: np.ndarray  # read-only, shared by every encoder of this width
     circuit: Circuit
 
     def __post_init__(self):
@@ -130,7 +129,7 @@ def hybrid_encoder(n: int) -> HybridEncoder:
     every width, so construction does not repeat the proof.
     """
     n = _check_width(n)
-    return HybridEncoder(n_qubits=n, matrix=ComplexMatrix(_matrix_rec(n)), circuit=encoder_circuit(n))
+    return HybridEncoder(n_qubits=n, matrix=_matrix_rec(n), circuit=encoder_circuit(n))
 
 
 def ancilla_wires(n: int) -> tuple[int, ...]:
@@ -143,10 +142,10 @@ def data_wires(n: int) -> tuple[int, ...]:
     return tuple(range(len(ancilla_wires(n)), n))
 
 
-def error_unitary(n: int, tag: str) -> ComplexMatrix:
+def error_unitary(n: int, tag: str) -> np.ndarray:
     """The attack: one Pauli applied to every wire simultaneously."""
     n = _check_width(n)
-    return ComplexMatrix(tensor_power(_PAULI[normalize_tag(tag)], n))
+    return tensor_power(_PAULI[normalize_tag(tag)], n)
 
 
 def attack_factor(tags) -> np.ndarray:
@@ -163,15 +162,14 @@ def attack_factor(tags) -> np.ndarray:
     return w
 
 
-def conjugated_error(n: int, tag: str) -> ComplexMatrix:
+def conjugated_error(n: int, tag: str) -> np.ndarray:
     """Decode-side view of an attack: P-dagger (W tensored n times) P."""
     n = _check_width(n)
     p = _matrix_rec(n)
-    e = error_unitary(n, tag).array
-    return ComplexMatrix(p.conj().T @ e @ p)
+    return p.conj().T @ error_unitary(n, tag) @ p
 
 
-def ancilla_block(n: int, conjugated: ComplexMatrix) -> ComplexMatrix:
+def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
     """Extract the ancilla-side factor A from a conjugated attack.
 
     The conjugated attack must equal A tensor identity-on-data; raises if
@@ -181,11 +179,11 @@ def ancilla_block(n: int, conjugated: ComplexMatrix) -> ComplexMatrix:
     n = _check_width(n)
     k = len(ancilla_wires(n))
     d = 2 ** (n - k)
-    c = conjugated.array
+    c = np.asarray(conjugated)
     a = c[::d, ::d].copy()
     if np.abs(c - np.kron(a, np.eye(d))).max() > 1e-10:
         raise ValueError("conjugated attack does not factor as ancilla block tensor identity")
-    return ComplexMatrix(a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,7 @@ def hybrid_protect(
     fid_data = 1.0 if data is None else fidelity(partial_trace(rho, list(dw)), data)
 
     if n % 2 == 0:
-        red = partial_trace(rho, [0, 1]).matrix.array
+        red = partial_trace(rho, [0, 1]).matrix
         diag = np.real(np.diag(red))
         idx = int(np.argmax(diag))
         readback = format(idx, "02b")
@@ -284,8 +282,8 @@ def hybrid_protect(
             preserved_with_certainty=bool(exact and readback == anc),
         )
     else:
-        block = ancilla_block(n, ComplexMatrix(p.conj().T @ tensor_power(factor, n) @ p))
-        expected = StateVector(block.array @ anc_state.amplitudes, 1)
+        block = ancilla_block(n, p.conj().T @ tensor_power(factor, n) @ p)
+        expected = StateVector(block @ anc_state.amplitudes, 1)
         red = partial_trace(rho, [0])
         report = AncillaReport(
             n_qubits=n,

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small qubit registers.
 
-Everything in this package runs through ComplexMatrix: gate matrices,
-encoders, channel atoms, realized circuits. Registers top out at eight
-qubits (256 x 256), so matrices are stored dense in double precision and
-all operations are plain numpy calls wrapped with dimension checks.
+Matrices are plain ndarrays: encoders, channel atoms, realized circuits and
+states. A gate's matrix is a ComplexMatrix, an immutable value that gives
+gates and circuits their equality; numpy takes it directly. Registers top
+out at eight qubits (256 x 256), so matrices are stored dense in double
+precision and all operations are plain numpy calls.
 
 Bit convention used package-wide: in kron(a, b) the FIRST factor is the
 most significant one (top wire of a circuit diagram, wire index 0).
@@ -14,7 +15,7 @@ import numpy as np
 
 
 class ComplexMatrix:
-    """Immutable dense complex matrix.
+    """A gate's matrix: immutable, dense, complex, compared by value.
 
     Construct from a 2-D array-like. Entries must all be finite.
     """
@@ -25,7 +26,7 @@ class ComplexMatrix:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
@@ -36,16 +37,8 @@ class ComplexMatrix:
         """Read-only 2-D ndarray view of the matrix."""
         return self._a
 
-    @property
-    def dim_rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def dim_cols(self) -> int:
-        return self._a.shape[1]
-
-    def __getitem__(self, key):
-        return self._a[key]
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._a, dtype=dtype, copy=copy)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix is immutable")
@@ -59,13 +52,7 @@ class ComplexMatrix:
         return hash((self._a.shape, self._a.tobytes()))
 
     def __repr__(self):
-        return f"ComplexMatrix({self.dim_rows}x{self.dim_cols})"
-
-
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, ComplexMatrix):
-        return m.array
-    return ComplexMatrix(m).array
+        return f"ComplexMatrix({self._a.shape[0]}x{self._a.shape[1]})"
 
 
 def tensor_power(w, n: int) -> np.ndarray:
@@ -77,15 +64,15 @@ def tensor_power(w, n: int) -> np.ndarray:
 
 
 def is_unitary(a, tol) -> bool:
-    aa = _as_array(a)
-    if aa.shape[0] != aa.shape[1]:
+    aa = np.asarray(a)
+    if aa.ndim != 2 or aa.shape[0] != aa.shape[1]:
         raise ValueError(f"is_unitary needs a square matrix, got {aa.shape}")
     dev = np.abs(aa.conj().T @ aa - np.eye(aa.shape[0])).max()
     return bool(dev <= float(tol))
 
 
 def max_abs_diff(a, b) -> float:
-    aa, bb = _as_array(a), _as_array(b)
+    aa, bb = np.asarray(a), np.asarray(b)
     if aa.shape != bb.shape:
         raise ValueError(f"shape mismatch: {aa.shape} vs {bb.shape}")
     return float(np.abs(aa - bb).max())
@@ -93,7 +80,7 @@ def max_abs_diff(a, b) -> float:
 
 def equal_up_to_global_phase(a, b, tol) -> bool:
     """Compare after aligning b's phase to a at a's largest-magnitude entry."""
-    aa, bb = _as_array(a), _as_array(b)
+    aa, bb = np.asarray(a), np.asarray(b)
     if aa.shape != bb.shape:
         raise ValueError(f"shape mismatch: {aa.shape} vs {bb.shape}")
     eps = float(tol)
@@ -110,7 +97,7 @@ def equal_up_to_global_phase(a, b, tol) -> bool:
 
 def matrix_to_text(m) -> str:
     """One row per line; entries as `re+imj`, whitespace separated, decimals only."""
-    a = _as_array(m)
+    a = np.asarray(m, dtype=complex)
     lines = []
     for row in a:
         lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))

@@ -104,6 +104,9 @@ def _normalize_spec(spec: dict) -> dict:
         unknown = set(d) - {"p1", "p2", "p_readout"}
         if unknown:
             raise ValueError(f"unknown noise parameters {sorted(unknown)}")
+        for k, v in d.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{k} must be a real number, got {v!r}")
         nm = NoiseModel(**{k: float(v) for k, v in d.items()})
     out = {
         "scheme": scheme,
@@ -113,10 +116,13 @@ def _normalize_spec(spec: dict) -> dict:
         # hybrid specs cannot set rounds: their attack list is `errors`
         "rounds": _integer(s, "rounds", 1, 1),
     }
+    name = s.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     if scheme in _CORRELATED:
         out["w"] = str(s.get("w", "h"))
         correlated.atom_from_selector(out["w"])  # validate early
-        out["name"] = s.get("name") or scheme
+        out["name"] = name or scheme
     else:
         n = _integer(s, "n", 3, 3)  # n = 2 has no data wire to measure
         ancilla = s.get("ancilla")
@@ -124,12 +130,14 @@ def _normalize_spec(spec: dict) -> dict:
             ancilla = "0" if n % 2 == 1 else "00"
         hybrid.parse_ancilla(n, ancilla)
         errors = s.get("errors", ["I"])
+        if not isinstance(errors, (list, tuple)):
+            raise ValueError(f"errors must be a list of tags, got {errors!r}")
         if not errors:
             raise ValueError("hybrid errors list is empty; use ['i'] for a run without attack")
         out["n"] = n
         out["ancilla"] = str(ancilla)
         out["errors"] = [hybrid.normalize_tag(t) for t in errors]
-        out["name"] = s.get("name") or f"hybrid{n}"
+        out["name"] = name or f"hybrid{n}"
     return out
 
 
@@ -143,7 +151,7 @@ def _build_experiment(ns: dict):
         circ = factory()
         n = circ.n_wires
         init = basis_state(n, "0" * n)
-        w = correlated.atom_from_selector(ns["w"]).array
+        w = correlated.atom_from_selector(ns["w"])
         if ns["rounds"] > 1:
             # rounding drifts a long power off unitarity (H^(2e9) by 4e-7):
             # project it onto the nearest unitary, the polar factor u vh

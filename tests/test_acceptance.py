@@ -78,7 +78,7 @@ PRINTED_PRODUCT = np.array(
 def test_criterion_2_refutation():
     def body():
         prod = correlated.erroneous_decomposition_product()
-        d_printed = float(np.abs(prod.array - PRINTED_PRODUCT).max())
+        d_printed = float(np.abs(prod - PRINTED_PRODUCT).max())
         assert d_printed <= 5e-5, f"printed matrix deviates by {d_printed:.2e}"
         d_old = max_abs_diff(prod, correlated.build_old_U())
         assert d_old >= 0.5, f"distance to the legacy encoder only {d_old:.3f}"
@@ -95,7 +95,7 @@ def test_criterion_3_block_structure():
             w = correlated.random_su2(rng)
             rep = correlated.verify_block_structure(u, w)
             worst_off = max(worst_off, rep.off_diag_norm)
-            worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w.array)))
+            worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w)))
         assert worst_off <= 1e-10, f"off-diagonal block max {worst_off:.3e}"
         assert worst_tl <= 1e-10, f"top-left block deviates by {worst_tl:.3e}"
         rep = correlated.verify_block_structure(u, H.matrix)
@@ -103,7 +103,7 @@ def test_criterion_3_block_structure():
         assert rep.off_diag_norm <= 1e-12, f"H off-diagonal {rep.off_diag_norm:.3e}"
         assert equal_up_to_global_phase(rep.top_left, i2h, 1e-10)
         pivot = np.unravel_index(np.argmax(np.abs(i2h)), (4, 4))
-        phase = rep.top_left.array[pivot] / i2h[pivot]
+        phase = rep.top_left[pivot] / i2h[pivot]
         assert abs(phase - (-1.0)) <= 1e-10, f"H block phase {phase}, determinant is -1"
 
     _within(5.0, body)
@@ -128,11 +128,11 @@ def test_criterion_4_three_qubit_recovery():
 def test_criterion_5_five_qubit_recovery():
     def body():
         rng = np.random.default_rng(20240817)
-        enc = realize(correlated.recursive_encoder(2)).array
+        enc = realize(correlated.recursive_encoder(2))
         zero = basis_state(1, "0")
         worst = 1.0
         for _ in range(20):
-            wn = tensor_power(correlated.random_su2(rng).array, 5)
+            wn = tensor_power(correlated.random_su2(rng), 5)
             psi1, psi2, v = cli._rand_qubit(rng), cli._rand_qubit(rng), cli._rand_qubit(rng)
             state = tensor(zero, psi1, v, psi2, zero)
             rho = to_density(StateVector(enc.conj().T @ wn @ enc @ state.amplitudes, 5))

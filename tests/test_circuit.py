@@ -36,6 +36,8 @@ def test_state_vector_validation():
         StateVector(np.array([1.0, 1.0], dtype=complex), 1)  # not normalized
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), 1)
+    with pytest.raises(ValueError):
+        StateVector([])  # no amplitudes: no width to take a log of
 
 
 def test_basis_state_string_and_index():
@@ -78,6 +80,18 @@ def test_density_matrix_validation():
     assert np.diag(rho).min() > 1e-3
     with pytest.raises(ValueError):
         DensityMatrix(rho, 8)
+    # NaN passes the Hermiticity and trace comparisons, so the shape and
+    # finiteness checks come first
+    for bad in ([[np.nan, 0], [0, 1]], [[1, 0], [0, np.inf]], [1.0, 0.0], np.zeros((0, 0)),
+                np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            DensityMatrix(bad)
+    # the state owns a read-only copy, from the constructor and from apply
+    src = np.diag([1.0, 0.0]).astype(complex)  # already complex: no implicit copy
+    rho = DensityMatrix(src, 1)
+    src[0, 0] = 0.5
+    assert rho.matrix[0, 0] == 1.0 and not rho.matrix.flags.writeable
+    assert not apply(bell_circuit(), to_density(basis_state(2, 0))).matrix.flags.writeable
 
 
 def test_circuit_validation():
@@ -90,13 +104,13 @@ def test_circuit_validation():
 
 def test_realize_orders_gates_left_of_earlier():
     c = Circuit(1, (PlacedGate(X, (0,)), PlacedGate(Z, (0,))))
-    m = realize(c).array
+    m = realize(c)
     # Z comes later, so the product is Z X, not X Z
     assert np.array_equal(m, Z.matrix.array @ X.matrix.array)
 
 
 def test_realize_bell():
-    m = realize(bell_circuit()).array
+    m = realize(bell_circuit())
     expect = np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
     ) / np.sqrt(2)
@@ -115,7 +129,7 @@ def test_apply_vector_and_density_agree():
     )
     s = apply(c, basis_state(2, "01"))
     rho = apply(c, to_density(basis_state(2, "01")))
-    assert np.abs(rho.matrix.array - np.outer(s.amplitudes, s.amplitudes.conj())).max() < 1e-12
+    assert np.abs(rho.matrix - np.outer(s.amplitudes, s.amplitudes.conj())).max() < 1e-12
 
 
 def test_apply_wire_mismatch():
@@ -142,7 +156,7 @@ def test_attack_takes_a_2x2_unitary():
         with pytest.raises(ValueError):
             attack(to_density(s), w)
     assert attack(s, X.matrix.array).amplitudes[3] == 1.0
-    assert attack(to_density(s), X.matrix.array).matrix.array[3, 3] == 1.0
+    assert attack(to_density(s), X.matrix.array).matrix[3, 3] == 1.0
 
 
 def test_dagger_circuit_inverts():
@@ -155,9 +169,9 @@ def test_bell_state_and_partial_trace():
     s = apply(bell_circuit(), basis_state(2, "00"))
     assert np.abs(s.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2)).max() < 1e-15
     red = partial_trace(to_density(s), [0])
-    assert np.abs(red.matrix.array - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
     red = partial_trace(to_density(s), [1])
-    assert np.abs(red.matrix.array - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
 
 
 def test_partial_trace_product_state():

@@ -71,15 +71,15 @@ def test_encoders_are_unitary():
 
 
 def test_encoder_spot_entries():
-    u = build_new_U().array
+    u = build_new_U()
     assert abs(u[0, 7] + 1.0) < 1e-15
     assert abs(u[1, 0] - S23) < 1e-15
     assert abs(u[1, 4] - S13) < 1e-15
 
 
 def test_encoders_share_first_four_columns():
-    new = build_new_U().array
-    old = build_old_U().array
+    new = build_new_U()
+    old = build_old_U()
     assert np.abs(new[:, :4] - old[:, :4]).max() == 0.0
     # the corrected version rebuilds the other half completely
     assert np.abs(new - old).max() > 0.9
@@ -132,7 +132,7 @@ def test_erroneous_product_reproduces_printed_matrix():
     so the refutation targets what was actually printed, not a typo."""
     m = erroneous_decomposition_product()
     assert is_unitary(m, 1e-10)
-    assert np.abs(m.array - PRINTED_PRODUCT).max() < 5e-5
+    assert np.abs(m - PRINTED_PRODUCT).max() < 5e-5
 
 
 def test_erroneous_product_is_not_the_legacy_encoder():
@@ -173,14 +173,14 @@ def test_block_structure_haar_randomized():
         w = random_su2(rng)
         rep = verify_block_structure(u, w)
         assert rep.off_diag_norm < 1e-10
-        assert max_abs_diff(rep.top_left, np.kron(np.eye(2), w.array)) < 1e-10
+        assert max_abs_diff(rep.top_left, np.kron(np.eye(2), w)) < 1e-10
 
 
 def test_block_structure_general_phase():
     """An arbitrary U(2) attack scales the data block by its determinant."""
     rng = np.random.default_rng(37)
     for _ in range(10):
-        w = random_su2(rng).array * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        w = random_su2(rng) * np.exp(1j * rng.uniform(-np.pi, np.pi))
         rep = verify_block_structure(build_new_U(), ComplexMatrix(w))
         det = np.linalg.det(w)
         assert rep.off_diag_norm < 1e-10
@@ -208,6 +208,12 @@ def test_channel_validation():
         make_channel(3, [(ComplexMatrix(np.eye(3)), 1.0)])  # wrong size
     with pytest.raises(ValueError):
         CorrelatedChannel(0, ((ComplexMatrix(np.eye(2)), 1.0),))
+    # atoms are copied once: the caller's array can change, the channel cannot
+    w = np.array(X.matrix.array)
+    ch = make_channel(3, [(w, 1.0)])
+    w[:] = np.eye(2)
+    assert np.array_equal(ch.support[0][0], X.matrix.array)
+    assert not ch.support[0][0].flags.writeable
 
 
 def test_apply_channel_preserves_trace():
@@ -215,7 +221,7 @@ def test_apply_channel_preserves_trace():
     ch = make_channel(2, [(random_su2(rng), 0.3), (random_su2(rng), 0.7)])
     rho = to_density(tensor(rand_qubit(rng), rand_qubit(rng)))
     out = apply_channel(ch, rho)
-    assert abs(np.trace(out.matrix.array) - 1.0) < 1e-12
+    assert abs(np.trace(out.matrix) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         apply_channel(ch, to_density(basis_state(3, "000")))
 
@@ -224,7 +230,7 @@ def test_apply_channel_identity():
     rng = np.random.default_rng(43)
     rho = to_density(tensor(rand_qubit(rng), rand_qubit(rng)))
     out = apply_channel(make_channel(2, [(I, 1.0)]), rho)
-    assert np.abs(out.matrix.array - rho.matrix.array).max() < 1e-14
+    assert np.abs(out.matrix - rho.matrix).max() < 1e-14
 
 
 def test_three_qubit_protect_hadamard():
@@ -292,7 +298,7 @@ def circuits_equal(a, b) -> bool:
 def test_recursive_encoder_k2_matrix():
     """Five-wire encoder equals the two embedded copies of the base
     encoder, the higher triple applied first."""
-    got = realize(recursive_encoder(2)).array
+    got = realize(recursive_encoder(2))
     u = build_new_U()
     lower = embed_unitary(u, (0, 1, 2), 5)
     upper = embed_unitary(u, (4, 3, 2), 5)
@@ -304,14 +310,14 @@ def embed_unitary(u, wires, n) -> np.ndarray:
     from corrqec.gates import Gate
 
     g = Gate("U3", u if isinstance(u, ComplexMatrix) else ComplexMatrix(u), 3)
-    return embed(PlacedGate(g, tuple(wires)), n).array
+    return embed(PlacedGate(g, tuple(wires)), n)
 
 
 def test_recursive_encoder_k2_protects_two_qubits():
     rng = np.random.default_rng(67)
-    enc = realize(recursive_encoder(2)).array
+    enc = realize(recursive_encoder(2))
     for _ in range(20):
-        w = random_su2(rng).array
+        w = random_su2(rng)
         wn = np.array([[1.0 + 0j]])
         for _ in range(5):
             wn = np.kron(wn, w)
@@ -329,8 +335,8 @@ def test_recursive_encoder_k2_protects_two_qubits():
 
 def test_recursive_encoder_k3_spot_check():
     rng = np.random.default_rng(71)
-    enc = realize(recursive_encoder(3)).array
-    w = random_su2(rng).array
+    enc = realize(recursive_encoder(3))
+    w = random_su2(rng)
     wn = np.array([[1.0 + 0j]])
     for _ in range(7):
         wn = np.kron(wn, w)
@@ -355,6 +361,8 @@ def test_atom_selectors():
     assert abs(m[0, 0] - np.cos(0.25)) < 1e-15
     m = atom_from_selector('matrix:[[[0,0],[0,-1]],[[0,1],[0,0]]]')
     assert max_abs_diff(m, Y.matrix) == 0.0
+    for sel in ("h", "ry:0.5", 'matrix:[[[0,0],[0,-1]],[[0,1],[0,0]]]'):
+        assert not atom_from_selector(sel).flags.writeable  # a gate's own matrix
     with pytest.raises(ValueError):
         atom_from_selector("q")
     for bad in (
@@ -373,4 +381,4 @@ def test_random_su2_is_special_unitary():
     for _ in range(20):
         w = random_su2(rng)
         assert is_unitary(w, 1e-12)
-        assert abs(np.linalg.det(w.array) - 1.0) < 1e-12
+        assert abs(np.linalg.det(w) - 1.0) < 1e-12

@@ -59,11 +59,11 @@ def test_ry_entries():
     """ry(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]."""
     a = 2.0 * np.arcsin(S13)
     g = ry(a)
-    assert abs(g.matrix[1, 0] - S13) < 1e-15
-    assert abs(g.matrix[0, 0] - S23) < 1e-15
+    assert abs(g.matrix.array[1, 0] - S13) < 1e-15
+    assert abs(g.matrix.array[0, 0] - S23) < 1e-15
     # the mirrored angle whose half-sine is -sqrt(2/3)
     theta = -2.0 * np.arcsin(S23)
-    assert abs(ry(theta).matrix[0, 1] - S23) < 1e-15
+    assert abs(ry(theta).matrix.array[0, 1] - S23) < 1e-15
     assert max_abs_diff(ry(0.0).matrix, np.eye(2)) == 0.0
 
 
@@ -135,9 +135,9 @@ def test_inverse():
 
 def test_embed_single_wire():
     # Z on the bottom of three wires is I (x) I (x) Z
-    m = embed(PlacedGate(Z, (2,)), 3).array
+    m = embed(PlacedGate(Z, (2,)), 3)
     assert np.array_equal(m, np.kron(np.eye(4), Z.matrix.array))
-    m = embed(PlacedGate(Z, (0,)), 3).array
+    m = embed(PlacedGate(Z, (0,)), 3)
     assert np.array_equal(m, np.kron(Z.matrix.array, np.eye(4)))
 
 
@@ -147,19 +147,19 @@ def test_embed_wire_order_matters():
     With control value 0 and wires (1, 0) on two wires, the result flips
     wire 0 exactly when wire 1 is clear: columns 0<->2 swap, 1 and 3 stay.
     """
-    m = embed(PlacedGate(controlled(X, 0), (1, 0)), 2).array
+    m = embed(PlacedGate(controlled(X, 0), (1, 0)), 2)
     expect = np.zeros((4, 4), dtype=complex)
     expect[2, 0] = expect[0, 2] = 1.0
     expect[1, 1] = expect[3, 3] = 1.0
     assert np.array_equal(m, expect)
     # CNOT placed as (0, 1) is the plain matrix; placed as (1, 0) it is not
-    assert np.array_equal(embed(PlacedGate(CNOT, (0, 1)), 2).array, CNOT.matrix.array)
-    assert not np.array_equal(embed(PlacedGate(CNOT, (1, 0)), 2).array, CNOT.matrix.array)
+    assert np.array_equal(embed(PlacedGate(CNOT, (0, 1)), 2), CNOT.matrix.array)
+    assert not np.array_equal(embed(PlacedGate(CNOT, (1, 0)), 2), CNOT.matrix.array)
 
 
 def test_embed_cnot_spanning_gap():
     # control on wire 2, target on wire 0, middle wire untouched
-    m = embed(PlacedGate(CNOT, (2, 0)), 3).array
+    m = embed(PlacedGate(CNOT, (2, 0)), 3)
     for src in range(8):
         bits = [(src >> (2 - w)) & 1 for w in range(3)]
         if bits[2]:
@@ -182,8 +182,8 @@ def test_embed_preserves_unitarity_randomized():
 
 
 def test_embed_disjoint_gates_commute():
-    a = embed(PlacedGate(H, (0,)), 3).array
-    b = embed(PlacedGate(CNOT, (2, 1)), 3).array
+    a = embed(PlacedGate(H, (0,)), 3)
+    b = embed(PlacedGate(CNOT, (2, 1)), 3)
     assert np.abs(a @ b - b @ a).max() < 1e-15
 
 

@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from corrqec.gates import CNOT
+from corrqec.correlated import build_new_U, make_channel, verify_block_structure
+from corrqec.gates import CNOT, H, X, ry
+from corrqec.hybrid import hybrid_encoder
 from corrqec.linalg import (
     ComplexMatrix,
     equal_up_to_global_phase,
@@ -22,17 +24,32 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 def test_complex_matrix_basic_properties():
     m = ComplexMatrix([[1, 2j], [3, 4]])
-    assert m.dim_rows == 2 and m.dim_cols == 2
-    assert m[0, 1] == 2j
+    assert m.array.shape == (2, 2)
+    assert m.array[0, 1] == 2j
     assert m.array.flags.writeable is False
+    # numpy takes a gate's matrix directly; an explicit copy is the caller's
+    for g in (X, H, CNOT, ry(0.3)):
+        assert np.array_equal(np.asarray(g.matrix), g.matrix.array)
+    assert np.asarray(X.matrix, dtype=np.complex64).dtype == np.complex64
+    copy = np.array(X.matrix)
+    copy[0, 0] = 5.0
+    assert X.matrix.array[0, 0] == 0.0
+    # records that hold plain arrays compare and hash by identity, so the
+    # generated == and hash do not raise on their ndarray fields
+    records = {
+        verify_block_structure(build_new_U(), H.matrix),
+        make_channel(3, [(X, 1.0)]),
+        hybrid_encoder(3),
+    }
+    assert len(records) == 3
 
 
 def test_complex_matrix_from_flat_entries():
     with pytest.raises(ValueError):
         ComplexMatrix([1, 0, 0, 1j, 0, 0])  # flat entries are not a matrix
     m = ComplexMatrix(np.reshape([1, 0, 0, 1j, 0, 0], (2, 3)))
-    assert m.dim_rows == 2 and m.dim_cols == 3
-    assert m[1, 0] == 1j
+    assert m.array.shape == (2, 3)
+    assert m.array[1, 0] == 1j
 
 
 def test_complex_matrix_rejects_bad_input():
@@ -46,6 +63,7 @@ def test_complex_matrix_is_immutable():
     m = ComplexMatrix(np.eye(2))
     with pytest.raises((ValueError, AttributeError)):
         m.array[0, 0] = 5.0
+
 
 
 def test_kron_first_argument_is_most_significant():

@@ -59,24 +59,24 @@ def test_noise_model_validation():
 def test_zero_noise_is_plain_application():
     c = Circuit(2, (PlacedGate(H, (0,)), PlacedGate(CNOT, (0, 1))))
     rho = to_density(basis_state(2, "00"))
-    u = realize(c).array
-    expect = u @ rho.matrix.array @ u.conj().T
+    u = realize(c)
+    expect = u @ rho.matrix @ u.conj().T
     for out in (apply(c, rho), apply(c, rho, NoiseModel())):
-        assert np.abs(out.matrix.array - expect).max() < 1e-14
+        assert np.abs(out.matrix - expect).max() < 1e-14
 
 
 def test_full_depolarizing_after_single_gate():
     """p1=1 scrambles the touched wire to the maximally mixed state."""
     c = Circuit(1, (PlacedGate(X, (0,)),))
     rho = to_density(basis_state(1, "0"))
-    out = apply(c, rho, NoiseModel(p1=1.0)).matrix.array
+    out = apply(c, rho, NoiseModel(p1=1.0)).matrix
     assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
 
 def test_depolarizing_leaves_untouched_wires_alone():
     c = Circuit(2, (PlacedGate(X, (0,)),))
     rho = to_density(basis_state(2, "01"))
-    out = apply(c, rho, NoiseModel(p1=1.0)).matrix.array
+    out = apply(c, rho, NoiseModel(p1=1.0)).matrix
     # wire 0 fully mixed, wire 1 still |1>
     expect = np.kron(np.eye(2) / 2, np.diag([0.0, 1.0]))
     assert np.abs(out - expect).max() < 1e-12
@@ -88,7 +88,7 @@ def test_noisy_application_preserves_trace():
     for _ in range(5):
         p1, p2 = rng.uniform(0, 0.3, size=2)
         rho = to_density(basis_state(2, "00"))
-        out = apply(c, rho, NoiseModel(p1=p1, p2=p2)).matrix.array
+        out = apply(c, rho, NoiseModel(p1=p1, p2=p2)).matrix
         assert abs(np.trace(out) - 1.0) < 1e-12
 
 
@@ -127,8 +127,8 @@ def test_folded_rounds_match_round_by_round():
         expect = rho
         for _ in range(rounds):
             expect = attack(expect, w)
-        got = attack(rho, folded).matrix.array
-        assert np.abs(got - expect.matrix.array).max() <= 1e-13
+        got = attack(rho, folded).matrix
+        assert np.abs(got - expect.matrix).max() <= 1e-13
 
 
 def test_kick_cache_stays_bounded_over_a_noise_sweep():
@@ -236,6 +236,18 @@ def test_spec_validation_errors():
     for value in (3.7, True, 2):
         with pytest.raises(ValueError, match="n must"):
             run_named({"scheme": "hybrid", "n": value})
+    # a name is a string, an attack list is a list (a string is not read
+    # letter by letter), and a noise strength is a number, not a bool
+    with pytest.raises(ValueError, match="name"):
+        run_named({"scheme": "corr3", "name": 5})
+    for errors in ("xy", "x", None):
+        with pytest.raises(ValueError, match="errors"):
+            run_named({"scheme": "hybrid", "errors": errors})
+    for key, value in (("p1", True), ("p2", False), ("p_readout", "0.1"), ("p1", None)):
+        with pytest.raises(ValueError, match=key):
+            run_named({"scheme": "corr3", "noise": {key: value}})
+    assert run_named({"scheme": "hybrid", "errors": ("x", "y"), "shots": 1}).config["errors"] == ["x", "y"]
+    assert exact_success({"scheme": "corr3", "noise": {"p1": 0, "p2": np.float64(0.01)}}) > 0.8
 
 
 def test_hybrid_spec_defaults_and_validation():

@@ -9,9 +9,14 @@ is the three-Pauli sum
 (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s.
 
 The hybrid scheme's success probability cannot increase with gate noise
-or with readout noise up to 0.5, which is checked here too.
+or with readout noise up to 0.5, which is checked here too. So is the
+reporting of a failing property: it must not abort the test session.
 """
 from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -122,7 +127,7 @@ def noisy_cases(draw):
 @given(noisy_cases())
 def test_noisy_engine_matches_dense_oracle(case):
     c, rho, nm = case
-    got = apply(c, DensityMatrix(rho, c.n_wires), nm).matrix.array
+    got = apply(c, DensityMatrix(rho, c.n_wires), nm).matrix
     assert got.shape == rho.shape
     assert np.abs(got - dense_noisy(c, rho, nm)).max() <= 1e-13
     assert abs(np.trace(got) - 1.0) <= 1e-12
@@ -137,10 +142,10 @@ def test_realize_and_apply_match_the_dense_product(case):
     u = np.eye(2**n, dtype=complex)
     for pg in c.gates:
         u = dense_embed(pg.gate.matrix.array, pg.wires, n) @ u
-    assert np.abs(realize(c).array - u).max() <= 1e-13
+    assert np.abs(realize(c) - u).max() <= 1e-13
     v = rho[:, 0] / np.linalg.norm(rho[:, 0])
     assert np.abs(apply(c, StateVector(v, n)).amplitudes - u @ v).max() <= 1e-13
-    got = apply(c, DensityMatrix(rho, n)).matrix.array
+    got = apply(c, DensityMatrix(rho, n)).matrix
     assert np.abs(got - u @ rho @ u.conj().T).max() <= 1e-13
 
 
@@ -173,7 +178,7 @@ def test_attack_is_the_dense_tensor_power(n, seed):
     v /= np.linalg.norm(v)
     assert np.abs(attack(StateVector(v, n), w).amplitudes - wn @ v).max() <= 1e-13
     rho = random_density(rng, n)
-    got = attack(DensityMatrix(rho, n), w).matrix.array
+    got = attack(DensityMatrix(rho, n), w).matrix
     assert np.abs(got - wn @ rho @ wn.conj().T).max() <= 1e-13
 
 
@@ -203,11 +208,11 @@ def test_unchecked_producers_make_valid_states(case):
     n = c.n_wires
     dm = DensityMatrix(rho, n)
     outputs = (
-        (apply(c, dm).matrix.array, n),
-        (partial_trace(dm, keep).matrix.array, len(keep)),
-        (apply_channel(ch, dm).matrix.array, n),
-        (apply(c, dm, nm).matrix.array, n),
-        (attack(dm, ch.support[0][0].array).matrix.array, n),
+        (apply(c, dm).matrix, n),
+        (partial_trace(dm, keep).matrix, len(keep)),
+        (apply_channel(ch, dm).matrix, n),
+        (apply(c, dm, nm).matrix, n),
+        (attack(dm, ch.support[0][0]).matrix, n),
     )
     for a, k in outputs:
         DensityMatrix(a, k)
@@ -230,7 +235,7 @@ def placements(draw):
 def test_embed_is_the_dense_permutation_product(case):
     pg, n = case
     expect = dense_embed(pg.gate.matrix.array, pg.wires, n)
-    assert np.array_equal(embed(pg, n).array, expect)
+    assert np.array_equal(embed(pg, n), expect)
 
 
 @st.composite
@@ -256,3 +261,33 @@ def hybrid_noise_steps(draw):
 def test_hybrid_success_does_not_increase_with_noise(case):
     spec, low, high = case
     assert exact_success(dict(spec, noise=high)) <= exact_success(dict(spec, noise=low)) + 1e-12
+
+
+_FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_a_failing_property(x):
+    assert x != 0
+
+
+def test_b_passing():
+    assert True
+"""
+
+
+def test_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    """Under the repo's warning filters a failing @given test is reported as
+    one failure, and the tests after it still run."""
+    (tmp_path / "test_two.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "1 failed, 1 passed" in out, out
