@@ -277,12 +277,8 @@ class CorrelatedChannel:
 def make_channel(n: int, support) -> CorrelatedChannel:
     """Build a channel from (atom, probability) pairs; atoms may be Gates
     or 2x2 array-likes."""
-    pairs = []
-    for w, p in support:
-        if isinstance(w, Gate):
-            w = w.matrix
-        pairs.append((w, p))
-    return CorrelatedChannel(int(n), tuple(pairs))
+    pairs = tuple((w.matrix if isinstance(w, Gate) else w, p) for w, p in support)
+    return CorrelatedChannel(int(n), pairs)
 
 
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:

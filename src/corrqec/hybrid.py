@@ -180,6 +180,8 @@ def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
     k = len(ancilla_wires(n))
     d = 2 ** (n - k)
     c = np.asarray(conjugated)
+    if c.shape != (2**n, 2**n):
+        raise ValueError(f"conjugated attack must be {2**n}x{2**n}, got shape {c.shape}")
     a = c[::d, ::d].copy()
     if np.abs(c - np.kron(a, np.eye(d))).max() > 1e-10:
         raise ValueError("conjugated attack does not factor as ancilla block tensor identity")
@@ -271,8 +273,7 @@ def hybrid_protect(
         idx = int(np.argmax(diag))
         readback = format(idx, "02b")
         prob = float(diag[idx])
-        target = np.zeros((4, 4), dtype=complex)
-        target[int(anc, 2), int(anc, 2)] = 1.0
+        target = np.diag(np.eye(4)[int(anc, 2)])  # |anc><anc|
         exact = float(np.abs(red - target).max()) <= 1e-10
         report = AncillaReport(
             n_qubits=n,

@@ -37,8 +37,8 @@ class ComplexMatrix:
         """Read-only 2-D ndarray view of the matrix."""
         return self._a
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._a, dtype=dtype, copy=copy)
+    def __array__(self, dtype=None, copy=None):  # numpy 1.x passes no `copy`
+        return np.array(self._a, dtype=dtype) if copy else np.asarray(self._a, dtype=dtype)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix is immutable")

@@ -175,6 +175,10 @@ def test_conjugation_table():
 def test_ancilla_block_rejects_entangling_input():
     with pytest.raises(ValueError):
         ancilla_block(3, hybrid_encoder(3).matrix)
+    with pytest.raises(ValueError):
+        ancilla_block(3, np.eye(4))
+    with pytest.raises(ValueError):
+        ancilla_block(3, np.ones(8))
 
 
 def test_parse_ancilla_even():

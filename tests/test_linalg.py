@@ -34,6 +34,10 @@ def test_complex_matrix_basic_properties():
     copy = np.array(X.matrix)
     copy[0, 0] = 5.0
     assert X.matrix.array[0, 0] == 0.0
+    # numpy 1.x calls __array__() or __array__(dtype), never with `copy`
+    assert np.array_equal(X.matrix.__array__(), X.matrix.array)
+    assert X.matrix.__array__(complex).dtype == complex
+    assert X.matrix.__array__(copy=True).flags.writeable
     # records that hold plain arrays compare and hash by identity, so the
     # generated == and hash do not raise on their ndarray fields
     records = {
@@ -63,7 +67,6 @@ def test_complex_matrix_is_immutable():
     m = ComplexMatrix(np.eye(2))
     with pytest.raises((ValueError, AttributeError)):
         m.array[0, 0] = 5.0
-
 
 
 def test_kron_first_argument_is_most_significant():
