@@ -38,6 +38,15 @@ _DM_PSD_FLOOR = -1e-9
 _SAMPLE_CHUNK = 1 << 20  # draws per batch, so memory does not grow with shots
 
 
+def _integer(v, name: str, least: int) -> int:
+    """An integer argument; a bool or a float is rejected, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_wires: int

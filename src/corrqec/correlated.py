@@ -30,10 +30,12 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
+    _integer,
     attack,
     basis_state,
     fidelity,
     partial_trace,
+    realize,
     tensor,
     to_density,
 )
@@ -160,88 +162,21 @@ def basic_decomposition() -> Circuit:
     return Circuit(3, g)
 
 
-def _columns_unitary(cols) -> np.ndarray:
-    return np.column_stack([np.asarray(c, dtype=complex) for c in cols])
-
-
 def erroneous_decomposition_product() -> np.ndarray:
     """Product of a previously published six-stage construction.
 
     The result is unitary but does NOT reproduce the earlier encoder it
     was claimed to factor; comparing the two is the refutation check.
     """
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    a1 = np.array([1.0, -np.sqrt(2.0)]) / np.sqrt(3.0)
-    a2 = np.array([np.sqrt(2.0), 1.0]) / np.sqrt(3.0)
-    b1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    b2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-
-    def k3(x, y, z):
-        return np.kron(x, np.kron(y, z))
-
-    stage1 = _columns_unitary(
-        [
-            k3(e0, e0, e0),
-            k3(e0, e0, e1),
-            k3(a1, e1, e0),
-            k3(a1, e1, e1),
-            k3(e1, e0, e0),
-            k3(e1, e0, e1),
-            k3(a2, e1, e0),
-            k3(a2, e1, e1),
-        ]
+    g = (
+        PlacedGate(controlled(ry(2.0 * THIRD_ANGLE - np.pi), 1), (1, 0)),
+        PlacedGate(controlled(ry(-np.pi / 2), 0), (0, 1)),
+        PlacedGate(Z, (2,)),
+        PlacedGate(CNOT, (2, 0)),
+        PlacedGate(controlled(X, 0), (1, 2)),
+        PlacedGate(CNOT, (0, 1)),
     )
-    stage2 = _columns_unitary(
-        [
-            k3(e0, b1, e0),
-            k3(e0, b1, e1),
-            k3(e0, b2, e0),
-            k3(e0, b2, e1),
-            k3(e1, e0, e0),
-            k3(e1, e0, e1),
-            k3(e1, e1, e0),
-            k3(e1, e1, e1),
-        ]
-    )
-    stage3 = np.kron(np.eye(4), np.diag([1.0, -1.0]))
-    stage4 = _columns_unitary(
-        [
-            k3(e0, e0, e0),
-            k3(e1, e0, e1),
-            k3(e0, e1, e0),
-            k3(e1, e1, e1),
-            k3(e1, e0, e0),
-            k3(e0, e0, e1),
-            k3(e1, e1, e0),
-            k3(e0, e1, e1),
-        ]
-    )
-    stage5 = _columns_unitary(
-        [
-            k3(e0, e0, e1),
-            k3(e0, e0, e0),
-            k3(e0, e1, e0),
-            k3(e0, e1, e1),
-            k3(e1, e0, e1),
-            k3(e1, e0, e0),
-            k3(e1, e1, e0),
-            k3(e1, e1, e1),
-        ]
-    )
-    stage6 = _columns_unitary(
-        [
-            k3(e0, e0, e0),
-            k3(e0, e0, e1),
-            k3(e0, e1, e0),
-            k3(e0, e1, e1),
-            k3(e1, e1, e0),
-            k3(e1, e1, e1),
-            k3(e1, e0, e0),
-            k3(e1, e0, e1),
-        ]
-    )
-    return stage6 @ stage5 @ stage4 @ stage3 @ stage2 @ stage1
+    return realize(Circuit(3, g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +188,7 @@ class CorrelatedChannel:
     support: tuple[tuple[np.ndarray, float], ...]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("channel needs at least one qubit")
+        object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "n_qubits", 1))
         sup = []
         total = 0.0
         for w, p in self.support:
@@ -278,7 +212,7 @@ def make_channel(n: int, support) -> CorrelatedChannel:
     """Build a channel from (atom, probability) pairs; atoms may be Gates
     or 2x2 array-likes."""
     pairs = tuple((w.matrix if isinstance(w, Gate) else w, p) for w, p in support)
-    return CorrelatedChannel(int(n), pairs)
+    return CorrelatedChannel(n, pairs)
 
 
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -301,9 +235,7 @@ def three_qubit_protect(
         raise ValueError("three_qubit_protect needs a 3-qubit channel")
     if psi.n_wires != 1 or v.n_wires != 1:
         raise ValueError("psi and v must be single-qubit states")
-    rounds = int(rounds)
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
+    rounds = _integer(rounds, "rounds", 1)
     u = build_new_U()
     rho = to_density(tensor(basis_state(1, "0"), psi, v)).matrix
     encoded = DensityMatrix(u @ rho @ u.conj().T, 3)  # checked: u reads a mutable table
@@ -322,8 +254,7 @@ def recursive_triples(k: int) -> list[tuple[int, int, int]]:
     conjugation sits innermost when the whole circuit is inverted around
     an attack.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _integer(k, "k", 1)
     return [(2 * j, 2 * j - 1, 2 * j - 2) for j in range(2, k + 1)] + [(0, 1, 2)]
 
 
@@ -339,11 +270,12 @@ def recursive_encoder(k: int) -> Circuit:
     wires, |0> ancillas on even wires except wire 2, which is the sink.
     """
     base = standard_decomposition().gates
+    triples = recursive_triples(k)
     placed = []
-    for tri in recursive_triples(int(k)):
+    for tri in triples:
         for pg in base:
             placed.append(PlacedGate(pg.gate, tuple(tri[w] for w in pg.wires)))
-    return Circuit(2 * int(k) + 1, tuple(placed))
+    return Circuit(2 * len(triples) + 1, tuple(placed))
 
 
 _NAMED_ATOMS = {g.name.lower(): g for g in (I, X, Y, Z, H)}

@@ -26,6 +26,7 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
+    _integer,
     attack,
     basis_state,
     fidelity,
@@ -67,8 +68,8 @@ def p3_matrix() -> np.ndarray:
 
 
 def _check_width(n: int) -> int:
-    n = int(n)
-    if n < MIN_QUBITS or n > MAX_QUBITS:
+    n = _integer(n, "register width", MIN_QUBITS)
+    if n > MAX_QUBITS:
         raise ValueError(f"register width must be in {MIN_QUBITS}..{MAX_QUBITS}, got {n}")
     return n
 

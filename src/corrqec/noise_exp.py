@@ -25,6 +25,7 @@ from .circuit import (
     DensityMatrix,
     Histogram,
     NoiseModel,
+    _integer,
     apply,
     attack,
     basis_state,
@@ -60,28 +61,18 @@ class ExperimentReport:
             raise ValueError("success_probability must lie in [0, 1]")
 
 
-# Correlated schemes: encoder circuit factory and k, the number of data
-# qubits on its 2k+1 wires. The lambdas look the factories up when called,
-# so a profiler that rebinds the module attributes still sees each call.
+# Correlated schemes: the encoder circuit factory, on 2k+1 wires for k data
+# qubits. The lambdas look the factories up when called, so a profiler that
+# rebinds the module attributes still sees each call.
 _CORRELATED = {
-    "corr3": (lambda: correlated.standard_decomposition(), 1),
-    "corr3-basic": (lambda: correlated.basic_decomposition(), 1),
-    "corr5": (lambda: correlated.recursive_encoder(2), 2),
+    "corr3": lambda: correlated.standard_decomposition(),
+    "corr3-basic": lambda: correlated.basic_decomposition(),
+    "corr5": lambda: correlated.recursive_encoder(2),
 }
 _SCHEMES = (*_CORRELATED, "hybrid")
 _COMMON_KEYS = {"scheme", "noise", "shots", "seed", "name"}
 _CORRELATED_KEYS = {"w", "rounds"}
 _HYBRID_KEYS = {"n", "ancilla", "errors"}
-
-
-def _integer(s: dict, key: str, default: int, least: int) -> int:
-    """An integer spec value; a bool or a float is rejected, not truncated."""
-    v = s.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    if v < least:
-        raise ValueError(f"{key} must be at least {least}, got {v}")
-    return int(v)
 
 
 def _normalize_spec(spec: dict) -> dict:
@@ -96,36 +87,35 @@ def _normalize_spec(spec: dict) -> dict:
     foreign = set(s) & (_CORRELATED_KEYS if scheme == "hybrid" else _HYBRID_KEYS)
     if foreign:
         raise ValueError(f"parameters {sorted(foreign)} do not apply to scheme {scheme!r}")
-    noise = s.get("noise", {})
-    if isinstance(noise, NoiseModel):
-        nm = noise
-    else:
-        d = dict(noise)
-        unknown = set(d) - {"p1", "p2", "p_readout"}
+    nm = s.get("noise", {})
+    if not isinstance(nm, (dict, NoiseModel)):
+        raise ValueError(f"noise must be a dict or a NoiseModel, got {nm!r}")
+    if isinstance(nm, dict):
+        unknown = set(nm) - {"p1", "p2", "p_readout"}
         if unknown:
             raise ValueError(f"unknown noise parameters {sorted(unknown)}")
-        for k, v in d.items():
+        for k, v in nm.items():
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{k} must be a real number, got {v!r}")
-        nm = NoiseModel(**{k: float(v) for k, v in d.items()})
+        nm = NoiseModel(**{k: float(v) for k, v in nm.items()})
     out = {
         "scheme": scheme,
         "noise": nm,
-        "shots": _integer(s, "shots", 8192, 1),
-        "seed": _integer(s, "seed", 0, 0),
+        "shots": _integer(s.get("shots", 8192), "shots", 1),
+        "seed": _integer(s.get("seed", 0), "seed", 0),
         # hybrid specs cannot set rounds: their attack list is `errors`
-        "rounds": _integer(s, "rounds", 1, 1),
+        "rounds": _integer(s.get("rounds", 1), "rounds", 1),
     }
-    name = s.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {name!r}")
+    name, w, ancilla = s.get("name"), s.get("w"), s.get("ancilla")
+    for key, v in (("name", name), ("w", w), ("ancilla", ancilla)):  # None: the default
+        if v is not None and not isinstance(v, str):
+            raise ValueError(f"{key} must be a string, got {v!r}")
     if scheme in _CORRELATED:
-        out["w"] = str(s.get("w", "h"))
+        out["w"] = "h" if w is None else w
         correlated.atom_from_selector(out["w"])  # validate early
         out["name"] = name or scheme
     else:
-        n = _integer(s, "n", 3, 3)  # n = 2 has no data wire to measure
-        ancilla = s.get("ancilla")
+        n = _integer(s.get("n", 3), "n", 3)  # n = 2 has no data wire to measure
         if ancilla is None:
             ancilla = "0" if n % 2 == 1 else "00"
         hybrid.parse_ancilla(n, ancilla)
@@ -135,20 +125,20 @@ def _normalize_spec(spec: dict) -> dict:
         if not errors:
             raise ValueError("hybrid errors list is empty; use ['i'] for a run without attack")
         out["n"] = n
-        out["ancilla"] = str(ancilla)
+        out["ancilla"] = ancilla
         out["errors"] = [hybrid.normalize_tag(t) for t in errors]
         out["name"] = name or f"hybrid{n}"
     return out
 
 
 def _build_experiment(ns: dict):
-    """Return (encode circuit, initial state, attack factor, data wires,
-    expected bit string) for a normalized experiment spec. The attack is
-    one 2x2 factor for every wire: W^rounds, or the hybrid Pauli product,
-    so the cost of a run depends on neither the rounds nor the list."""
+    """Return (encode circuit, initial state, attack factor, data wires)
+    for a normalized experiment spec. The data wires are prepared as all
+    zeros, so success is the probability of outcome 0. The attack is one
+    2x2 factor for every wire: W^rounds, or the hybrid Pauli product, so
+    the cost of a run depends on neither the rounds nor the list."""
     if ns["scheme"] in _CORRELATED:
-        factory, k = _CORRELATED[ns["scheme"]]
-        circ = factory()
+        circ = _CORRELATED[ns["scheme"]]()
         n = circ.n_wires
         init = basis_state(n, "0" * n)
         w = correlated.atom_from_selector(ns["w"])
@@ -157,7 +147,7 @@ def _build_experiment(ns: dict):
             # project it onto the nearest unitary, the polar factor u vh
             u, _, vh = np.linalg.svd(np.linalg.matrix_power(w, ns["rounds"]))
             w = u @ vh
-        data = correlated.recursive_data_wires(k)
+        data = correlated.recursive_data_wires(n // 2)
     else:
         n = ns["n"]
         circ = hybrid.encoder_circuit(n)
@@ -166,25 +156,25 @@ def _build_experiment(ns: dict):
         data = list(hybrid.data_wires(n))
         init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
         w = hybrid.attack_factor(ns["errors"])
-    return circ, init, w, data, "0" * len(data)
+    return circ, init, w, data
 
 
 def _exact_distribution(ns: dict):
-    circ, init, w, data, expected = _build_experiment(ns)
+    circ, init, w, data = _build_experiment(ns)
     nm: NoiseModel = ns["noise"]
     rho = apply(circ, to_density(init), nm)
     rho = apply(dagger_circuit(circ), attack(rho, w), nm)
     # the one check of a run's state, at the boundary before measurement
     probs = born_distribution(DensityMatrix(rho.matrix, circ.n_wires), data)
     probs = _readout_flip(probs, nm.p_readout)
-    return probs, data, expected
+    return probs, data
 
 
 def exact_success(spec: dict) -> float:
     """Probability mass on the prepared data bits, no sampling involved."""
     ns = _normalize_spec(spec)
-    probs, _, expected = _exact_distribution(ns)
-    return float(probs[int(expected, 2)])
+    probs, _ = _exact_distribution(ns)
+    return float(probs[0])
 
 
 def run_named(spec: dict) -> ExperimentReport:
@@ -195,8 +185,8 @@ def run_named(spec: dict) -> ExperimentReport:
     runs are bit-identical.
     """
     ns = _normalize_spec(spec)
-    probs, data, expected = _exact_distribution(ns)
-    success = float(probs[int(expected, 2)])
+    probs, data = _exact_distribution(ns)
+    success = float(probs[0])
 
     seq = np.random.SeedSequence([ns["seed"]] + list(ns["name"].encode()))
     rng = np.random.Generator(np.random.PCG64(seq))

@@ -26,6 +26,7 @@ from corrqec.circuit import (
 )
 from corrqec.gates import H
 from corrqec.linalg import equal_up_to_global_phase, max_abs_diff, tensor_power
+from test_correlated import PRINTED_PRODUCT
 
 BUDGET_S = 5.0
 
@@ -58,21 +59,6 @@ def test_criterion_1_decompositions():
         assert (arities.count(2), arities.count(1)) == (6, 8), arities
 
     _within(1.0, body)
-
-
-PRINTED_PRODUCT = np.array(
-    [
-        [0, 0, 0, 0, 0, -1, 0, 0],
-        [0.7071, 0, 0.4082, 0, 0, 0, 0.5774, 0],
-        [-0.7071, 0, 0.4082, 0, 0, 0, 0.5774, 0],
-        [0, 0, 0, 0.8165, 0, 0, 0, -0.5774],
-        [0, 0, -0.8165, 0, 0, 0, 0.5774, 0],
-        [0, 0.7071, 0, -0.4082, 0, 0, 0, -0.5774],
-        [0, -0.7071, 0, -0.4082, 0, 0, 0, -0.5774],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
 
 
 def test_criterion_2_refutation():

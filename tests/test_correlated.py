@@ -133,6 +133,10 @@ def test_erroneous_product_reproduces_printed_matrix():
     m = erroneous_decomposition_product()
     assert is_unitary(m, 1e-10)
     assert np.abs(m - PRINTED_PRODUCT).max() < 5e-5
+    # each printed entry is +-sqrt(j/6) for a whole j (+-1/sqrt(2), +-1/sqrt(6),
+    # +-1/sqrt(3), +-sqrt(2/3), +-1); the six gates give that closed form
+    closed = np.sign(PRINTED_PRODUCT.real) * np.sqrt(np.round(6 * PRINTED_PRODUCT.real**2) / 6)
+    assert np.abs(m - closed).max() < 1e-15
 
 
 def test_erroneous_product_is_not_the_legacy_encoder():
@@ -208,6 +212,11 @@ def test_channel_validation():
         make_channel(3, [(ComplexMatrix(np.eye(3)), 1.0)])  # wrong size
     with pytest.raises(ValueError):
         CorrelatedChannel(0, ((ComplexMatrix(np.eye(2)), 1.0),))
+    # a width is an integer: a float is rejected, not truncated
+    for bad in (3.5, 3.0, True):
+        with pytest.raises(ValueError, match="n_qubits"):
+            make_channel(bad, [(X, 1.0)])
+    assert type(make_channel(np.int64(3), [(X, 1.0)]).n_qubits) is int
     # atoms are copied once: the caller's array can change, the channel cannot
     w = np.array(X.matrix.array)
     ch = make_channel(3, [(w, 1.0)])
@@ -274,6 +283,13 @@ def test_three_qubit_protect_validation():
         three_qubit_protect(basis_state(2, "00"), rand_qubit(rng), ch3)
     with pytest.raises(ValueError):
         three_qubit_protect(rand_qubit(rng), rand_qubit(rng), ch3, rounds=0)
+    # rounds is a count: a float is rejected, not truncated
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="rounds"):
+            three_qubit_protect(rand_qubit(rng), rand_qubit(rng), ch3, rounds=bad)
+    psi = rand_qubit(rng)
+    fid, _ = three_qubit_protect(psi, rand_qubit(rng), ch3, rounds=np.int64(2))
+    assert abs(fid - 1.0) < 1e-12
 
 
 def test_recursive_layout():
@@ -285,6 +301,13 @@ def test_recursive_layout():
     assert recursive_data_wires(3) == [1, 3, 5]
     with pytest.raises(ValueError):
         recursive_triples(0)
+    # k is an integer: a float is rejected, not truncated
+    for bad in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match="k must"):
+            recursive_triples(bad)
+        with pytest.raises(ValueError, match="k must"):
+            recursive_encoder(bad)
+    assert recursive_encoder(np.int64(2)) == recursive_encoder(2)
 
 
 def test_recursive_encoder_base_case_is_standard():

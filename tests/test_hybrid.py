@@ -133,6 +133,14 @@ def test_width_limits():
             encoder_circuit(bad)
     with pytest.raises(ValueError):
         error_unitary(1, "x")
+    # a width is an integer: a float is rejected, not truncated
+    for bad in (3.9, 3.0, True):
+        with pytest.raises(ValueError, match="register width"):
+            hybrid_encoder(bad)
+        with pytest.raises(ValueError, match="register width"):
+            encoder_circuit(bad)
+    assert hybrid_encoder(np.int64(3)).n_qubits == 3
+    assert encoder_circuit(np.int64(4)) == encoder_circuit(4)
 
 
 def test_wire_split():

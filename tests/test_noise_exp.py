@@ -107,7 +107,7 @@ def test_noiseless_success_many_rounds():
 def test_rounds_are_a_repeat_count_not_a_list():
     # the rounds fold into one factor at once, so a huge --rounds cannot
     # exhaust memory or time before the attack is applied
-    _, _, w, _, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
+    _, _, w, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
     assert np.abs(w - np.eye(2)).max() <= 1e-12  # H^(10^12) = I
 
 
@@ -121,7 +121,7 @@ def test_folded_rounds_match_round_by_round():
         w = q * (np.diag(r) / np.abs(np.diag(r)))
         sel = "matrix:" + json.dumps([[[z.real, z.imag] for z in row] for row in w])
         ns = _normalize_spec({"scheme": "corr3", "w": sel, "rounds": rounds})
-        _, _, folded, _, _ = _build_experiment(ns)
+        _, _, folded, _ = _build_experiment(ns)
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T), n)
         expect = rho
@@ -153,14 +153,14 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         ns = _normalize_spec({"scheme": "hybrid", "n": n, "ancilla": ancilla,
                               "errors": ["x", "y", "z", "y"],
                               "noise": {"p1": 1e-3, "p2": 1e-2}})
-        circ, init, w, data, _ = _build_experiment(ns)
+        circ, init, w, data = _build_experiment(ns)
         assert np.array_equal(w, attack_factor(ns["errors"]))
         rho = apply(circ, to_density(init), ns["noise"])
         for tag in ns["errors"]:
             rho = attack(rho, _PAULI[tag])
         rho = apply(dagger_circuit(circ), rho, ns["noise"])
         expect = born_distribution(DensityMatrix(rho.matrix, n), data)
-        probs, _, _ = _exact_distribution(ns)
+        probs, _ = _exact_distribution(ns)
         assert np.array_equal(probs, expect)
 
 
@@ -246,6 +246,19 @@ def test_spec_validation_errors():
     for key, value in (("p1", True), ("p2", False), ("p_readout", "0.1"), ("p1", None)):
         with pytest.raises(ValueError, match=key):
             run_named({"scheme": "corr3", "noise": {key: value}})
+    # an attack or ancilla selector is a string, not a number or a state, and
+    # the noise is a dict or a NoiseModel
+    for spec, key in (({"scheme": "hybrid", "n": 4, "ancilla": 11}, "ancilla"),
+                      ({"scheme": "hybrid", "n": 3, "ancilla": 1}, "ancilla"),
+                      ({"scheme": "hybrid", "n": 3, "ancilla": basis_state(1, "1")}, "ancilla"),
+                      ({"scheme": "corr3", "w": 5}, "w"),
+                      ({"scheme": "corr3", "noise": [("p1", 0.1)]}, "noise"),
+                      ({"scheme": "corr3", "noise": None}, "noise")):
+        with pytest.raises(ValueError, match=key):
+            run_named(spec)
+    # None keeps meaning the default
+    assert run_named({"scheme": "corr3", "w": None, "shots": 1}).config["w"] == "h"
+    assert run_named({"scheme": "hybrid", "n": 4, "ancilla": None, "shots": 1}).config["ancilla"] == "00"
     assert run_named({"scheme": "hybrid", "errors": ("x", "y"), "shots": 1}).config["errors"] == ["x", "y"]
     assert exact_success({"scheme": "corr3", "noise": {"p1": 0, "p2": np.float64(0.01)}}) > 0.8
 
