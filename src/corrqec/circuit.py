@@ -11,6 +11,10 @@ gets a single-wire depolarizing kick: p1 for a one-wire gate, p2 split evenly
 over the wires of a wider gate (p2/2 on each wire of a two-wire gate, not a
 15-Pauli two-wire channel). So a k-wire gate g and its kicks are one 4^k x 4^k
 superoperator D_k(p) (g tensor conj(g)) on the gate's row and column axes.
+`apply` runs a compiled `_program` rather than the gates: runs of consecutive
+gates on at most _BLOCK_WIRES wires together, each multiplied out into one
+superoperator (gate fusion, arXiv:2011.13524), built once per
+(circuit, p1, p2) and cached.
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
 axis pair of a density matrix.
@@ -36,6 +40,12 @@ _DM_HERM_TOL = 1e-10
 _DM_TRACE_TOL = 1e-10
 _DM_PSD_FLOOR = -1e-9
 _SAMPLE_CHUNK = 1 << 20  # draws per batch, so memory does not grow with shots
+# Widest block of gates `_program` fuses into one superoperator. One noisy
+# hybrid encode + attack + decode (process CPU time, median of 40, shared
+# 2-core host) took 3.8 / 19 ms at n = 7 / 8 with blocks of up to 3 wires,
+# 4.4 / 26 ms with one block per gate, and 5.3 / 27 ms with up to 4 wires,
+# whose 256 x 256 blocks also took 15-30 ms more to compile.
+_BLOCK_WIRES = 3
 
 
 def _integer(v, name: str, least: int) -> int:
@@ -210,8 +220,10 @@ def realize(c: Circuit) -> np.ndarray:
     return t.reshape(2**n, 2**n)
 
 
+@lru_cache(maxsize=64)  # a run decodes through one circuit; a sweep reuses it
 def dagger_circuit(c: Circuit) -> Circuit:
-    """Inverse circuit: reversed order, each gate replaced by its adjoint."""
+    """Inverse circuit: reversed order, each gate replaced by its adjoint.
+    Cached per circuit, so a repeated run builds and checks no inverse gate."""
     return Circuit(c.n_wires, tuple(PlacedGate(inverse(pg.gate), pg.wires) for pg in reversed(c.gates)))
 
 
@@ -247,9 +259,42 @@ def _kicks(k: int, p: float) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=64)  # a run needs 2 entries (encoder, decoder) per (p1, p2)
+def _program(c: Circuit, p1: float, p2: float) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    """The density-matrix pass of c under gate noise (p1, p2), as
+    (superoperator, rho axes) steps in time order.
+    Consecutive gates whose wires together number at most _BLOCK_WIRES form
+    one block; its read-only 4^m x 4^m superoperator is the product of its
+    gates' D_k(p) (g tensor conj(g)), and its axes are the block's row axes,
+    then its column axes. A wider gate is a block of its own."""
+    runs: list[tuple[tuple[int, ...], list[PlacedGate]]] = []
+    for pg in c.gates:
+        if runs:
+            wires, pgs = runs[-1]
+            grown = wires + tuple(w for w in pg.wires if w not in wires)
+            if len(grown) <= _BLOCK_WIRES:
+                runs[-1] = (grown, pgs + [pg])
+                continue
+        runs.append((pg.wires, [pg]))
+    n, steps = c.n_wires, []
+    for wires, pgs in runs:
+        m = len(wires)
+        t = np.eye(4**m).reshape((2,) * (4 * m))
+        for pg in pgs:
+            g, k = pg.gate.matrix.array, pg.gate.arity
+            local = tuple(wires.index(w) for w in pg.wires)
+            superop = _kicks(k, p1 if k == 1 else p2 / k) @ np.kron(g, g.conj())
+            t = contract(t, superop, local + tuple(m + i for i in local))
+        t = t.reshape(4**m, 4**m)
+        t.setflags(write=False)
+        steps.append((t, wires + tuple(n + w for w in wires)))
+    return tuple(steps)
+
+
 def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None = None):
     """Run the circuit: vectors map to Us, densities to U rho U-dagger with
-    each gate followed by its kicks. A vector takes no gate noise."""
+    each gate followed by its kicks. A vector takes no gate noise; a density
+    runs the circuit's cached `_program` for the noise's (p1, p2)."""
     n = c.n_wires
     if n != s.n_wires:
         raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
@@ -262,10 +307,8 @@ def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None =
             t = contract(t, pg.gate.matrix.array, pg.wires)
         return StateVector(t.reshape(-1), n)
     t = s.matrix.reshape((2,) * (2 * n))
-    for pg in c.gates:
-        g, k = pg.gate.matrix.array, pg.gate.arity
-        superop = _kicks(k, nm.p1 if k == 1 else nm.p2 / k) @ np.kron(g, g.conj())
-        t = contract(t, superop, pg.wires + tuple(n + w for w in pg.wires))
+    for superop, axes in _program(c, nm.p1, nm.p2):
+        t = contract(t, superop, axes)
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
 
 

@@ -259,7 +259,7 @@ def recursive_triples(k: int) -> list[tuple[int, int, int]]:
 
 
 def recursive_data_wires(k: int) -> list[int]:
-    return [2 * j + 1 for j in range(k)]
+    return [2 * j + 1 for j in range(_integer(k, "k", 1))]
 
 
 def recursive_encoder(k: int) -> Circuit:

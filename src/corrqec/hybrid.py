@@ -222,7 +222,9 @@ def parse_ancilla(n: int, selector) -> StateVector | str:
     if n % 2 == 0:
         if isinstance(selector, StateVector):
             raise ValueError("even-width registers take two classical ancilla bits, not a state")
-        bits = str(selector).strip()
+        if not isinstance(selector, str):
+            raise ValueError(f"even-width ancilla must be a bit string, got {selector!r}")
+        bits = selector.strip()
         if len(bits) != 2 or any(ch not in "01" for ch in bits):
             raise ValueError(f"even-width ancilla must be two bits, got {selector!r}")
         return bits
@@ -230,7 +232,9 @@ def parse_ancilla(n: int, selector) -> StateVector | str:
         if selector.n_wires != 1:
             raise ValueError("odd-width ancilla state must be a single qubit")
         return selector
-    s = str(selector).strip()
+    if not isinstance(selector, str):
+        raise ValueError(f"odd-width ancilla must be a string or a StateVector, got {selector!r}")
+    s = selector.strip()
     if s in ("0", "1"):
         return basis_state(1, s)
     if s.lower().startswith("ry:"):

@@ -307,6 +307,12 @@ def test_recursive_layout():
             recursive_triples(bad)
         with pytest.raises(ValueError, match="k must"):
             recursive_encoder(bad)
+        with pytest.raises(ValueError, match="k must"):
+            recursive_data_wires(bad)
+    for bad in (0, -1):  # no layout has fewer than one data wire
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            recursive_data_wires(bad)
+    assert recursive_data_wires(np.int64(2)) == [1, 3]
     assert recursive_encoder(np.int64(2)) == recursive_encoder(2)
 
 

@@ -197,6 +197,10 @@ def test_parse_ancilla_even():
         parse_ancilla(4, "ry:0.3")
     with pytest.raises(ValueError):
         parse_ancilla(4, basis_state(2, "00"))  # states rejected, bits only
+    # a number is not a bit string, even one whose digits are bits
+    for bad in (11, 1, 1.0, None):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            parse_ancilla(4, bad)
 
 
 def test_parse_ancilla_odd():
@@ -210,6 +214,10 @@ def test_parse_ancilla_odd():
         parse_ancilla(3, "00")
     with pytest.raises(ValueError):
         parse_ancilla(3, basis_state(2, "00"))
+    # only a string or a state selects an odd-width ancilla: 1 is not '1'
+    for bad in (1, 0, 1.0, None):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            parse_ancilla(3, bad)
 
 
 def test_hybrid_protect_odd_x_attack():

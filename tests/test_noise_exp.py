@@ -11,6 +11,7 @@ from corrqec.circuit import (
     Circuit,
     DensityMatrix,
     _kicks,
+    _program,
     apply,
     attack,
     basis_state,
@@ -137,6 +138,29 @@ def test_kick_cache_stays_bounded_over_a_noise_sweep():
     for i in range(200):
         _kicks(2, i / 400)
     assert _kicks.cache_info().currsize <= 64
+
+
+def test_program_cache_is_bounded_read_only_and_keyed_on_gate_noise():
+    enc, init, w, _ = _build_experiment(_normalize_spec({"scheme": "hybrid", "n": 5}))
+    dec = dagger_circuit(enc)
+    assert dagger_circuit(enc) is dec  # built and checked once per circuit
+    rho = to_density(init)
+    # a long noise sweep in one process keeps at most maxsize programs
+    for i in range(200):
+        apply(enc, rho, NoiseModel(p1=i / 4000, p2=i / 400))
+    assert _program.cache_info().currsize <= _program.cache_parameters()["maxsize"]
+    # readout noise acts on the distribution, not on the program
+    first = _program(enc, 1e-3, 1e-2)
+    misses = _program.cache_info().misses
+    for readout in (0.0, 0.01, 0.2):
+        apply(enc, rho, NoiseModel(p1=1e-3, p2=1e-2, p_readout=readout))
+    assert _program.cache_info().misses == misses
+    assert _program(enc, 1e-3, 1e-2) is first
+    for superop, axes in first:
+        assert not superop.flags.writeable
+        with pytest.raises(ValueError):
+            superop[0, 0] = 2.0
+        assert superop.shape == (4 ** (len(axes) // 2),) * 2 and len(axes) <= 2 * circuit._BLOCK_WIRES
 
 
 def test_hybrid_noiseless_success():

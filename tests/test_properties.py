@@ -108,16 +108,22 @@ def placed_gates(draw, n):
     if n == 1 or draw(st.booleans()):
         gate = draw(st.sampled_from((H, X, Y, Z)) | angles.map(ry))
         return PlacedGate(gate, (draw(st.integers(0, n - 1)),))
-    # any ordered pair of distinct wires: reversed and non-adjacent included
-    wires = draw(st.permutations(range(n)))[:2]
-    gate = draw(st.just(CNOT) | angles.map(lambda a: controlled(ry(a), 0)))
+    # any ordered pair or triple of distinct wires: reversed and non-adjacent
+    # included, so a run of gates fills, and crosses, 3-wire fused blocks
+    arity = draw(st.integers(2, min(n, 3)))
+    wires = draw(st.permutations(range(n)))[:arity]
+    if arity == 2:
+        gate = draw(st.just(CNOT) | angles.map(lambda a: controlled(ry(a), 0)))
+    else:
+        gate = draw(st.just(controlled(CNOT, 1))
+                    | angles.map(lambda a: controlled(controlled(ry(a), 0), 1)))
     return PlacedGate(gate, tuple(wires))
 
 
 @st.composite
 def noisy_cases(draw):
     n = draw(st.integers(1, 5))
-    gates = draw(st.lists(placed_gates(n), max_size=8))
+    gates = draw(st.lists(placed_gates(n), max_size=16))
     nm = NoiseModel(p1=draw(probabilities), p2=draw(probabilities))
     rho = random_density(np.random.default_rng(draw(seeds)), n)
     return Circuit(n, tuple(gates)), rho, nm
