@@ -236,7 +236,8 @@ def cmd_verify(out=None) -> int:
 
 
 def _parse_noise(text: str) -> dict:
-    s = (text or "").strip()
+    """--noise syntax only; the spec checks the keys and values."""
+    s = text.strip()
     if s in ("", "0", "none"):
         return {}
     out = {}
@@ -247,8 +248,6 @@ def _parse_noise(text: str) -> dict:
         key = key.strip().lower()
         if key == "readout":
             key = "p_readout"
-        if key not in ("p1", "p2", "p_readout"):
-            raise ValueError(f"unknown noise parameter {key!r}")
         if key in out:
             raise ValueError(f"noise parameter {key!r} given more than once")
         out[key] = float(val)
@@ -263,17 +262,12 @@ def _resolve_out(args, default_name: str) -> str:
 
 
 def cmd_run(args) -> int:
-    spec = {
-        "scheme": args.scheme,
-        "shots": args.shots,
-        "seed": args.seed,
-        "noise": _parse_noise(args.noise),
-    }
-    # Only the flags given on the command line: the spec holds the defaults
-    # and rejects flags that belong to the other scheme.
-    for key in ("w", "rounds", "n", "ancilla", "errors"):
-        if getattr(args, key) is not None:
-            spec[key] = getattr(args, key)
+    # `run` flags default to absent, so the spec holds every default and
+    # rejects the flags that belong to the other scheme.
+    keys = noise_exp._COMMON_KEYS | noise_exp._CORRELATED_KEYS | noise_exp._HYBRID_KEYS
+    spec = {k: v for k, v in vars(args).items() if k in keys}
+    if "noise" in spec:
+        spec["noise"] = _parse_noise(spec["noise"])
     if "errors" in spec:
         spec["errors"] = spec["errors"].split(",")
     rep = noise_exp.run_named(spec)
@@ -290,11 +284,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-_DUMP_CIRCUITS = {
-    "standard3": correlated.standard_decomposition,
-    "basic3": correlated.basic_decomposition,
-    "corr5": lambda: correlated.recursive_encoder(2),
-}
+# `dump circuit:<name>` names for the correlated schemes' encoders.
+_DUMP_CIRCUITS = {"standard3": "corr3", "basic3": "corr3-basic", "corr5": "corr5"}
 
 
 def _dump_text(what: str) -> str:
@@ -312,7 +303,7 @@ def _dump_text(what: str) -> str:
     if w.startswith("circuit:"):
         name = w[8:]
         if name in _DUMP_CIRCUITS:
-            return circuit_to_text(_DUMP_CIRCUITS[name]())
+            return circuit_to_text(noise_exp._CORRELATED[_DUMP_CIRCUITS[name]]())
         if name.startswith("hybrid"):
             return circuit_to_text(hybrid.hybrid_encoder(int(name[6:])).circuit)
         raise ValueError(f"unknown circuit {name!r}")
@@ -339,19 +330,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the full verification battery")
 
-    r = sub.add_parser("run", help="run a named experiment and write a report")
-    r.add_argument("--scheme", required=True, choices=["corr3", "corr3-basic", "corr5", "hybrid"])
+    r = sub.add_parser("run", help="run a named experiment and write a report",
+                       argument_default=argparse.SUPPRESS)
+    r.add_argument("--scheme", required=True, choices=noise_exp._SCHEMES)
     r.add_argument("--w", help="corr attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json> (default h)")
     r.add_argument("--rounds", type=int, help="corr attack repetitions between encode/decode (default 1)")
     r.add_argument("--n", type=int, help="hybrid register width (default 3)")
     r.add_argument("--ancilla", help="hybrid ancilla: bits or ry:<alpha> (odd widths)")
     r.add_argument("--errors", help="comma-separated hybrid attack tags i,x,y,z (default i)")
-    r.add_argument("--shots", type=int, default=8192)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--noise", default="0", help="0 or comma list: p1=..,p2=..,readout=..")
+    r.add_argument("--shots", type=int)
+    r.add_argument("--seed", type=int)
+    r.add_argument("--noise", help="0 or comma list: p1=..,p2=..,readout=..")
     r.add_argument("--out", default=None, help="output file (default: derived, in $CORRQEC_OUTPUT_DIR)")
     r.add_argument("--format", choices=["json", "csv"], default="json")
-    r.add_argument("--ibm-bit-order", action="store_true", help="reverse bitstring keys in output")
+    r.add_argument("--ibm-bit-order", action="store_true", default=False,
+                   help="reverse bitstring keys in output")
 
     d = sub.add_parser("dump", help="print a matrix or circuit")
     d.add_argument("what", help="u | old-u | p2 | p3 | pn:<n> | circuit:<name>")
@@ -359,10 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -85,16 +85,12 @@ def ry(alpha: float) -> Gate:
 
 def ry_x(alpha: float) -> Gate:
     """Flip then rotate: matrix ry(alpha) @ X, drawn as one box in circuits."""
-    a = float(alpha)
-    c, s = np.cos(a / 2), np.sin(a / 2)
-    return _gate(f"RYX({a!r})", [[-s, c], [c, s]])
+    return _gate(f"RYX({float(alpha)!r})", ry(alpha).matrix.array @ X.matrix.array)
 
 
 def x_ry(alpha: float) -> Gate:
     """Rotate then flip: matrix X @ ry(alpha)."""
-    a = float(alpha)
-    c, s = np.cos(a / 2), np.sin(a / 2)
-    return _gate(f"XRY({a!r})", [[s, c], [c, -s]])
+    return _gate(f"XRY({float(alpha)!r})", X.matrix.array @ ry(alpha).matrix.array)
 
 
 def controlled(gate: Gate, control_value: int) -> Gate:

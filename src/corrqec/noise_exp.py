@@ -16,7 +16,7 @@ runs byte-identical for a given experiment spec and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -195,18 +195,10 @@ def run_named(spec: dict) -> ExperimentReport:
     counts = {format(i, f"0{m}b"): int(c) for i, c in enumerate(hits) if c > 0}
     hist = Histogram(n_measured=m, counts=counts, shots=ns["shots"])
 
-    nm: NoiseModel = ns["noise"]
-    config = {
-        "scheme": ns["scheme"],
-        "rounds": ns["rounds"],
-        "noise": {"p1": nm.p1, "p2": nm.p2, "p_readout": nm.p_readout},
-    }
-    if "w" in ns:
-        config["w"] = ns["w"]
-    else:
-        config["n"] = ns["n"]
-        config["ancilla"] = ns["ancilla"]
-        config["errors"] = [t.lower() for t in ns["errors"]]
+    config = {k: v for k, v in ns.items() if k not in ("name", "shots", "seed")}
+    config["noise"] = asdict(ns["noise"])
+    if "errors" in config:
+        config["errors"] = [t.lower() for t in config["errors"]]
     return ExperimentReport(
         name=ns["name"],
         histogram=hist,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrqec import cli, correlated, hybrid
+from corrqec import cli, correlated, hybrid, noise_exp
 from corrqec.linalg import max_abs_diff
 
 
@@ -186,40 +186,67 @@ def test_run_uses_output_dir_env(tmp_path, capsys, monkeypatch):
     assert json.loads(target.read_text())["seed"] == 2
 
 
+# Command lines that must exit 2 and write nothing.
+USAGE_ERRORS = [
+    ["run", "--scheme", "bogus"],
+    ["run", "--scheme", "corr3", "--noise", "p9=0.1"],
+    ["run", "--scheme", "corr3", "--noise", "p1"],
+    ["run", "--scheme", "corr3", "--noise", "p1=0.1,p1=0.2"],
+    ["run", "--scheme", "corr3", "--noise", "readout=0.1,p_readout=0.3"],
+    ["run", "--scheme", "corr3", "--w", "nope"],
+    ["run", "--scheme", "hybrid", "--n", "4", "--ancilla", "ry:0.5"],
+    ["run", "--scheme", "hybrid", "--n", "2"],
+    ["run", "--scheme", "corr3", "--shots", "0"],
+    ["run", "--scheme", "corr3", "--seed", "-1"],
+    ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[1,0]],[[0,0],[1,0]]]"],
+    ["run", "--scheme", "corr3", "--w", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"],
+    ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],
+    ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]]"],
+    ["run", "--scheme", "corr3", "--w", "matrix:" + "[" * 5000],
+    ["run", "--scheme", "hybrid", "--n", "5", "--w", "h"],
+    ["run", "--scheme", "hybrid", "--n", "5", "--rounds", "2"],
+    ["run", "--scheme", "corr3", "--n", "5"],
+    ["run", "--scheme", "corr5", "--errors", "x"],
+    ["run", "--scheme", "corr3-basic", "--ancilla", "0"],
+    ["run", "--scheme", "hybrid", "--n", "5", "--errors", ","],
+    ["run", "--scheme", "hybrid", "--n", "5", "--errors", "x,,y"],
+    ["dump", "nonsense"],
+    ["dump", "circuit:hybrid11"],
+    ["nonsense-command"],
+]
+
+
 def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
-    cases = [
-        ["run", "--scheme", "bogus"],
-        ["run", "--scheme", "corr3", "--noise", "p9=0.1"],
-        ["run", "--scheme", "corr3", "--noise", "p1"],
-        ["run", "--scheme", "corr3", "--noise", "p1=0.1,p1=0.2"],
-        ["run", "--scheme", "corr3", "--noise", "readout=0.1,p_readout=0.3"],
-        ["run", "--scheme", "corr3", "--w", "nope"],
-        ["run", "--scheme", "hybrid", "--n", "4", "--ancilla", "ry:0.5"],
-        ["run", "--scheme", "hybrid", "--n", "2"],
-        ["run", "--scheme", "corr3", "--shots", "0"],
-        ["run", "--scheme", "corr3", "--seed", "-1"],
-        ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[1,0]],[[0,0],[1,0]]]"],
-        ["run", "--scheme", "corr3", "--w", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"],
-        ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],
-        ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]]"],
-        ["run", "--scheme", "corr3", "--w", "matrix:" + "[" * 5000],
-        ["run", "--scheme", "hybrid", "--n", "5", "--w", "h"],
-        ["run", "--scheme", "hybrid", "--n", "5", "--rounds", "2"],
-        ["run", "--scheme", "corr3", "--n", "5"],
-        ["run", "--scheme", "corr5", "--errors", "x"],
-        ["run", "--scheme", "corr3-basic", "--ancilla", "0"],
-        ["run", "--scheme", "hybrid", "--n", "5", "--errors", ","],
-        ["run", "--scheme", "hybrid", "--n", "5", "--errors", "x,,y"],
-        ["dump", "nonsense"],
-        ["dump", "circuit:hybrid11"],
-        ["nonsense-command"],
-    ]
-    for argv in cases:
+    for argv in USAGE_ERRORS:
         code = cli.main(argv)
         capsys.readouterr()
         assert code == 2, argv
     assert list(tmp_path.iterdir()) == []  # no partial files left behind
+
+
+def test_every_scheme_runs_with_only_its_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
+    for scheme in noise_exp._SCHEMES:
+        code, _, err = run_cli(["run", "--scheme", scheme], capsys)
+        assert code == 0, (scheme, err)
+
+
+def test_a_flag_left_out_takes_the_spec_default_on_a_second_call(tmp_path, capsys, monkeypatch):
+    """One process parses many command lines with one parser: nothing the
+    first call sets may carry over into the second."""
+    monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
+    first = ["run", "--scheme", "corr3", "--w", "x", "--rounds", "2", "--shots", "5",
+             "--seed", "3", "--noise", "p1=0.1"]
+    assert run_cli(first, capsys)[0] == 0
+    assert run_cli(["run", "--scheme", "corr3"], capsys)[0] == 0
+    d = json.loads((tmp_path / "corr3-seed0.json").read_text())
+    assert (d["shots"], d["seed"]) == (8192, 0)
+    assert d["config"] == {
+        "scheme": "corr3", "w": "h", "rounds": 1,
+        "noise": {"p1": 0.0, "p2": 0.0, "p_readout": 0.0},
+    }
+    assert sorted(os.listdir(tmp_path)) == ["corr3-seed0.json", "corr3-seed3.json"]
 
 
 # Valid and malformed tokens for each flag; `{tmp}` is the example's own

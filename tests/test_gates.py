@@ -86,6 +86,10 @@ def test_ry_x_and_x_ry():
     assert np.abs(
         x_ry(a).matrix.array - X.matrix.array @ ry(a).matrix.array
     ).max() == 0.0
+    with pytest.raises(ValueError, match="finite"):
+        ry_x(np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        x_ry(np.nan)
 
 
 def test_controlled_cnot():

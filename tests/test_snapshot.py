@@ -7,10 +7,14 @@ import json
 import shutil
 from pathlib import Path
 
+from corrqec.noise_exp import _SCHEMES
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "snapshot.py"
 _SPEC = importlib.util.spec_from_file_location("snapshot", _PATH)
 snapshot = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(snapshot)
+
+from test_cli import USAGE_ERRORS  # noqa: E402  (snapshot puts tests/ on the path)
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -27,6 +31,12 @@ def test_two_snapshots_of_one_tree_are_identical(tmp_path):
     assert a["runs.txt"].count(b" exit=0\n") == 2 * len(ops)
     assert a["dump.txt"].count(b"== ") == len(snapshot.DUMP_TARGETS) == 21
     assert a["verify.txt"].endswith(b"18/18 checks passed\nexit=0\n")
+    assert a["cli.txt"].count(b" exit=0\n") == len(_SCHEMES) == 4
+    assert a["cli.txt"].count(b" exit=2\n") == len(USAGE_ERRORS) == 25
+    assert sorted(name for name in a if name.startswith("cli")) == [
+        "cli.txt", "cli/corr3-basic-seed0.json", "cli/corr3-seed0.json",
+        "cli/corr5-seed0.json", "cli/hybrid3-seed0.json",
+    ]
 
 
 _DIFF_PATH = Path(__file__).resolve().parents[1] / "tools" / "snapshot_diff.py"

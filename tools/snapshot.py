@@ -9,9 +9,14 @@ this repo's `perfbench/workloads.oracle_grid()` and writes into <outdir>:
   runs.txt     per report: file name, exit code, stdout and stderr
   dump.txt     each `dump` target's exit code and output
   verify.txt   `verify` stdout and exit code
+  cli.txt      exit code, stdout and stderr of `run --scheme <s>` with no
+               other flag, for each scheme, and of each command line in
+               tests/test_cli.py's USAGE_ERRORS
+  cli/         the reports those default runs write under their default names
 
-Reports are written under relative paths from inside <outdir>, so the
-`wrote ...` lines do not depend on where <outdir> is. Run it at two
+Reports are written under relative paths from inside <outdir> (the
+default runs from inside <outdir>/cli, with $CORRQEC_OUTPUT_DIR unset), so
+the `wrote ...` lines do not depend on where <outdir> is. Run it at two
 checkouts and compare the two directories with `diff -r`.
 """
 from __future__ import annotations
@@ -22,7 +27,10 @@ import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "perfbench"))
+# test_cli imports corrqec, so it is imported only after the checkout's is
+sys.path.insert(0, str(_ROOT / "tests"))
 
 from workloads import oracle_grid  # noqa: E402
 
@@ -40,15 +48,31 @@ def _run(main, argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _cli_lines(main) -> list[str]:
+    """Each scheme's run with every default, then each usage error; run
+    from inside the directory the default reports should land in."""
+    from corrqec.noise_exp import _SCHEMES
+    from test_cli import USAGE_ERRORS
+
+    lines = []
+    for argv in [["run", "--scheme", s] for s in _SCHEMES] + USAGE_ERRORS:
+        code, out, err = _run(main, argv)
+        lines.append(f"== {' '.join(argv)} exit={code}\n{out}{err}")
+    return lines
+
+
 def write_snapshot(outdir, ops) -> None:
-    """Write the reports of `ops` (perfbench Ops), the dumps and `verify`
-    into outdir with the `corrqec` already imported."""
+    """Write the reports of `ops` (perfbench Ops), the dumps, `verify` and
+    the default and usage-error command lines into outdir with the
+    `corrqec` already imported."""
     from corrqec.cli import main
 
     outdir = Path(outdir)
     (outdir / "reports").mkdir(parents=True)
+    (outdir / "cli").mkdir()
     runs, dumps = [], []
     cwd = os.getcwd()
+    env_dir = os.environ.pop("CORRQEC_OUTPUT_DIR", None)
     os.chdir(outdir)
     try:
         for i, op in enumerate(ops):
@@ -62,11 +86,16 @@ def write_snapshot(outdir, ops) -> None:
             code, out, err = _run(main, ["dump", target])
             dumps.append(f"== {target} exit={code}\n{out}{err}")
         code, out, err = _run(main, ["verify"])
+        os.chdir("cli")
+        cli = _cli_lines(main)
     finally:
         os.chdir(cwd)
+        if env_dir is not None:
+            os.environ["CORRQEC_OUTPUT_DIR"] = env_dir
     (outdir / "runs.txt").write_text("".join(runs), encoding="utf-8")
     (outdir / "dump.txt").write_text("".join(dumps), encoding="utf-8")
     (outdir / "verify.txt").write_text(f"{out}{err}exit={code}\n", encoding="utf-8")
+    (outdir / "cli.txt").write_text("".join(cli), encoding="utf-8")
 
 
 def main(argv) -> int:
@@ -80,7 +109,7 @@ def main(argv) -> int:
     print(f"corrqec from {Path(corrqec.__file__).parent}")
     ops = oracle_grid()
     write_snapshot(outdir, ops)
-    print(f"wrote {2 * len(ops)} reports, {len(DUMP_TARGETS)} dumps and verify to {outdir}")
+    print(f"wrote {2 * len(ops)} reports, {len(DUMP_TARGETS)} dumps, verify and cli to {outdir}")
     return 0
 
 
