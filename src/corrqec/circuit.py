@@ -9,8 +9,9 @@ under a unitary or CPTP map are trusted and built without checks.
 `apply` is the one density-matrix pass. After every gate, each touched wire
 gets a single-wire depolarizing kick: p1 for a one-wire gate, p2 split evenly
 over the wires of a wider gate (p2/2 on each wire of a two-wire gate, not a
-15-Pauli two-wire channel). So a k-wire gate g and its kicks are one 4^k x 4^k
-superoperator D_k(p) (g tensor conj(g)) on the gate's row and column axes.
+15-Pauli two-wire channel; `_kick_strength` states the rule once). So a k-wire
+gate g and its kicks are one 4^k x 4^k superoperator D_k(p) (g tensor conj(g))
+on the gate's row and column axes.
 `apply` runs a compiled `_program` rather than the gates: runs of consecutive
 gates on at most _BLOCK_WIRES wires together, each multiplied out into one
 superoperator (gate fusion, arXiv:2011.13524), built once per
@@ -18,6 +19,13 @@ superoperator (gate fusion, arXiv:2011.13524), built once per
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
 axis pair of a density matrix.
+`pauli_fault_distribution` gives the outcome distribution of encode, attack,
+decode without a density matrix when the circuit is Clifford and the attack a
+Pauli, as in the hybrid scheme: every kick is then a Pauli fault, pushed to
+the output on GF(2) bits once per circuit (`_faults`), and a run costs
+O(faults x 2^m) for m measured wires. Hybrid runs take this path; the
+correlated schemes, whose encoders are not Clifford, take `apply`, which is
+also the tests' reference for the fault engine.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -28,11 +36,12 @@ with a PCG64 generator, so results are reproducible from the seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
-from .gates import PlacedGate, format_placed_gate, inverse
+from .gates import Gate, I, PlacedGate, X, Y, Z, format_placed_gate, inverse
 from .linalg import is_unitary
 
 _STATE_NORM_TOL = 1e-10
@@ -259,6 +268,12 @@ def _kicks(k: int, p: float) -> np.ndarray:
     return d
 
 
+def _kick_strength(k: int, p1: float, p2: float) -> float:
+    """Strength of the kick on each wire of a k-wire gate: p1 after a
+    one-wire gate, p2 split evenly over the wires of a wider one."""
+    return p1 if k == 1 else p2 / k
+
+
 @lru_cache(maxsize=64)  # a run needs 2 entries (encoder, decoder) per (p1, p2)
 def _program(c: Circuit, p1: float, p2: float) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
     """The density-matrix pass of c under gate noise (p1, p2), as
@@ -283,7 +298,7 @@ def _program(c: Circuit, p1: float, p2: float) -> tuple[tuple[np.ndarray, tuple[
         for pg in pgs:
             g, k = pg.gate.matrix.array, pg.gate.arity
             local = tuple(wires.index(w) for w in pg.wires)
-            superop = _kicks(k, p1 if k == 1 else p2 / k) @ np.kron(g, g.conj())
+            superop = _kicks(k, _kick_strength(k, p1, p2)) @ np.kron(g, g.conj())
             t = contract(t, superop, local + tuple(m + i for i in local))
         t = t.reshape(4**m, 4**m)
         t.setflags(write=False)
@@ -328,6 +343,146 @@ def attack(s: StateVector | DensityMatrix, w):
     for wire in range(n):
         t = contract(t, superop, (wire, n + wire))
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
+
+
+# One wire's Paulis I, X, Y, Z, and their symplectic (x, z) bits.
+_PAULIS = tuple(g.matrix.array for g in (I, X, Y, Z))
+_PAULI_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+@lru_cache(maxsize=None)  # one entry per gate width
+def _pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4^k Paulis on k wires in kron order, as a read-only
+    (4^k, 2^k, 2^k) stack, and each one's symplectic bits: x on wires
+    0..k-1, then z."""
+    labels = list(product(range(4), repeat=k))
+    stack = np.array([reduce(np.kron, (_PAULIS[a] for a in ls), np.eye(1)) for ls in labels])
+    bits = np.array([[_PAULI_XZ[a][i] for i in (0, 1) for a in ls] for ls in labels], dtype=np.uint8)
+    stack.setflags(write=False)
+    bits.setflags(write=False)
+    return stack, bits
+
+
+def _pauli_bits(ops: np.ndarray) -> np.ndarray:
+    """The symplectic bits of each matrix in a (g, 2^k, 2^k) stack, one row
+    each; ValueError unless every matrix is a Pauli up to phase within 1e-12,
+    a Gate's tolerance."""
+    k = int(np.log2(ops.shape[-1]))
+    stack, bits = _pauli_basis(k)
+    weight = np.abs(np.einsum("pij,gij->gp", stack.conj(), ops)) / 2**k  # |Tr(P-dagger A)| / 2^k
+    best = weight.argmax(axis=1)
+    if np.abs(weight - (np.arange(4**k) == best[:, None])).max() > 1e-12:
+        raise ValueError("not a Pauli up to phase")
+    return bits[best]
+
+
+@lru_cache(maxsize=64)  # a few gate types per circuit
+def _symplectic(gate: Gate) -> np.ndarray:
+    """The read-only GF(2) matrix of P -> g-dagger P g on a gate's 2k
+    (x, then z) bits: column j is the image of X_0..X_{k-1}, Z_0..Z_{k-1}
+    in turn. ValueError if the gate is not Clifford."""
+    g, k = gate.matrix.array, gate.arity
+    stack, _ = _pauli_basis(k)
+    generators = stack[[a * 4 ** (k - 1 - i) for a in (1, 3) for i in range(k)]]
+    try:
+        s = _pauli_bits(g.conj().T @ generators @ g).T
+    except ValueError:
+        raise ValueError(f"gate {gate.name!r} is not Clifford: it maps a Pauli to a non-Pauli") from None
+    s.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires)
+def _faults(c: Circuit, measured: tuple[int, ...]):
+    """The Pauli faults of encode c, attack, decode dagger_circuit(c), read
+    on the m sorted measured wires.
+
+    A fault F flips the readout of measured wire q exactly when it
+    anticommutes with B_q, the final Z_q carried back to F's place
+    (B -> g-dagger B g across each later gate g). One backward walk over
+    the gates carries all m of them, as the columns of a (2n, m) GF(2)
+    matrix of x bits, then z bits. An X fault on wire w flips the readouts
+    where B_q has a z bit on w, a Z fault those with an x bit, a Y both.
+    The attack, a Pauli, leaves every B_q as it is.
+
+    Returns, all read-only:
+    - the arity of each fault's gate, one fault per kicked wire;
+    - sums[f, u], the sum over P = X, Y, Z of (-1)^(u . mask of P) of
+      fault f, 3 or -1, as int8 (faults x 2^m);
+    - walsh[x, u] = (-1)^(x . u), the (2^m x 2^m) Walsh-Hadamard matrix;
+    - the outcome masks that an X and a Z on every wire between encoder
+      and decoder flip, as outcome indices.
+    """
+    n, m = c.n_wires, len(measured)
+    b = np.zeros((2 * n, m), dtype=np.int64)
+    b[[n + q for q in measured], range(m)] = 1
+    flips, arities = [], []
+
+    def back(gates) -> None:
+        for pg in reversed(gates):
+            # the kicks after the gate, then B carried back across it
+            for w in pg.wires:
+                x, z = b[w], b[n + w]
+                flips.append(np.array([z, x ^ z, x]))  # X, Y, Z
+                arities.append(pg.gate.arity)
+            rows = list(pg.wires) + [n + w for w in pg.wires]
+            b[rows] = _symplectic(pg.gate) @ b[rows] % 2
+
+    back(dagger_circuit(c).gates)
+    top = 1 << np.arange(m - 1, -1, -1)  # measured[0] is the top bit
+    attack_flips = (int(np.bitwise_xor.reduce(b[n:]) @ top), int(np.bitwise_xor.reduce(b[:n]) @ top))
+    back(c.gates)
+    u = (np.arange(2**m)[:, None] & top[None, :]) != 0
+    masks = np.array(flips, dtype=np.int64).reshape(-1, 3, m)
+    sums = (1 - 2 * (masks @ u.T % 2)).sum(axis=1).astype(np.int8)
+    walsh = 1.0 - 2.0 * (u.astype(np.int64) @ u.T % 2)
+    sums.setflags(write=False)
+    walsh.setflags(write=False)
+    return tuple(arities), sums, walsh, attack_flips
+
+
+def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
+                             noise: NoiseModel | None = None) -> np.ndarray:
+    """Exact outcome distribution on the measured wires of encode c, the 2x2
+    w on every wire, decode `dagger_circuit(c)`, each gate followed by its
+    kicks as in `apply`, with no density matrix. The measured wires are
+    sorted and ordered as in `born_distribution`; p_readout is not applied.
+
+    Every gate of c must be Clifford, w a Pauli up to phase, and the
+    measured wires of s in |0...0>, so unentangled from the rest;
+    ValueError otherwise. Then the run without kicks ends the measured
+    wires in one basis state, whatever the others hold, and each kick of
+    strength p is a Pauli fault, X, Y or Z with probability p/4 each, that
+    XORs a fixed mask into the outcome (`_faults`). The flips are
+    independent, so the characteristic function of the outcome is
+    chi(u) = prod_f (1 - 3p_f/4 + (p_f/4) sum_P (-1)^(u . mask_P)), and
+    its inverse Walsh-Hadamard transform, shifted by the attack's mask, is
+    the distribution (Aaronson & Gottesman, arXiv:quant-ph/0406196)."""
+    n = c.n_wires
+    if n != s.n_wires:
+        raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
+    measured = tuple(sorted(set(int(q) for q in measured)))
+    if not measured or measured[0] < 0 or measured[-1] >= n:
+        raise ValueError(f"measured wires {list(measured)} must be a nonempty subset of 0..{n - 1}")
+    probs = (np.abs(s.amplitudes) ** 2).reshape((2,) * n)
+    if abs(probs[tuple(0 if q in measured else slice(None) for q in range(n))].sum() - 1.0) > _STATE_NORM_TOL:
+        raise ValueError("the measured wires must start in |0...0>")
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (2, 2):
+        raise ValueError("attack factor must be a 2x2 matrix")
+    try:
+        x, z = _pauli_bits(w[None])[0]
+    except ValueError:
+        raise ValueError("attack factor must be a Pauli up to phase") from None
+    nm = noise or NoiseModel()
+    arities, sums, walsh, (x_flip, z_flip) = _faults(c, measured)
+    p = np.array([_kick_strength(k, nm.p1, nm.p2) for k in arities])
+    # the factor above as 1 - (p/4)(3 - sum): exactly 1 where the sum is 3
+    chi = np.prod(1.0 - 0.25 * p[:, None] * (3 - sums), axis=0)
+    probs = (walsh @ chi / len(chi))[np.arange(len(chi)) ^ (x_flip if x else 0) ^ (z_flip if z else 0)]
+    if not np.isfinite(probs).all() or probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
+        raise ValueError("Pauli-fault distribution is not a probability distribution")
+    return np.maximum(probs, 0.0)  # rounding only
 
 
 def partial_trace(d: DensityMatrix, keep) -> DensityMatrix:

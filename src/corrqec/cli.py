@@ -333,11 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run a named experiment and write a report",
                        argument_default=argparse.SUPPRESS)
     r.add_argument("--scheme", required=True, choices=noise_exp._SCHEMES)
-    r.add_argument("--w", help="corr attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json> (default h)")
-    r.add_argument("--rounds", type=int, help="corr attack repetitions between encode/decode (default 1)")
-    r.add_argument("--n", type=int, help="hybrid register width (default 3)")
+    d = noise_exp._DEFAULTS
+    r.add_argument("--w", help=f"corr attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json> (default {d['w']})")
+    r.add_argument("--rounds", type=int,
+                   help=f"corr attack repetitions between encode/decode (default {d['rounds']})")
+    r.add_argument("--n", type=int, help=f"hybrid register width (default {d['n']})")
     r.add_argument("--ancilla", help="hybrid ancilla: bits or ry:<alpha> (odd widths)")
-    r.add_argument("--errors", help="comma-separated hybrid attack tags i,x,y,z (default i)")
+    r.add_argument("--errors",
+                   help=f"comma-separated hybrid attack tags i,x,y,z (default {','.join(d['errors'])})")
     r.add_argument("--shots", type=int)
     r.add_argument("--seed", type=int)
     r.add_argument("--noise", help="0 or comma list: p1=..,p2=..,readout=..")

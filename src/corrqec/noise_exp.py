@@ -1,12 +1,14 @@
 """Named, reproducible experiments under depolarizing gate noise.
 
-An experiment is encode -> attack -> decode -> measure the data wires. The
-encoder and its inverse run through `circuit.apply` with the spec's
-`NoiseModel` (its docstring says where the kicks go), and the attack is one
-2x2 factor that `circuit.attack` applies exactly to every wire: W^rounds for
-the correlated schemes, the product of the Pauli list for hybrid. Readout
-bit-flips, if enabled, act on the exact outcome distribution of the
-measured wires.
+An experiment is encode -> attack -> decode -> measure the data wires,
+under the spec's `NoiseModel` (the `circuit` docstring says where the kicks
+go). The attack is one 2x2 factor on every wire: W^rounds for the
+correlated schemes, the product of the Pauli list for hybrid. The scheme
+picks the engine: the correlated schemes run the density-matrix pass
+(`circuit.apply`, `circuit.attack`, `circuit.born_distribution`), and
+hybrid runs, Clifford encoders under a Pauli attack, run the exact
+`circuit.pauli_fault_distribution`. Readout bit-flips, if enabled, act on
+the exact outcome distribution of the measured wires.
 
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
@@ -32,6 +34,7 @@ from .circuit import (
     born_distribution,
     contract,
     dagger_circuit,
+    pauli_fault_distribution,
     sample_counts,
     tensor,
     to_density,
@@ -73,6 +76,9 @@ _SCHEMES = (*_CORRELATED, "hybrid")
 _COMMON_KEYS = {"scheme", "noise", "shots", "seed", "name"}
 _CORRELATED_KEYS = {"w", "rounds"}
 _HYBRID_KEYS = {"n", "ancilla", "errors"}
+# Every spec key with one fixed default, and that default; `run --help`
+# quotes them. `name` and `ancilla` default per scheme and width.
+_DEFAULTS = {"shots": 8192, "seed": 0, "rounds": 1, "w": "h", "n": 3, "errors": ("i",)}
 
 
 def _normalize_spec(spec: dict) -> dict:
@@ -101,25 +107,25 @@ def _normalize_spec(spec: dict) -> dict:
     out = {
         "scheme": scheme,
         "noise": nm,
-        "shots": _integer(s.get("shots", 8192), "shots", 1),
-        "seed": _integer(s.get("seed", 0), "seed", 0),
+        "shots": _integer(s.get("shots", _DEFAULTS["shots"]), "shots", 1),
+        "seed": _integer(s.get("seed", _DEFAULTS["seed"]), "seed", 0),
         # hybrid specs cannot set rounds: their attack list is `errors`
-        "rounds": _integer(s.get("rounds", 1), "rounds", 1),
+        "rounds": _integer(s.get("rounds", _DEFAULTS["rounds"]), "rounds", 1),
     }
     name, w, ancilla = s.get("name"), s.get("w"), s.get("ancilla")
     for key, v in (("name", name), ("w", w), ("ancilla", ancilla)):  # None: the default
         if v is not None and not isinstance(v, str):
             raise ValueError(f"{key} must be a string, got {v!r}")
     if scheme in _CORRELATED:
-        out["w"] = "h" if w is None else w
+        out["w"] = _DEFAULTS["w"] if w is None else w
         correlated.atom_from_selector(out["w"])  # validate early
         out["name"] = name or scheme
     else:
-        n = _integer(s.get("n", 3), "n", 3)  # n = 2 has no data wire to measure
+        n = _integer(s.get("n", _DEFAULTS["n"]), "n", 3)  # n = 2 has no data wire to measure
         if ancilla is None:
             ancilla = "0" if n % 2 == 1 else "00"
         hybrid.parse_ancilla(n, ancilla)
-        errors = s.get("errors", ["I"])
+        errors = s.get("errors", _DEFAULTS["errors"])
         if not isinstance(errors, (list, tuple)):
             raise ValueError(f"errors must be a list of tags, got {errors!r}")
         if not errors:
@@ -162,12 +168,14 @@ def _build_experiment(ns: dict):
 def _exact_distribution(ns: dict):
     circ, init, w, data = _build_experiment(ns)
     nm: NoiseModel = ns["noise"]
-    rho = apply(circ, to_density(init), nm)
-    rho = apply(dagger_circuit(circ), attack(rho, w), nm)
-    # the one check of a run's state, at the boundary before measurement
-    probs = born_distribution(DensityMatrix(rho.matrix, circ.n_wires), data)
-    probs = _readout_flip(probs, nm.p_readout)
-    return probs, data
+    if ns["scheme"] == "hybrid":  # Clifford encoder, Pauli attack: no density matrix
+        probs = pauli_fault_distribution(circ, init, w, data, nm)
+    else:
+        rho = apply(circ, to_density(init), nm)
+        rho = apply(dagger_circuit(circ), attack(rho, w), nm)
+        # the one check of a run's state, at the boundary before measurement
+        probs = born_distribution(DensityMatrix(rho.matrix, circ.n_wires), data)
+    return _readout_flip(probs, nm.p_readout), data
 
 
 def exact_success(spec: dict) -> float:

@@ -369,6 +369,19 @@ def test_entry_point_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_run_help_quotes_the_spec_defaults():
+    # each "(default X)" in `run --help` is what the spec fills in when the
+    # flag is left out
+    run = next(a for a in cli._PARSER._actions if a.dest == "command").choices["run"]
+    helps = {a.dest: a.help for a in run._actions}
+    corr = noise_exp._normalize_spec({"scheme": "corr3"})
+    hyb = noise_exp._normalize_spec({"scheme": "hybrid"})
+    expect = {"w": corr["w"], "rounds": str(corr["rounds"]), "n": str(hyb["n"]),
+              "errors": ",".join(t.lower() for t in hyb["errors"])}
+    for dest, value in expect.items():
+        assert helps[dest].endswith(f"(default {value})"), (dest, helps[dest])
+
+
 def test_invalid_out_path_is_reported(tmp_path, capsys):
     missing_dir = os.path.join(str(tmp_path), "no", "such", "dir", "x.json")
     code, _, err = run_cli(

@@ -171,8 +171,9 @@ def test_hybrid_noiseless_success():
 
 
 def test_folded_pauli_attack_matches_pauli_by_pauli():
-    # the run applies a hybrid Pauli list as one product factor; that must
-    # give the very same numbers as applying each Pauli in turn
+    # the run applies a hybrid Pauli list as one product factor; on the
+    # dense pass that gives the very same numbers as applying each Pauli in
+    # turn, and the run's Pauli-fault engine agrees with both to rounding
     for n, ancilla in ((5, "ry:0.7"), (6, "01")):
         ns = _normalize_spec({"scheme": "hybrid", "n": n, "ancilla": ancilla,
                               "errors": ["x", "y", "z", "y"],
@@ -180,12 +181,15 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         circ, init, w, data = _build_experiment(ns)
         assert np.array_equal(w, attack_factor(ns["errors"]))
         rho = apply(circ, to_density(init), ns["noise"])
+        dec = dagger_circuit(circ)
+        folded = apply(dec, attack(rho, w), ns["noise"])
         for tag in ns["errors"]:
             rho = attack(rho, _PAULI[tag])
-        rho = apply(dagger_circuit(circ), rho, ns["noise"])
+        rho = apply(dec, rho, ns["noise"])
         expect = born_distribution(DensityMatrix(rho.matrix, n), data)
+        assert np.array_equal(born_distribution(DensityMatrix(folded.matrix, n), data), expect)
         probs, _ = _exact_distribution(ns)
-        assert np.array_equal(probs, expect)
+        assert np.abs(probs - expect).max() <= 1e-14
 
 
 def test_preset_noise_regression():

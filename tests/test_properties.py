@@ -8,8 +8,11 @@ u rho u-dagger, an attack is W tensored n times, and a depolarizing kick
 is the three-Pauli sum
 (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s.
 
-The hybrid scheme's success probability cannot increase with gate noise
-or with readout noise up to 0.5, which is checked here too. So is the
+The hybrid scheme's runs go through the Pauli-fault engine, checked here
+against the dense density-matrix pass (encode, attack, decode, Born
+marginal, readout flip). Its success probability cannot increase with gate
+noise or with readout noise up to 0.5, does not depend on the ancilla or
+on the Pauli list, and is the same at widths 2j+1 and 2j+2. So is the
 reporting of a failing property: it must not abort the test session.
 """
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,14 +34,26 @@ from corrqec.circuit import (
     _kicks,
     apply,
     attack,
+    basis_state,
+    born_distribution,
     contract,
+    dagger_circuit,
     partial_trace,
+    pauli_fault_distribution,
     realize,
+    to_density,
 )
 from corrqec.correlated import apply_channel, make_channel
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
+from corrqec.hybrid import encoder_circuit
 from corrqec.linalg import ComplexMatrix, tensor_power
-from corrqec.noise_exp import exact_success
+from corrqec.noise_exp import (
+    _build_experiment,
+    _exact_distribution,
+    _normalize_spec,
+    _readout_flip,
+    exact_success,
+)
 
 _PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -245,20 +261,27 @@ def test_embed_is_the_dense_permutation_product(case):
 
 
 @st.composite
-def hybrid_noise_steps(draw):
-    """A hybrid spec, and a noise model and the same with one of p1, p2 or
-    readout raised (readout stays at most 0.5)."""
-    n = draw(st.integers(3, 6))
+def hybrid_specs(draw, widths):
+    """A hybrid spec without noise: a width, an ancilla (bits, or `ry:` at
+    odd widths) and a Pauli list."""
+    n = draw(st.sampled_from(widths))
     if n % 2:
         ancilla = draw(st.sampled_from(("0", "1")) | angles.map(lambda a: f"ry:{a}"))
     else:
         ancilla = draw(st.sampled_from(("00", "01", "10", "11")))
     errors = draw(st.lists(st.sampled_from("ixyz"), min_size=1, max_size=4))
+    return {"scheme": "hybrid", "n": n, "ancilla": ancilla, "errors": errors}
+
+
+@st.composite
+def hybrid_noise_steps(draw):
+    """A hybrid spec, and a noise model and the same with one of p1, p2 or
+    readout raised (readout stays at most 0.5)."""
+    spec = draw(hybrid_specs(range(3, 7)))
     low = {"p1": draw(probabilities), "p2": draw(probabilities),
            "p_readout": draw(st.floats(0.0, 0.5))}
     key = draw(st.sampled_from(sorted(low)))
     high = dict(low, **{key: draw(st.floats(low[key], 0.5 if key == "p_readout" else 1.0))})
-    spec = {"scheme": "hybrid", "n": n, "ancilla": ancilla, "errors": errors}
     return spec, low, high
 
 
@@ -267,6 +290,118 @@ def hybrid_noise_steps(draw):
 def test_hybrid_success_does_not_increase_with_noise(case):
     spec, low, high = case
     assert exact_success(dict(spec, noise=high)) <= exact_success(dict(spec, noise=low)) + 1e-12
+
+
+def dense_distribution(spec):
+    """A hybrid run's outcome distribution through the density-matrix pass."""
+    ns = _normalize_spec(spec)
+    circ, init, w, data = _build_experiment(ns)
+    rho = apply(circ, to_density(init), ns["noise"])
+    rho = apply(dagger_circuit(circ), attack(rho, w), ns["noise"])
+    probs = born_distribution(DensityMatrix(rho.matrix, circ.n_wires), data)
+    return _readout_flip(probs, ns["noise"].p_readout)
+
+
+@_SETTINGS
+@given(hybrid_specs(range(3, 9)), probabilities, probabilities, probabilities)
+def test_pauli_fault_engine_matches_the_dense_pass(spec, p1, p2, readout):
+    spec = dict(spec, noise={"p1": p1, "p2": p2, "p_readout": readout})
+    probs, _ = _exact_distribution(_normalize_spec(spec))
+    assert np.abs(probs - dense_distribution(spec)).max() <= 1e-14
+
+
+# S, and SH, which cycles X, Z and Y up to signs: unlike the maps of H, S
+# and CNOT on the Paulis, its map is not its own inverse
+_S = Gate("S", ComplexMatrix(np.diag([1, 1j])), 1)
+_SH = Gate("SH", ComplexMatrix(np.diag([1, 1j]) @ H.matrix.array), 1)
+
+
+@st.composite
+def clifford_runs(draw):
+    """A random Clifford circuit, a state whose measured wires are |0...0>
+    and the rest random, a Pauli attack with a phase, and gate noise."""
+    n = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        if n == 1 or draw(st.booleans()):
+            gate, wires = draw(st.sampled_from((H, _S, _SH, X, Y, Z))), (draw(st.integers(0, n - 1)),)
+        else:
+            gate, wires = draw(st.sampled_from((CNOT, controlled(Z, 1)))), draw(st.permutations(range(n)))[:2]
+        gates.append(PlacedGate(gate, tuple(wires)))
+    measured = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    rng = np.random.default_rng(draw(seeds))
+    amps = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).reshape((2,) * n)
+    for q in measured:
+        amps[(slice(None),) * q + (1,)] = 0.0
+    amps = amps.reshape(-1) / np.linalg.norm(amps)
+    w = np.exp(1j * draw(angles)) * draw(st.sampled_from((np.eye(2), *_PAULIS)))
+    nm = NoiseModel(p1=draw(probabilities), p2=draw(probabilities))
+    return Circuit(n, tuple(gates)), StateVector(amps, n), w, measured, nm
+
+
+@_SETTINGS
+@given(clifford_runs())
+def test_pauli_fault_engine_matches_the_dense_pass_on_clifford_circuits(case):
+    # any Clifford circuit and any Pauli, so the attack may flip the readout
+    c, s, w, measured, nm = case
+    rho = apply(c, to_density(s), nm)
+    rho = apply(dagger_circuit(c), attack(rho, w), nm)
+    expect = born_distribution(rho, measured)
+    assert np.abs(pauli_fault_distribution(c, s, w, measured, nm) - expect).max() <= 1e-13
+
+
+def test_pauli_fault_engine_rejects_what_it_cannot_run():
+    zeros = basis_state(3, "000")
+    with pytest.raises(ValueError, match="not Clifford"):
+        pauli_fault_distribution(Circuit(3, (PlacedGate(CNOT, (0, 1)), PlacedGate(ry(0.3), (2,)))),
+                                 zeros, X.matrix, [1, 2])
+    enc = encoder_circuit(3)
+    with pytest.raises(ValueError, match="Pauli"):
+        pauli_fault_distribution(enc, zeros, H.matrix, [1, 2])
+    with pytest.raises(ValueError, match="start in"):
+        pauli_fault_distribution(enc, basis_state(3, "010"), X.matrix, [1, 2])
+    with pytest.raises(ValueError, match="nonempty"):
+        pauli_fault_distribution(enc, zeros, X.matrix, [])
+    # the accepted inputs, for contrast: a phase on the Pauli is allowed
+    probs = pauli_fault_distribution(enc, zeros, 1j * Y.matrix.array, [1, 2], NoiseModel(p1=0.1, p2=0.2))
+    assert abs(probs.sum() - 1.0) <= 1e-15 and probs.min() >= 0.0
+
+
+_LISTS = (["i"], ["x"], ["y"], ["z"], ["x", "y"], ["y", "z"], ["z", "x"], ["x", "y", "z"])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_hybrid_outcomes_do_not_depend_on_ancilla_or_pauli_list(n):
+    # every Pauli attack lands on the ancilla wires, and the ancilla never
+    # reaches the data, so the whole data distribution is one array
+    ancillas = ("0", "1", "ry:0.7", "ry:2.356") if n % 2 else ("00", "01", "10", "11")
+    noise = {"p1": 1e-3, "p2": 1e-2, "p_readout": 1e-2}
+    spec = {"scheme": "hybrid", "n": n, "noise": noise}
+    ref, _ = _exact_distribution(_normalize_spec(spec))
+    for ancilla in ancillas:
+        for errors in _LISTS:
+            got, _ = _exact_distribution(_normalize_spec(dict(spec, ancilla=ancilla, errors=errors)))
+            assert np.array_equal(got, ref)
+    # the dense pass agrees to rounding on every ancilla and every list
+    cases = [dict(spec, ancilla=a, errors=["x", "y"]) for a in ancillas]
+    cases += [dict(spec, ancilla=ancillas[-1], errors=e) for e in _LISTS]
+    for case in cases:
+        assert np.abs(dense_distribution(case) - ref).max() <= 1e-14
+
+
+def test_hybrid_success_is_equal_at_widths_2j_plus_1_and_2j_plus_2():
+    # the extra two-wire stage of an even width touches only its ancilla
+    # wires, so its faults never reach the data
+    rng = np.random.default_rng(13)
+    for p1, p2, readout in rng.random((10, 3)):
+        noise = {"p1": p1, "p2": p2, "p_readout": readout}
+        for j in (1, 2, 3):
+            odd, even = ({"scheme": "hybrid", "n": n, "errors": ["x"], "noise": noise}
+                         for n in (2 * j + 1, 2 * j + 2))
+            assert exact_success(odd) == exact_success(even)
+            dense_odd, dense_even = dense_distribution(odd)[0], dense_distribution(even)[0]
+            assert abs(dense_odd - dense_even) <= 1e-15
+            assert abs(dense_odd - exact_success(odd)) <= 1e-14
 
 
 _FAILING_PROPERTY = """\
