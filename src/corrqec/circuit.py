@@ -18,7 +18,8 @@ superoperator (gate fusion, arXiv:2011.13524), built once per
 (circuit, p1, p2) and cached.
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
-axis pair of a density matrix.
+axis pair of a density matrix; `_all_wire_pauli` applies a Pauli on every
+wire to the columns of an array as the signed permutation it is.
 `pauli_fault_distribution` gives the outcome distribution of encode, attack,
 decode without a density matrix when the circuit is Clifford and the attack a
 Pauli, as in the hybrid scheme: every kick is then a Pauli fault, pushed to
@@ -348,6 +349,34 @@ def attack(s: StateVector | DensityMatrix, w):
 # One wire's Paulis I, X, Y, Z, and their symplectic (x, z) bits.
 _PAULIS = tuple(g.matrix.array for g in (I, X, Y, Z))
 _PAULI_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
+_PHASES = (1, 1j, -1, -1j)
+
+
+def _all_wire_pauli(w, a: np.ndarray) -> np.ndarray:
+    """W on every wire times a, for an array a of 2^n rows: exactly
+    tensor_power(w, n) @ a, in O(a.size), with no 2^n x 2^n matrix.
+
+    w must be exactly i^k X^x Z^z. Then W on n wires is i^(kn) times
+    X^x on every wire, which sends row r to r XOR 1...1, after Z^z on
+    every wire, which signs row r by (-1)^popcount(r). Every factor is 0,
+    +-1 or +-i, so the result is exact. ValueError for any other w."""
+    w = np.asarray(w, dtype=complex)
+    a = np.asarray(a)
+    n = int(a.shape[0]).bit_length() - 1 if a.ndim else -1
+    if a.ndim not in (1, 2) or n < 0 or a.shape[0] != 2**n:
+        raise ValueError(f"the operand needs 2^n rows, got shape {a.shape}")
+    if w.shape == (2, 2):
+        x = int(w[0, 0] == 0)
+        phase = complex(w[x, 0])
+        z = int(w[1 - x, 1] == -phase)
+        if phase in _PHASES and np.array_equal(w, phase * np.diag([1, 1 - 2 * z])[[x, 1 - x]]):
+            src = np.arange(2**n) ^ (2**n - 1 if x else 0)
+            parity = np.zeros(2**n, dtype=np.int64)
+            for b in range(n if z else 0):
+                parity ^= (src >> b) & 1
+            coef = complex(_PHASES[_PHASES.index(phase) * n % 4]) * (1 - 2 * parity)
+            return (coef if a.ndim == 1 else coef[:, None]) * a[src]
+    raise ValueError("w must be exactly a Pauli times a phase in {1, i, -1, -i}")
 
 
 @lru_cache(maxsize=None)  # one entry per gate width
@@ -485,19 +514,23 @@ def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
     return np.maximum(probs, 0.0)  # rounding only
 
 
-def partial_trace(d: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the kept wires, ascending wire order preserved."""
+def partial_trace(d: StateVector | DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state over the kept wires, ascending wire order preserved.
+    A state vector's is M M-dagger, for M its amplitudes with the kept
+    wires as rows, so no density matrix of the whole state is formed."""
     keep = sorted(set(int(w) for w in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if any(w < 0 or w >= d.n_wires for w in keep):
         raise ValueError(f"keep set {keep} out of range for {d.n_wires} wires")
-    n = d.n_wires
+    n, k = d.n_wires, len(keep)
+    if isinstance(d, StateVector):
+        m = np.moveaxis(d.amplitudes.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
+        return DensityMatrix._trusted(m @ m.conj().T, k)
     drop = [w for w in range(n) if w not in keep]
     t = d.matrix.reshape((2,) * (2 * n))
     for w in sorted(drop, reverse=True):
         t = np.trace(t, axis1=w, axis2=w + t.ndim // 2)
-    k = len(keep)
     return DensityMatrix._trusted(t.reshape(2**k, 2**k), k)
 
 

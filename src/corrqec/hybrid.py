@@ -14,6 +14,13 @@ absorbs the error. For odd n the absorbed action is a phase times the same
 Pauli, so any pure ancilla state rides along predictably; for even n it is
 diagonal, so classical basis-state ancillas read back deterministically
 (superposed even-width ancillas are NOT preserved and are rejected).
+
+A Pauli on every wire is a phase times X^x Z^z on every wire, a signed
+permutation of the basis, which `circuit._all_wire_pauli` applies exactly
+to the columns of an array in O(its size); only `error_unitary` writes it
+out as a matrix. So `conjugated_error` is one dense product, P-dagger
+(W P), and `hybrid_protect` keeps the decoded state a vector, reduced to
+the data and ancilla wires by `partial_trace` without forming rho.
 """
 from __future__ import annotations
 
@@ -26,15 +33,14 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
+    _all_wire_pauli,
     _integer,
-    attack,
     basis_state,
     fidelity,
     partial_trace,
     tensor,
 )
 from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry
-from .linalg import tensor_power
 
 _PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
 PAULI_TAGS = tuple(_PAULI)
@@ -118,7 +124,12 @@ class HybridEncoder:
 
 def encoder_circuit(n: int) -> Circuit:
     """The CNOT/H encoder circuit alone, without building its matrix."""
-    n = _check_width(n)
+    return _encoder_circuit(_check_width(n))
+
+
+@cache
+def _encoder_circuit(n: int) -> Circuit:
+    """The encoder circuit, built once per width and shared (it is immutable)."""
     return Circuit(n, tuple(_circuit_gates(n)))
 
 
@@ -146,7 +157,7 @@ def data_wires(n: int) -> tuple[int, ...]:
 def error_unitary(n: int, tag: str) -> np.ndarray:
     """The attack: one Pauli applied to every wire simultaneously."""
     n = _check_width(n)
-    return tensor_power(_PAULI[normalize_tag(tag)], n)
+    return _all_wire_pauli(_PAULI[normalize_tag(tag)], np.eye(2**n, dtype=complex))
 
 
 def attack_factor(tags) -> np.ndarray:
@@ -163,11 +174,32 @@ def attack_factor(tags) -> np.ndarray:
     return w
 
 
+def _conjugate(n: int, w) -> np.ndarray:
+    """P-dagger (w on every wire) P, for a Pauli w up to a phase in
+    {1, i, -1, -i}: one dense product, as w on every wire is exact."""
+    p = _matrix_rec(n)
+    return p.conj().T @ _all_wire_pauli(w, p)
+
+
 def conjugated_error(n: int, tag: str) -> np.ndarray:
     """Decode-side view of an attack: P-dagger (W tensored n times) P."""
     n = _check_width(n)
-    p = _matrix_rec(n)
-    return p.conj().T @ error_unitary(n, tag) @ p
+    return _conjugate(n, _PAULI[normalize_tag(tag)])
+
+
+def factor_residual(n: int, conjugated: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ancilla-side factor A of a conjugated attack C, and the largest
+    entry of |C - A tensor identity-on-data|, taken block by block: A is
+    the top-left entry of each data-sized block."""
+    n = _check_width(n)
+    k = 2 ** len(ancilla_wires(n))
+    d = 2**n // k
+    c = np.asarray(conjugated)
+    if c.shape != (2**n, 2**n):
+        raise ValueError(f"conjugated attack must be {2**n}x{2**n}, got shape {c.shape}")
+    blocks = c.reshape(k, d, k, d)
+    a = blocks[:, 0, :, 0].copy()
+    return a, float(np.abs(blocks - a[:, None, :, None] * np.eye(d)[None, :, None, :]).max())
 
 
 def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
@@ -177,14 +209,8 @@ def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
     the factorization fails (it never should for Pauli attacks, and a
     failure here means the encoder construction is wrong).
     """
-    n = _check_width(n)
-    k = len(ancilla_wires(n))
-    d = 2 ** (n - k)
-    c = np.asarray(conjugated)
-    if c.shape != (2**n, 2**n):
-        raise ValueError(f"conjugated attack must be {2**n}x{2**n}, got shape {c.shape}")
-    a = c[::d, ::d].copy()
-    if np.abs(c - np.kron(a, np.eye(d))).max() > 1e-10:
+    a, residual = factor_residual(n, conjugated)
+    if residual > 1e-10:
         raise ValueError("conjugated attack does not factor as ancilla block tensor identity")
     return a
 
@@ -267,13 +293,12 @@ def hybrid_protect(
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
-    out = p.conj().T @ attack(StateVector(p @ full.amplitudes, n), factor).amplitudes
-    rho = DensityMatrix._trusted(np.outer(out, out.conj()), n)
+    out = StateVector(p.conj().T @ _all_wire_pauli(factor, p @ full.amplitudes), n)
 
-    fid_data = 1.0 if data is None else fidelity(partial_trace(rho, list(dw)), data)
+    fid_data = 1.0 if data is None else fidelity(partial_trace(out, list(dw)), data)
 
     if n % 2 == 0:
-        red = partial_trace(rho, [0, 1]).matrix
+        red = partial_trace(out, [0, 1]).matrix
         diag = np.real(np.diag(red))
         idx = int(np.argmax(diag))
         readback = format(idx, "02b")
@@ -288,9 +313,9 @@ def hybrid_protect(
             preserved_with_certainty=bool(exact and readback == anc),
         )
     else:
-        block = ancilla_block(n, p.conj().T @ tensor_power(factor, n) @ p)
+        block = ancilla_block(n, _conjugate(n, factor))
         expected = StateVector(block @ anc_state.amplitudes, 1)
-        red = partial_trace(rho, [0])
+        red = partial_trace(out, [0])
         report = AncillaReport(
             n_qubits=n,
             reduced_state=red,

@@ -40,6 +40,18 @@ def test_check(name, check):
     assert elapsed < BUDGET_S, f"{name}: runtime {elapsed:.2f}s exceeds budget {BUDGET_S}s"
 
 
+def test_hybrid_proofs_report_exact_zeros():
+    # the hybrid encoders and their conjugated attacks are exact: both
+    # details print a deviation of exactly zero, not a rounding residual
+    checks = dict(cli.CHECKS)
+    assert checks["hybrid circuits realize their matrices"]() == (
+        "n=2..8 exact (max deviation 0.000e+00, identity wire order)"
+    )
+    assert checks["hybrid conjugated attacks are identity on data"]() == (
+        "all attacks factor off the data wires (residual 0.000e+00)"
+    )
+
+
 def _within(budget_s: float, body) -> None:
     t0 = time.perf_counter()
     body()

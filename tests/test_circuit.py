@@ -185,11 +185,14 @@ def test_partial_trace_product_state():
 
 
 def test_partial_trace_validation():
-    rho = to_density(basis_state(2, "00"))
-    with pytest.raises(ValueError):
-        partial_trace(rho, [])
-    with pytest.raises(ValueError):
-        partial_trace(rho, [5])
+    # a state vector and its density matrix fail the same way
+    s = basis_state(2, "00")
+    for state in (to_density(s), s):
+        with pytest.raises(ValueError, match="nonempty"):
+            partial_trace(state, [])
+        for bad in ([5], [-1], [0, 2]):
+            with pytest.raises(ValueError, match=r"out of range for 2 wires"):
+                partial_trace(state, bad)
 
 
 def test_born_distribution_bit_order():

@@ -8,6 +8,7 @@ from corrqec.gates import ry
 from corrqec.hybrid import (
     MAX_QUBITS,
     MIN_QUBITS,
+    PAULI_TAGS,
     _matrix_rec,
     ancilla_block,
     ancilla_wires,
@@ -16,6 +17,7 @@ from corrqec.hybrid import (
     data_wires,
     encoder_circuit,
     error_unitary,
+    factor_residual,
     hybrid_encoder,
     hybrid_protect,
     normalize_tag,
@@ -23,7 +25,7 @@ from corrqec.hybrid import (
     p3_matrix,
     parse_ancilla,
 )
-from corrqec.linalg import ComplexMatrix, is_unitary, max_abs_diff
+from corrqec.linalg import ComplexMatrix, is_unitary, max_abs_diff, tensor_power
 
 # Expected ancilla-side action of each collective Pauli attack after
 # decoding, as (phase, operator word) with one letter per ancilla wire.
@@ -122,7 +124,7 @@ def test_encoder_circuit_and_shared_encoder_matrix():
     _matrix_rec.cache_clear()
     for n in range(MIN_QUBITS, MAX_QUBITS + 1):
         assert not _matrix_rec(n).flags.writeable
-        assert encoder_circuit(n) == hybrid_encoder(n).circuit
+        assert encoder_circuit(n) is hybrid_encoder(n).circuit
 
 
 def test_width_limits():
@@ -140,7 +142,7 @@ def test_width_limits():
         with pytest.raises(ValueError, match="register width"):
             encoder_circuit(bad)
     assert hybrid_encoder(np.int64(3)).n_qubits == 3
-    assert encoder_circuit(np.int64(4)) == encoder_circuit(4)
+    assert encoder_circuit(np.int64(4)) is encoder_circuit(4)
 
 
 def test_wire_split():
@@ -161,6 +163,26 @@ def test_normalize_tag():
 def test_error_unitary():
     got = error_unitary(3, "y")
     assert np.abs(got - pauli_word("YYY")).max() == 0.0
+
+
+def test_conjugated_error_is_the_dense_conjugation():
+    for n in range(MIN_QUBITS, MAX_QUBITS + 1):
+        p = hybrid_encoder(n).matrix
+        for tag in PAULI_TAGS:
+            dense = p.conj().T @ tensor_power(_P1[tag], n) @ p
+            assert np.abs(conjugated_error(n, tag) - dense).max() <= 1e-15
+
+
+def test_factor_residual_is_the_kron_residual():
+    # the blockwise residual is the largest entry of |C - A (x) I|, for
+    # conjugated attacks and for matrices that do not factor
+    rng = np.random.default_rng(7)
+    for n in range(MIN_QUBITS, MAX_QUBITS + 1):
+        d = 2 ** (n - len(ancilla_wires(n)))
+        for c in (conjugated_error(n, "Y"), hybrid_encoder(n).matrix, rng.normal(size=(2**n, 2**n))):
+            a, residual = factor_residual(n, c)
+            assert np.array_equal(a, c[::d, ::d])
+            assert residual == np.abs(c - np.kron(a, np.eye(d))).max()
 
 
 def test_conjugated_identity_is_identity():

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from functools import reduce
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from corrqec.circuit import (
     DensityMatrix,
     NoiseModel,
     StateVector,
+    _all_wire_pauli,
     _kicks,
     apply,
     attack,
@@ -202,6 +205,47 @@ def test_attack_is_the_dense_tensor_power(n, seed):
     rho = random_density(rng, n)
     got = attack(DensityMatrix(rho, n), w).matrix
     assert np.abs(got - wn @ rho @ wn.conj().T).max() <= 1e-13
+
+
+@_SETTINGS
+@given(st.integers(1, 8), st.lists(st.integers(0, 3), max_size=4), st.integers(0, 3),
+       st.integers(0, 3), seeds)
+def test_all_wire_pauli_is_the_dense_tensor_power(n, word, k, cols, seed):
+    # a phased product of 0-4 Paulis on every wire, by index arithmetic,
+    # against the dense W tensored n times times a vector (cols = 0) or a
+    # matrix, bit for bit
+    paulis = (np.eye(2, dtype=complex), *_PAULIS)
+    w = (1, 1j, -1, -1j)[k] * reduce(np.matmul, [paulis[i] for i in word], paulis[0])
+    rng = np.random.default_rng(seed)
+    shape = (2**n, cols) if cols else (2**n,)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.array_equal(_all_wire_pauli(w, a), tensor_power(w, n) @ a)
+
+
+def test_all_wire_pauli_rejects_anything_but_a_phased_pauli():
+    for w in (H.matrix.array, ry(0.3).matrix.array, 2 * X.matrix.array,
+              np.exp(0.1j) * Z.matrix.array, np.eye(4)):
+        with pytest.raises(ValueError, match="Pauli"):
+            _all_wire_pauli(w, np.ones(4, dtype=complex))
+    for a in (np.ones(3), np.ones((6, 2)), np.ones((2, 2, 2)), np.array(1.0)):
+        with pytest.raises(ValueError, match="2\\^n rows"):
+            _all_wire_pauli(X.matrix.array, a)
+
+
+@_SETTINGS
+@given(st.integers(1, 6), seeds)
+def test_partial_trace_of_a_vector_is_that_of_its_density(n, seed):
+    # M M-dagger of the reshaped amplitudes against the traced-out outer
+    # product, over every keep set
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    s = StateVector(v / np.linalg.norm(v), n)
+    rho = to_density(s)
+    for k in range(1, n + 1):
+        for keep in combinations(range(n), k):
+            got = partial_trace(s, keep)
+            assert got.n_wires == k
+            assert np.abs(got.matrix - partial_trace(rho, keep).matrix).max() <= 1e-15
 
 
 @st.composite
