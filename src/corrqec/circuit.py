@@ -26,7 +26,9 @@ Pauli, as in the hybrid scheme: every kick is then a Pauli fault, pushed to
 the output on GF(2) bits once per circuit (`_faults`), and a run costs
 O(faults x 2^m) for m measured wires. Hybrid runs take this path; the
 correlated schemes, whose encoders are not Clifford, take `apply`, which is
-also the tests' reference for the fault engine.
+also the tests' reference for the fault engine. `_conjugated_pauli` carries
+one all-wire Pauli back through a Clifford circuit by the same step
+(`_carry_back`), which is how `verify` proves the hybrid factorization.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -394,8 +396,10 @@ def _pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pauli_bits(ops: np.ndarray) -> np.ndarray:
     """The symplectic bits of each matrix in a (g, 2^k, 2^k) stack, one row
-    each; ValueError unless every matrix is a Pauli up to phase within 1e-12,
-    a Gate's tolerance."""
+    each; ValueError unless every matrix is finite and a Pauli up to phase
+    within 1e-12, a Gate's tolerance."""
+    if not np.isfinite(ops).all():
+        raise ValueError("not a Pauli up to phase: entries must be finite")
     k = int(np.log2(ops.shape[-1]))
     stack, bits = _pauli_basis(k)
     weight = np.abs(np.einsum("pij,gij->gp", stack.conj(), ops)) / 2**k  # |Tr(P-dagger A)| / 2^k
@@ -419,6 +423,13 @@ def _symplectic(gate: Gate) -> np.ndarray:
         raise ValueError(f"gate {gate.name!r} is not Clifford: it maps a Pauli to a non-Pauli") from None
     s.setflags(write=False)
     return s
+
+
+def _carry_back(b: np.ndarray, pg: PlacedGate, n: int) -> None:
+    """Carry the Paulis in b, the rows of x bits then z bits of n wires,
+    back across the gate: P -> g-dagger P g, in place."""
+    rows = list(pg.wires) + [n + w for w in pg.wires]
+    b[rows] = _symplectic(pg.gate) @ b[rows] % 2
 
 
 @lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires)
@@ -454,8 +465,7 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
                 x, z = b[w], b[n + w]
                 flips.append(np.array([z, x ^ z, x]))  # X, Y, Z
                 arities.append(pg.gate.arity)
-            rows = list(pg.wires) + [n + w for w in pg.wires]
-            b[rows] = _symplectic(pg.gate) @ b[rows] % 2
+            _carry_back(b, pg, n)
 
     back(dagger_circuit(c).gates)
     top = 1 << np.arange(m - 1, -1, -1)  # measured[0] is the top bit
@@ -468,6 +478,21 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
     sums.setflags(write=False)
     walsh.setflags(write=False)
     return tuple(arities), sums, walsh, attack_flips
+
+
+def _conjugated_pauli(c: Circuit, w) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bits, one per wire, of c-dagger (w on every wire) c for
+    a 2x2 Pauli w up to phase: w carried back across the gates, last gate
+    first. The phase is dropped. ValueError if w is not a Pauli up to
+    phase or a gate of c is not Clifford."""
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (2, 2):
+        raise ValueError("w must be a 2x2 matrix")
+    n = c.n_wires
+    b = np.repeat(_pauli_bits(w[None])[0].astype(np.int64), n)
+    for pg in reversed(c.gates):
+        _carry_back(b, pg, n)
+    return b[:n], b[n:]
 
 
 def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,

@@ -15,12 +15,16 @@ Pauli, so any pure ancilla state rides along predictably; for even n it is
 diagonal, so classical basis-state ancillas read back deterministically
 (superposed even-width ancillas are NOT preserved and are rejected).
 
-A Pauli on every wire is a phase times X^x Z^z on every wire, a signed
-permutation of the basis, which `circuit._all_wire_pauli` applies exactly
-to the columns of an array in O(its size); only `error_unitary` writes it
-out as a matrix. So `conjugated_error` is one dense product, P-dagger
-(W P), and `hybrid_protect` keeps the decoded state a vector, reduced to
-the data and ancilla wires by `partial_trace` without forming rho.
+`verify` proves the factorization on GF(2) bits: the encoder circuit is
+CNOT/H, so `circuit._conjugated_pauli` carries each attack back through it
+gate by gate, and no bit may land on a data wire. The dense matrices stay
+as the reference. A Pauli on every wire is a phase times X^x Z^z on every
+wire, a signed permutation of the basis, which `circuit._all_wire_pauli`
+applies exactly to the columns of an array in O(its size); only
+`error_unitary` writes it out as a matrix. Every P_n is real, so P-dagger
+is its transpose, and `conjugated_error` is one dense product, P^T (W P).
+`hybrid_protect` keeps the decoded state a vector, reduced to the data and
+ancilla wires by `partial_trace` without forming rho.
 """
 from __future__ import annotations
 
@@ -95,20 +99,22 @@ def _matrix_rec(n: int) -> np.ndarray:
     return m
 
 
-def _shift(gates, offset: int):
-    return [PlacedGate(pg.gate, tuple(w + offset for w in pg.wires)) for pg in gates]
+_TWO = ((CNOT, (1, 0)), (H, (1,)), (CNOT, (1, 0)))
+_THREE = ((CNOT, (0, 1)), (CNOT, (2, 0)), (CNOT, (1, 2)))
 
 
 def _circuit_gates(n: int) -> list[PlacedGate]:
-    two = [PlacedGate(CNOT, (1, 0)), PlacedGate(H, (1,)), PlacedGate(CNOT, (1, 0))]
-    three = [PlacedGate(CNOT, (0, 1)), PlacedGate(CNOT, (2, 0)), PlacedGate(CNOT, (1, 2))]
-    if n == 2:
-        return two
-    if n == 3:
-        return three
-    if n % 2 == 0:
-        return two + _shift(_circuit_gates(n - 1), 1)
-    return three + _shift(_circuit_gates(n - 2), 2)
+    """The width-n encoder's gates: for even n the two-wire stage on wires
+    0..1, then the width n-1 encoder on wires 1..n-1; for odd n the
+    three-wire stage on wires 0..2, then the width n-2 encoder on wires
+    2..n-1; unrolled down to width 2 or 3."""
+    gates, offset = [], 0
+    while True:
+        stage, step = (_TWO, 1) if n % 2 == 0 else (_THREE, 2)
+        gates += [PlacedGate(g, tuple(w + offset for w in wires)) for g, wires in stage]
+        if n <= 3:
+            return gates
+        n, offset = n - step, offset + step
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +182,10 @@ def attack_factor(tags) -> np.ndarray:
 
 def _conjugate(n: int, w) -> np.ndarray:
     """P-dagger (w on every wire) P, for a Pauli w up to a phase in
-    {1, i, -1, -i}: one dense product, as w on every wire is exact."""
+    {1, i, -1, -i}: one dense product, as w on every wire is exact. P is
+    real, so P-dagger is its transpose, a view."""
     p = _matrix_rec(n)
-    return p.conj().T @ _all_wire_pauli(w, p)
+    return p.T @ _all_wire_pauli(w, p)
 
 
 def conjugated_error(n: int, tag: str) -> np.ndarray:
@@ -293,7 +300,7 @@ def hybrid_protect(
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
-    out = StateVector(p.conj().T @ _all_wire_pauli(factor, p @ full.amplitudes), n)
+    out = StateVector(p.T @ _all_wire_pauli(factor, p @ full.amplitudes), n)
 
     fid_data = 1.0 if data is None else fidelity(partial_trace(out, list(dw)), data)
 

@@ -16,6 +16,7 @@ import pytest
 
 from corrqec import cli, correlated, hybrid, noise_exp
 from corrqec.circuit import (
+    Circuit,
     StateVector,
     basis_state,
     fidelity,
@@ -50,6 +51,25 @@ def test_hybrid_proofs_report_exact_zeros():
     assert checks["hybrid conjugated attacks are identity on data"]() == (
         "all attacks factor off the data wires (residual 0.000e+00)"
     )
+
+
+@pytest.mark.parametrize("dropped", range(12))
+def test_hybrid_conjugation_fails_on_a_broken_encoder(monkeypatch, dropped):
+    # the check proves the circuit it is given: without any one gate past
+    # the width-8 encoder's first stage, some attack reaches a data wire,
+    # and the failure names n and the tag. The first stage (gates 0-2)
+    # acts only on the ancilla wires, so without one of its gates the
+    # attacks still factor.
+    circuit8 = hybrid.encoder_circuit(8)
+    broken = Circuit(8, circuit8.gates[:dropped] + circuit8.gates[dropped + 1:])
+    real = hybrid.encoder_circuit
+    monkeypatch.setattr(hybrid, "encoder_circuit", lambda n: broken if n == 8 else real(n))
+    check = dict(cli.CHECKS)["hybrid conjugated attacks are identity on data"]
+    if dropped < 3:
+        check()
+    else:
+        with pytest.raises(AssertionError, match=r"n=8 tag=[XYZ]: .* data wires \[\d"):
+            check()
 
 
 def _within(budget_s: float, body) -> None:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from corrqec.circuit import StateVector, basis_state, realize
+from corrqec.circuit import StateVector, _conjugated_pauli, _pauli_bits, basis_state, realize
 from corrqec.gates import ry
 from corrqec.hybrid import (
     MAX_QUBITS,
     MIN_QUBITS,
     PAULI_TAGS,
+    _encoder_circuit,
     _matrix_rec,
     ancilla_block,
     ancilla_wires,
@@ -200,6 +203,47 @@ def test_conjugation_table():
             a = ancilla_block(n, c)
             assert max_abs_diff(a, phase * pauli_word(word)) < 1e-10
             assert np.abs(c - np.kron(a, np.eye(d))).max() < 1e-10
+
+
+def test_encoder_matrices_are_real():
+    # so P-dagger is P transposed, and no conjugate copy is needed
+    for n in range(MIN_QUBITS, MAX_QUBITS + 1):
+        assert not _matrix_rec(n).imag.any()
+
+
+def test_conjugated_pauli_is_the_dense_ancilla_block():
+    """The GF(2) proof of `verify` against the dense reference: the decoded
+    attack's ancilla bits are those of `ancilla_block`, its data bits are
+    zero, and at even n it has no x bit (it is Z-type), which is why the
+    ancilla bits read back deterministically."""
+    for n in range(MIN_QUBITS, MAX_QUBITS + 1):
+        anc, dw = list(ancilla_wires(n)), list(data_wires(n))
+        for tag in ("X", "Y", "Z"):
+            x, z = _conjugated_pauli(encoder_circuit(n), _P1[tag])
+            block = ancilla_block(n, conjugated_error(n, tag))
+            assert np.array_equal(np.concatenate([x[anc], z[anc]]), _pauli_bits(block[None])[0])
+            assert not x[dw].any() and not z[dw].any()
+            assert n % 2 or not x.any()
+
+
+# The decoded attack's ancilla bits, (x bits, z bits) on the ancilla wires,
+# as CONJUGATION_TABLE gives them for n <= 8: the same Pauli on wire 0 at
+# odd n, a Z-type word on wires 0..1 at even n.
+_ODD_BITS = {"X": ((1,), (0,)), "Y": ((1,), (1,)), "Z": ((0,), (1,))}
+_EVEN_BITS = {"X": ((0, 0), (0, 1)), "Y": ((0, 0), (1, 0)), "Z": ((0, 0), (1, 1))}
+
+
+def test_conjugated_attacks_stay_off_the_data_up_to_256_wires():
+    # the `verify` proof past MAX_QUBITS, through the uncapped circuit
+    t0 = time.process_time()
+    for n in (*range(9, 65), 255, 256):
+        k, bits = (1, _ODD_BITS) if n % 2 else (2, _EVEN_BITS)
+        for tag in ("X", "Y", "Z"):
+            x, z = _conjugated_pauli(_encoder_circuit(n), _P1[tag])
+            assert (tuple(x[:k]), tuple(z[:k])) == bits[tag], (n, tag)
+            assert not x[k:].any() and not z[k:].any(), (n, tag)
+    elapsed = time.process_time() - t0
+    assert elapsed < 1.0, f"{elapsed:.2f} s of CPU time"
 
 
 def test_ancilla_block_rejects_entangling_input():

@@ -34,6 +34,7 @@ from corrqec.circuit import (
     NoiseModel,
     StateVector,
     _all_wire_pauli,
+    _conjugated_pauli,
     _kicks,
     apply,
     attack,
@@ -406,6 +407,12 @@ def test_pauli_fault_engine_rejects_what_it_cannot_run():
         pauli_fault_distribution(enc, basis_state(3, "010"), X.matrix, [1, 2])
     with pytest.raises(ValueError, match="nonempty"):
         pauli_fault_distribution(enc, zeros, X.matrix, [])
+    # a NaN compares false with every tolerance, so it is rejected first
+    for w in (np.full((2, 2), np.nan), np.array([[np.nan, 0], [0, 1]])):
+        with pytest.raises(ValueError, match="Pauli"):
+            pauli_fault_distribution(enc, zeros, w, [1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            _conjugated_pauli(enc, w)
     # the accepted inputs, for contrast: a phase on the Pauli is allowed
     probs = pauli_fault_distribution(enc, zeros, 1j * Y.matrix.array, [1, 2], NoiseModel(p1=0.1, p2=0.2))
     assert abs(probs.sum() - 1.0) <= 1e-15 and probs.min() >= 0.0
