@@ -3,6 +3,10 @@
 Circuits are time-ordered gate lists (gates[0] acts first). Every gate goes
 through one kernel, `contract`: states are tensors with a length-2 axis per
 wire (rows, then columns), and a gate touches only its axes (arXiv:1802.08032).
+The one exception is `realize`, the full unitary of a circuit: a gate whose
+matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so it
+composes into a pending row index in O(2^n), and the 2^n x 2^n matrix is
+gathered by that index once before the next dense gate.
 States are checked where they enter the package; the images of checked states
 under a unitary or CPTP map are trusted and built without checks.
 
@@ -223,13 +227,56 @@ def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), axes)), range(k), axes)
 
 
+@lru_cache(maxsize=64)  # a few gate types per circuit
+def _permutation(gate: Gate) -> np.ndarray | None:
+    """For a gate whose matrix is a permutation matrix, every entry exactly
+    0 or 1 and one 1 in each row and column, the read-only array src with
+    g[i, src[i]] = 1, so the gate sends basis state src[i] to i. None for
+    any other gate, however close to one it is."""
+    g = gate.matrix.array
+    ones = g == 1
+    if not (ones | (g == 0)).all() or not (ones.sum(axis=0) == 1).all() or not (ones.sum(axis=1) == 1).all():
+        return None
+    src = ones.argmax(axis=1)
+    src.setflags(write=False)
+    return src
+
+
+def _gather(t: np.ndarray, src: np.ndarray, axes) -> np.ndarray:
+    """A permutation gate on the given axes of a (2,...,2) tensor, as
+    `contract` would apply it: the entry at index i of those axes comes
+    from index src[i]. An exact copy, with no arithmetic."""
+    k = len(axes)
+    moved = np.moveaxis(t, axes, range(k))
+    shape = moved.shape
+    return np.moveaxis(moved.reshape((2**k,) + shape[k:])[src].reshape(shape), range(k), axes)
+
+
 def realize(c: Circuit) -> np.ndarray:
-    """Full unitary of the circuit: later gates multiply from the left."""
-    n = c.n_wires
-    t = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
+    """Full unitary of the circuit: later gates multiply from the left.
+
+    A permutation gate (`_permutation`: CNOT, X, an open-control X, a
+    Toffoli) moves rows, so it is not contracted. Each one composes in
+    O(2^n) into a pending row index, and the 2^n x 2^n matrix is gathered
+    by that index once, before the next dense gate and at the end. Only
+    dense gates go through `contract`. A gather moves entries without
+    arithmetic, and `contract` of a 0/1 matrix adds only products with
+    zero to the entry it selects, so every entry equals that of
+    contracting every gate bit for bit, except that such a sum can turn
+    a -0.0 into +0.0 where the gather keeps it."""
+    n, d = c.n_wires, 2**c.n_wires
+    t = np.eye(d, dtype=complex).reshape((2,) * (2 * n))
+    rows = None  # pending gather: row i of the result is row rows[i] of t
     for pg in c.gates:
+        src = _permutation(pg.gate)
+        if src is not None:
+            rows = _gather(np.arange(d).reshape((2,) * n) if rows is None else rows, src, pg.wires)
+            continue
+        if rows is not None:
+            t, rows = t.reshape(d, d)[rows.reshape(-1)].reshape(t.shape), None
         t = contract(t, pg.gate.matrix.array, pg.wires)
-    return t.reshape(2**n, 2**n)
+    t = t.reshape(d, d)
+    return t if rows is None else t[rows.reshape(-1)]
 
 
 @lru_cache(maxsize=64)  # a run decodes through one circuit; a sweep reuses it

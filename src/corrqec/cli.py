@@ -173,15 +173,24 @@ def _hybrid_conjugation() -> str:
 
 
 def _hybrid_readback() -> str:
+    # The decoded attack is X^x Z^z up to phase (`_conjugated_pauli`), so
+    # it sends the input |b, 0...0> to the basis state |b XOR x>: the bits
+    # b read back as b XOR (x_0 x_1) with certainty, and the data input
+    # |0...0> keeps fidelity 1 exactly when no x bit lands on a data wire.
+    # One dense `hybrid_protect` per width cross-checks the matrix path.
     for n in (4, 6, 8):
-        dw = len(hybrid.data_wires(n))
-        data = basis_state(dw, "0" * dw)
-        for bits in ("00", "01", "10", "11"):
-            for tag in ("X", "Y", "Z"):
-                fid, rep = hybrid.hybrid_protect(n, data, bits, [tag])
-                _require(fid >= 1 - 1e-10, f"n={n} bits={bits} tag={tag} data fidelity {fid}")
-                _require(rep.preserved_with_certainty,
-                         f"n={n} bits={bits} tag={tag} readback {rep.readback_bits}")
+        dw = hybrid.data_wires(n)
+        data = basis_state(len(dw), "0" * len(dw))
+        for tag in ("X", "Y", "Z"):
+            x, _ = _conjugated_pauli(hybrid.encoder_circuit(n), hybrid.attack_factor([tag]))
+            flipped = [w for w in dw if x[w]]
+            for bits in ("00", "01", "10", "11"):
+                _require(not flipped, f"n={n} bits={bits} tag={tag} data fidelity 0 (flips data wires {flipped})")
+                readback = format(int(bits, 2) ^ (2 * int(x[0]) + int(x[1])), "02b")
+                _require(readback == bits, f"n={n} bits={bits} tag={tag} readback {readback}")
+        fid, rep = hybrid.hybrid_protect(n, data, "11", ["Y"])
+        _require(fid >= 1 - 1e-10, f"n={n} bits=11 tag=Y data fidelity {fid}")
+        _require(rep.preserved_with_certainty, f"n={n} bits=11 tag=Y readback {rep.readback_bits}")
     return "n=4,6,8: all four bit pairs survive X, Y, Z"
 
 
@@ -253,7 +262,10 @@ def _parse_noise(text: str) -> dict:
             key = "p_readout"
         if key in out:
             raise ValueError(f"noise parameter {key!r} given more than once")
-        out[key] = float(val)
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ValueError(f"noise parameter {key!r}: {val.strip()!r} is not a number") from None
     return out
 
 
@@ -291,6 +303,13 @@ def cmd_run(args) -> int:
 _DUMP_CIRCUITS = {"standard3": "corr3", "basic3": "corr3-basic", "corr5": "corr5"}
 
 
+def _dump_width(what: str, width: str) -> int:
+    try:
+        return int(width)
+    except ValueError:
+        raise ValueError(f"dump target {what!r}: width {width!r} is not an integer") from None
+
+
 def _dump_text(what: str) -> str:
     w = what.strip().lower()
     if w == "u":
@@ -302,13 +321,13 @@ def _dump_text(what: str) -> str:
     if w == "p3":
         return matrix_to_text(hybrid.p3_matrix())
     if w.startswith("pn:"):
-        return matrix_to_text(hybrid.hybrid_encoder(int(w[3:])).matrix)
+        return matrix_to_text(hybrid.hybrid_encoder(_dump_width(what, w[3:])).matrix)
     if w.startswith("circuit:"):
         name = w[8:]
         if name in _DUMP_CIRCUITS:
             return circuit_to_text(noise_exp._CORRELATED[_DUMP_CIRCUITS[name]]())
         if name.startswith("hybrid"):
-            return circuit_to_text(hybrid.hybrid_encoder(int(name[6:])).circuit)
+            return circuit_to_text(hybrid.hybrid_encoder(_dump_width(what, name[6:])).circuit)
         raise ValueError(f"unknown circuit {name!r}")
     raise ValueError(f"unknown dump target {what!r}")
 

@@ -39,7 +39,7 @@ from .circuit import (
     tensor,
     to_density,
 )
-from .gates import CNOT, Gate, H, I, PlacedGate, X, Y, Z, controlled, ry, ry_x, x_ry
+from .gates import CNOT, Gate, H, I, PlacedGate, X, Y, Z, controlled, ry, ry_from_text, ry_x, x_ry
 from .linalg import ComplexMatrix, is_unitary, tensor_power
 
 _S13 = np.sqrt(1.0 / 3.0)
@@ -289,7 +289,7 @@ def atom_from_selector(sel: str) -> np.ndarray:
     if s in _NAMED_ATOMS:
         return _NAMED_ATOMS[s].matrix.array
     if s.startswith("ry:"):
-        return ry(float(s[3:])).matrix.array
+        return ry_from_text(sel, "attack selector").matrix.array
     if s.startswith("matrix:"):
         try:
             rows = [[complex(re, im) for re, im in row] for row in json.loads(sel.strip()[7:])]

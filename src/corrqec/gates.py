@@ -83,6 +83,17 @@ def ry(alpha: float) -> Gate:
     return _gate(f"RY({a!r})", [[c, -s], [s, c]])
 
 
+def ry_from_text(selector: str, what: str) -> Gate:
+    """ry(alpha) for a selector 'ry:<alpha>'; a ValueError naming `what`,
+    the selector and the angle if alpha is not a number."""
+    angle = selector.strip()[3:]
+    try:
+        alpha = float(angle)
+    except ValueError:
+        raise ValueError(f"{what} {selector!r}: angle {angle!r} is not a number") from None
+    return ry(alpha)
+
+
 def ry_x(alpha: float) -> Gate:
     """Flip then rotate: matrix ry(alpha) @ X, drawn as one box in circuits."""
     return _gate(f"RYX({float(alpha)!r})", ry(alpha).matrix.array @ X.matrix.array)

@@ -17,8 +17,9 @@ diagonal, so classical basis-state ancillas read back deterministically
 
 `verify` proves the factorization on GF(2) bits: the encoder circuit is
 CNOT/H, so `circuit._conjugated_pauli` carries each attack back through it
-gate by gate, and no bit may land on a data wire. The dense matrices stay
-as the reference. A Pauli on every wire is a phase times X^x Z^z on every
+gate by gate, and no bit may land on a data wire. The even-width readback
+is read off the same bits: the x bits on the two ancilla wires are the
+bits the attack flips. The dense matrices stay as the reference. A Pauli on every wire is a phase times X^x Z^z on every
 wire, a signed permutation of the basis, which `circuit._all_wire_pauli`
 applies exactly to the columns of an array in O(its size); only
 `error_unitary` writes it out as a matrix. Every P_n is real, so P-dagger
@@ -44,7 +45,7 @@ from .circuit import (
     partial_trace,
     tensor,
 )
-from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry
+from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry_from_text
 
 _PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
 PAULI_TAGS = tuple(_PAULI)
@@ -172,8 +173,11 @@ def attack_factor(tags) -> np.ndarray:
     Every attack is one Pauli on all wires, so the sequence folds to the
     product of its Paulis on every wire. Pauli entries are 0, +-1 and +-i,
     so the product is exact, and applying it once gives the same numbers
-    as applying the Paulis one by one.
+    as applying the Paulis one by one. A bare string is rejected rather
+    than read as one tag per character.
     """
+    if isinstance(tags, str):
+        raise ValueError(f"attack tags must be a list of tags, got the string {tags!r}")
     w = _PAULI["I"]
     for t in tags:
         w = _PAULI[normalize_tag(t)] @ w
@@ -271,7 +275,7 @@ def parse_ancilla(n: int, selector) -> StateVector | str:
     if s in ("0", "1"):
         return basis_state(1, s)
     if s.lower().startswith("ry:"):
-        amps = ry(float(s[3:])).matrix.array @ np.array([1.0, 0.0], dtype=complex)
+        amps = ry_from_text(s, "ancilla").matrix.array @ np.array([1.0, 0.0], dtype=complex)
         return StateVector(amps, 1)
     raise ValueError(f"bad ancilla selector {selector!r} for an odd-width register")
 

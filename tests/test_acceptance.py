@@ -25,7 +25,7 @@ from corrqec.circuit import (
     tensor,
     to_density,
 )
-from corrqec.gates import H
+from corrqec.gates import CNOT, H, PlacedGate
 from corrqec.linalg import equal_up_to_global_phase, max_abs_diff, tensor_power
 from test_correlated import PRINTED_PRODUCT
 
@@ -70,6 +70,54 @@ def test_hybrid_conjugation_fails_on_a_broken_encoder(monkeypatch, dropped):
     else:
         with pytest.raises(AssertionError, match=r"n=8 tag=[XYZ]: .* data wires \[\d"):
             check()
+
+
+def _dense_readback_holds(c: Circuit) -> bool:
+    """The dense readback through c: realize(c), W on every wire and
+    realize(c)-dagger, applied to |b, 0...0>, end in that same basis state
+    with certainty for every bit pair b and every tag."""
+    n = c.n_wires
+    u = realize(c)
+    for bits in ("00", "01", "10", "11"):
+        s = basis_state(n, bits + "0" * (n - 2)).amplitudes
+        for tag in ("X", "Y", "Z"):
+            out = u.conj().T @ (tensor_power(hybrid.attack_factor([tag]), n) @ (u @ s))
+            if abs(np.vdot(s, out)) ** 2 < 1 - 1e-10:
+                return False
+    return True
+
+
+_READBACK_DROPS = [(n, i) for n in (4, 6, 8) for i in range(len(hybrid.encoder_circuit(n).gates))]
+
+
+@pytest.mark.parametrize("n, dropped", _READBACK_DROPS, ids=[f"n{n}-{i}" for n, i in _READBACK_DROPS])
+def test_hybrid_readback_fails_exactly_when_a_dense_readback_does(monkeypatch, n, dropped):
+    # the bit proof reads the encoder circuit it is given; the dense
+    # readback through the same broken circuit is the reference
+    full = hybrid.encoder_circuit(n)
+    broken = Circuit(n, full.gates[:dropped] + full.gates[dropped + 1:])
+    real = hybrid.encoder_circuit
+    monkeypatch.setattr(hybrid, "encoder_circuit", lambda m: broken if m == n else real(m))
+    check = dict(cli.CHECKS)["even-width ancilla bits read back deterministically"]
+    if _dense_readback_holds(broken):
+        check()
+    else:
+        with pytest.raises(AssertionError, match=rf"^n={n} bits=00 tag=[XYZ] "):
+            check()
+
+
+@pytest.mark.parametrize("control, readback", [(0, "10"), (1, "01")])
+def test_hybrid_readback_names_the_flipped_ancilla_bit(monkeypatch, control, readback):
+    # CNOTs from one ancilla wire onto the three others turn X on every
+    # wire into X on that ancilla wire alone: the data is untouched and
+    # exactly one read-back bit flips
+    fake = Circuit(4, tuple(PlacedGate(CNOT, (control, t)) for t in range(4) if t != control))
+    assert not _dense_readback_holds(fake)
+    real = hybrid.encoder_circuit
+    monkeypatch.setattr(hybrid, "encoder_circuit", lambda m: fake if m == 4 else real(m))
+    check = dict(cli.CHECKS)["even-width ancilla bits read back deterministically"]
+    with pytest.raises(AssertionError, match=f"^n=4 bits=00 tag=X readback {readback}$"):
+        check()
 
 
 def _within(budget_s: float, body) -> None:

@@ -1,0 +1,28 @@
+"""`tools/check_times.py` prints one timed row per `verify` check."""
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+from corrqec import cli
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_times.py"
+
+
+def test_one_battery_prints_a_row_per_check():
+    proc = subprocess.run([sys.executable, str(_TOOL), "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "median process-CPU time over 1 batteries"
+    rows = [line.rsplit(None, 2) for line in lines[2:-1]]
+    assert [name for name, _, _ in rows] == [name for name, _ in cli.CHECKS]
+    assert len(rows) == 18
+    assert all(float(ms) >= 0 and share.endswith("%") for _, ms, share in rows)
+    assert lines[-1].split()[0] == "total"
+
+
+def test_a_bad_battery_count_is_a_usage_error():
+    for arg in ("x", "0"):
+        proc = subprocess.run([sys.executable, str(_TOOL), arg], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), arg

@@ -225,6 +225,22 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # no partial files left behind
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dump", "pn:abc"], "dump target 'pn:abc': width 'abc' is not an integer"),
+    (["dump", "pn:"], "dump target 'pn:': width '' is not an integer"),
+    (["dump", "circuit:hybridx"], "dump target 'circuit:hybridx': width 'x' is not an integer"),
+    (["run", "--scheme", "corr3", "--noise", "p1=abc"], "noise parameter 'p1': 'abc' is not a number"),
+    (["run", "--scheme", "corr3", "--w", "ry:abc"], "attack selector 'ry:abc': angle 'abc' is not a number"),
+    (["run", "--scheme", "hybrid", "--n", "3", "--ancilla", "ry:abc"],
+     "ancilla 'ry:abc': angle 'abc' is not a number"),
+])
+def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
+    # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins
+    monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_scheme_runs_with_only_its_name(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
     for scheme in noise_exp._SCHEMES:

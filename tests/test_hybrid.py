@@ -348,6 +348,15 @@ def test_attack_factor_is_the_ordered_product():
         attack_factor(["x", "q"])
 
 
+@pytest.mark.parametrize("tags", ["xy", "x,y", "x"])
+def test_a_bare_string_is_not_a_list_of_tags(tags):
+    # one tag per character would read "xy" as X then Y, and "x,y" would fail on ","
+    with pytest.raises(ValueError, match=f"got the string '{tags}'"):
+        attack_factor(tags)
+    with pytest.raises(ValueError, match=f"got the string '{tags}'"):
+        hybrid_protect(3, basis_state(2, "00"), "0", tags)
+
+
 def test_hybrid_protect_width_two_is_all_ancilla():
     for bits in ("00", "01", "10", "11"):
         for tag in ("X", "Y", "Z"):

@@ -6,7 +6,8 @@ The oracles are the dense formulas: a gate is embedded as S-dagger
 (g tensor I) S with S the 2^n x 2^n wire permutation matrix, applied as
 u rho u-dagger, an attack is W tensored n times, and a depolarizing kick
 is the three-Pauli sum
-(1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s.
+(1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s. `realize`, which applies
+permutation gates as row gathers, is held to contracting every gate.
 
 The hybrid scheme's runs go through the Pauli-fault engine, checked here
 against the dense density-matrix pass (encode, attack, decode, Born
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec.circuit import (
@@ -36,6 +37,7 @@ from corrqec.circuit import (
     _all_wire_pauli,
     _conjugated_pauli,
     _kicks,
+    _permutation,
     apply,
     attack,
     basis_state,
@@ -173,6 +175,76 @@ def test_realize_and_apply_match_the_dense_product(case):
     assert np.abs(apply(c, StateVector(v, n)).amplitudes - u @ v).max() <= 1e-13
     got = apply(c, DensityMatrix(rho, n)).matrix
     assert np.abs(got - u @ rho @ u.conj().T).max() <= 1e-13
+
+
+def realize_by_contract(c):
+    """The per-gate `contract` loop: `realize` without its row gathers,
+    and the reference it must match bit for bit, up to the sign of a zero
+    (`bits`)."""
+    n = c.n_wires
+    t = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
+    for pg in c.gates:
+        t = contract(t, pg.gate.matrix.array, pg.wires)
+    return t.reshape(2**n, 2**n)
+
+
+def bits(a):
+    """The bytes of a with each -0.0 made +0.0 (x + 0.0 is x for any other
+    x). `contract` of a 0/1 matrix adds products with zero to the entry it
+    selects, which can turn a -0.0 into +0.0 where a gather keeps it, as
+    after ry(1e-200), whose -sin is -1e-200; every other bit must agree."""
+    return (a + 0.0).tobytes()
+
+
+_PERMUTATION_GATES = (X, CNOT, controlled(X, 0), controlled(CNOT, 1))
+
+
+@st.composite
+def permutation_and_dense_circuits(draw):
+    """Permutation gates and dense ones (H, ry, an open-control ry) in any
+    order, so runs of permutations come before, between and after dense
+    gates."""
+    n = draw(st.integers(1, 6))
+    dense = [st.just(H), angles.map(ry)] + ([angles.map(lambda a: controlled(ry(a), 0))] if n > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        if draw(st.booleans()):
+            gate = draw(st.sampled_from([g for g in _PERMUTATION_GATES if g.arity <= n]))
+        else:
+            gate = draw(st.one_of(dense))
+        gates.append(PlacedGate(gate, tuple(draw(st.permutations(range(n)))[:gate.arity])))
+    return Circuit(n, tuple(gates))
+
+
+@_SETTINGS
+@given(permutation_and_dense_circuits())
+@example(Circuit(4, (PlacedGate(CNOT, (2, 0)), PlacedGate(controlled(CNOT, 1), (3, 1, 0)),
+                     PlacedGate(ry(2.5), (1,)), PlacedGate(X, (3,)), PlacedGate(controlled(X, 0), (0, 2)),
+                     PlacedGate(H, (2,)), PlacedGate(controlled(ry(-4.0), 0), (1, 3)),
+                     PlacedGate(CNOT, (3, 1)), PlacedGate(X, (0,)))))
+@example(Circuit(2, (PlacedGate(ry(1e-200), (0,)), PlacedGate(CNOT, (0, 1)),
+                     PlacedGate(ry(1e-200), (0,)), PlacedGate(X, (0,)), PlacedGate(ry(0.0), (1,)))))
+def test_realize_is_bit_identical_to_contracting_every_gate(c):
+    assert bits(realize(c)) == bits(realize_by_contract(c))
+
+
+def test_permutation_gates_are_read_as_source_indices():
+    # g[i, src[i]] = 1: the gate sends basis state src[i] to i
+    expect = {X: [1, 0], CNOT: [0, 1, 3, 2], controlled(X, 0): [1, 0, 2, 3],
+              controlled(CNOT, 1): [0, 1, 2, 3, 4, 5, 7, 6]}
+    for gate, src in expect.items():
+        assert _permutation(gate).tolist() == src, gate.name
+
+
+@pytest.mark.parametrize("gate", (
+    Z, Y, Gate("-X", ComplexMatrix(-X.matrix.array), 1),
+    # a valid Gate within its 1e-12 unitarity tolerance, 1e-13 off a permutation
+    Gate("X~", ComplexMatrix([[0, 1 + 1e-13], [1, 0]]), 1),
+), ids=("Z", "Y", "-X", "X+1e-13"))
+def test_gates_that_are_not_exact_permutations_take_the_dense_path(gate):
+    assert _permutation(gate) is None
+    c = Circuit(2, (PlacedGate(CNOT, (0, 1)), PlacedGate(gate, (1,)), PlacedGate(X, (0,)), PlacedGate(gate, (0,))))
+    assert bits(realize(c)) == bits(realize_by_contract(c))
 
 
 @_SETTINGS
