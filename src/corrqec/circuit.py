@@ -3,6 +3,12 @@
 Circuits are time-ordered gate lists (gates[0] acts first). Every gate goes
 through one kernel, `contract`: states are tensors with a length-2 axis per
 wire (rows, then columns), and a gate touches only its axes (arXiv:1802.08032).
+`contract` is the transpose, reshape and one `np.dot` that `np.tensordot`
+performs, then the transpose back that `np.moveaxis` would make, with both
+axis orders cached per (rank, axes): the same arrays reach the same `dot`,
+so the bytes are tensordot's, without its per-call bookkeeping.
+A circuit hashes its gates once, when it is built, so the caches keyed by
+circuit (`_program`, `dagger_circuit`, `_faults`) cost one lookup.
 The one exception is `realize`, the full unitary of a circuit: a gate whose
 matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so it
 composes into a pending row index in O(2^n), and the 2^n x 2^n matrix is
@@ -49,7 +55,7 @@ from itertools import product
 import numpy as np
 
 from .gates import Gate, I, PlacedGate, X, Y, Z, format_placed_gate, inverse
-from .linalg import is_unitary
+from .linalg import is_unitary, kron
 
 _STATE_NORM_TOL = 1e-10
 _DM_HERM_TOL = 1e-10
@@ -87,6 +93,11 @@ class Circuit:
                 raise ValueError(
                     f"gate {pg.gate.name!r} on wires {pg.wires} exceeds {self.n_wires} wires"
                 )
+        # the dataclass hash, once: it hashes every gate's matrix bytes
+        object.__setattr__(self, "_hash", hash((self.n_wires, self.gates)))
+
+    def __hash__(self):
+        return self._hash
 
 
 class StateVector:
@@ -210,7 +221,7 @@ def tensor(*states: StateVector) -> StateVector:
     amps = states[0].amplitudes
     n = states[0].n_wires
     for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
+        amps = kron(amps, s.amplitudes)
         n += s.n_wires
     return StateVector(amps, n)
 
@@ -220,11 +231,34 @@ def to_density(s: StateVector) -> DensityMatrix:
     return DensityMatrix._trusted(np.outer(a, a.conj()), s.n_wires)
 
 
+@lru_cache(maxsize=1024)  # a few hundred (rank, axes) pairs in a sweep
+def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The transposes around a contraction of the given axes of an
+    ndim-axis tensor: tensordot's, which puts those axes first and the rest
+    after in order, and moveaxis's, which sends the first len(axes) axes of
+    the result back to `axes`."""
+    axes = tuple(a + ndim if a < 0 else a for a in axes)
+    if len(set(axes)) != len(axes) or not all(0 <= a < ndim for a in axes):
+        raise ValueError(f"axes {axes} are not distinct axes of a {ndim}-axis tensor")
+    front = list(axes) + [a for a in range(ndim) if a not in axes]
+    back = list(range(len(axes), ndim))
+    for dest, src in sorted(zip(axes, range(len(axes)))):
+        back.insert(dest, src)
+    return front, back
+
+
 def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
-    """Gate g on the given axes of a (2,...,2) tensor; axes[0] gets its top bit."""
-    k = len(axes)
-    g = g.reshape((2,) * (2 * k))
-    return np.moveaxis(np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), axes)), range(k), axes)
+    """Gate g on the given axes of a (2,...,2) tensor; axes[0] gets its top bit.
+
+    Bit for bit `np.moveaxis(np.tensordot(g.reshape((2,) * 2k), t,
+    (range(k, 2k), axes)), range(k), axes)`: tensordot transposes t to
+    put `axes` first, reshapes both operands to matrices and calls
+    `np.dot`; this makes the same views, calls the same `dot` on them and
+    returns the same transposed view of its product, with the axis orders
+    taken from a cache instead of rebuilt."""
+    front, back = _axis_orders(t.ndim, tuple(axes))
+    d = 1 << len(axes)
+    return np.dot(g.reshape(d, d), t.transpose(front).reshape(d, -1)).reshape(t.shape).transpose(back)
 
 
 @lru_cache(maxsize=64)  # a few gate types per circuit
@@ -348,7 +382,7 @@ def _program(c: Circuit, p1: float, p2: float) -> tuple[tuple[np.ndarray, tuple[
         for pg in pgs:
             g, k = pg.gate.matrix.array, pg.gate.arity
             local = tuple(wires.index(w) for w in pg.wires)
-            superop = _kicks(k, _kick_strength(k, p1, p2)) @ np.kron(g, g.conj())
+            superop = _kicks(k, _kick_strength(k, p1, p2)) @ kron(g, g.conj())
             t = contract(t, superop, local + tuple(m + i for i in local))
         t = t.reshape(4**m, 4**m)
         t.setflags(write=False)
@@ -388,7 +422,7 @@ def attack(s: StateVector | DensityMatrix, w):
         for wire in range(n):
             t = contract(t, w, (wire,))
         return StateVector(t.reshape(-1), n)
-    superop = np.kron(w, w.conj())
+    superop = kron(w, w.conj())
     t = s.matrix.reshape((2,) * (2 * n))
     for wire in range(n):
         t = contract(t, superop, (wire, n + wire))
@@ -434,7 +468,7 @@ def _pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
     (4^k, 2^k, 2^k) stack, and each one's symplectic bits: x on wires
     0..k-1, then z."""
     labels = list(product(range(4), repeat=k))
-    stack = np.array([reduce(np.kron, (_PAULIS[a] for a in ls), np.eye(1)) for ls in labels])
+    stack = np.array([reduce(kron, (_PAULIS[a] for a in ls), np.eye(1)) for ls in labels])
     bits = np.array([[_PAULI_XZ[a][i] for i in (0, 1) for a in ls] for ls in labels], dtype=np.uint8)
     stack.setflags(write=False)
     bits.setflags(write=False)
@@ -635,20 +669,34 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
 def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Inverse-CDF i.i.d. sampling; deterministic for a given seed.
 
-    `seed` may be an integer or a ready-made numpy Generator.
+    `seed` may be an integer or a ready-made numpy Generator. `probs` must
+    be a 1-D, finite, non-negative distribution summing to 1 within 1e-10;
+    ValueError otherwise. A draw r lands in the first bin j with
+    r < cdf[j], and the last entry of the cdf is set to exactly 1. Each
+    chunk of draws is sorted, and bin j gets #{r < cdf[j]} - #{r < cdf[j-1]}
+    of them, read off the sorted draws by one `searchsorted` per bin
+    rather than one per draw; for a non-decreasing cdf that is the same
+    count.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    shots = _integer(shots, "shots", 1)
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or not p.size:
+        raise ValueError(f"probabilities must be a non-empty 1-D array, got shape {p.shape}")
+    if not (p >= 0).all():  # also false for NaN
+        raise ValueError("probabilities must be finite and non-negative")
+    edges = np.zeros(len(p) + 1)  # 0, then the cdf
+    np.cumsum(p, out=edges[1:])
+    if abs(edges[-1] - 1.0) > 1e-10:  # an infinite entry gives an infinite sum
+        raise ValueError(f"probabilities must be finite and sum to 1 within 1e-10, got sum {edges[-1]!r}")
+    edges[-1] = 1.0
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = np.random.Generator(np.random.PCG64(int(seed)))
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    counts = np.zeros(len(probs), dtype=np.int64)
+    counts = np.zeros(len(p), dtype=np.int64)
     for done in range(0, shots, _SAMPLE_CHUNK):
-        idx = np.searchsorted(cdf, rng.random(min(_SAMPLE_CHUNK, shots - done)), side="right")
-        counts += np.bincount(np.minimum(idx, len(probs) - 1), minlength=len(probs))
+        r = np.sort(rng.random(min(_SAMPLE_CHUNK, shots - done)))
+        counts += np.diff(np.searchsorted(r, edges, side="left"))
     return counts
 
 

@@ -30,7 +30,7 @@ from .circuit import (
     to_density,
 )
 from .gates import H
-from .linalg import equal_up_to_global_phase, matrix_to_text, max_abs_diff
+from .linalg import equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff
 
 _BATTERY_SEED = 20240815
 
@@ -102,7 +102,7 @@ def _blocks_random() -> str:
         w = correlated.random_su2(rng)
         rep = correlated.verify_block_structure(u, w)
         worst_off = max(worst_off, rep.off_diag_norm)
-        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w)))
+        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, kron(np.eye(2), w)))
     _require(worst_off <= 1e-10 and worst_tl <= 1e-10,
              f"off-diag {worst_off:.3e}, top-left {worst_tl:.3e}")
     return f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
@@ -110,7 +110,7 @@ def _blocks_random() -> str:
 
 def _blocks_hadamard() -> str:
     rep = correlated.verify_block_structure(correlated.build_new_U(), H.matrix)
-    i2h = np.kron(np.eye(2), H.matrix.array)
+    i2h = kron(np.eye(2), H.matrix.array)
     _require(rep.off_diag_norm <= 1e-12, f"off-diag {rep.off_diag_norm:.3e}")
     _require(equal_up_to_global_phase(rep.top_left, i2h, 1e-10), "top-left not I (x) H up to phase")
     # H has determinant -1, and the construction pins the block to det(W) * W.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -121,6 +122,7 @@ def verify_block_structure(u, w) -> BlockReport:
     return BlockReport(top_left=m[:4, :4], bottom_right=m[4:, 4:], off_diag_norm=off)
 
 
+@cache  # a fixed circuit: built and its gates checked once, then shared
 def standard_decomposition() -> Circuit:
     """Six-gate circuit realizing the corrected encoder.
 
@@ -139,6 +141,7 @@ def standard_decomposition() -> Circuit:
     return Circuit(3, g)
 
 
+@cache
 def basic_decomposition() -> Circuit:
     """Fourteen-gate circuit realizing the corrected encoder with only
     CNOTs and one-wire gates (6 two-wire + 8 one-wire)."""
@@ -168,6 +171,12 @@ def erroneous_decomposition_product() -> np.ndarray:
     The result is unitary but does NOT reproduce the earlier encoder it
     was claimed to factor; comparing the two is the refutation check.
     """
+    return realize(_erroneous_decomposition())
+
+
+@cache
+def _erroneous_decomposition() -> Circuit:
+    """The six-stage construction `erroneous_decomposition_product` multiplies out."""
     g = (
         PlacedGate(controlled(ry(2.0 * THIRD_ANGLE - np.pi), 1), (1, 0)),
         PlacedGate(controlled(ry(-np.pi / 2), 0), (0, 1)),
@@ -176,7 +185,7 @@ def erroneous_decomposition_product() -> np.ndarray:
         PlacedGate(controlled(X, 0), (1, 2)),
         PlacedGate(CNOT, (0, 1)),
     )
-    return realize(Circuit(3, g))
+    return Circuit(3, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,12 +277,17 @@ def recursive_encoder(k: int) -> Circuit:
     Emits the six-gate standard decomposition once per triple; for k=1
     this is exactly standard_decomposition(). Data qubits sit on odd
     wires, |0> ancillas on even wires except wire 2, which is the sink.
+    Built once per k and shared (a Circuit is immutable).
     """
-    base = standard_decomposition().gates
+    return _recursive_encoder(_integer(k, "k", 1), standard_decomposition())
+
+
+@lru_cache(maxsize=8)  # k is 1 or 2 in the schemes and the battery
+def _recursive_encoder(k: int, base: Circuit) -> Circuit:
     triples = recursive_triples(k)
     placed = []
     for tri in triples:
-        for pg in base:
+        for pg in base.gates:
             placed.append(PlacedGate(pg.gate, tuple(tri[w] for w in pg.wires)))
     return Circuit(2 * len(triples) + 1, tuple(placed))
 

@@ -85,12 +85,14 @@ def ry(alpha: float) -> Gate:
 
 def ry_from_text(selector: str, what: str) -> Gate:
     """ry(alpha) for a selector 'ry:<alpha>'; a ValueError naming `what`,
-    the selector and the angle if alpha is not a number."""
+    the selector and the angle if alpha is not a finite number."""
     angle = selector.strip()[3:]
     try:
         alpha = float(angle)
     except ValueError:
         raise ValueError(f"{what} {selector!r}: angle {angle!r} is not a number") from None
+    if not np.isfinite(alpha):
+        raise ValueError(f"{what} {selector!r}: angle {angle!r} is not finite")
     return ry(alpha)
 
 

@@ -46,6 +46,7 @@ from .circuit import (
     tensor,
 )
 from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry_from_text
+from .linalg import kron
 
 _PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
 PAULI_TAGS = tuple(_PAULI)
@@ -63,7 +64,7 @@ def normalize_tag(tag: str) -> str:
 
 def p2_matrix() -> np.ndarray:
     """4x4 base encoder: (I tensor Z + X tensor X) / sqrt(2)."""
-    return (np.kron(_PAULI["I"], _PAULI["Z"]) + np.kron(_PAULI["X"], _PAULI["X"])) / np.sqrt(2.0)
+    return (kron(_PAULI["I"], _PAULI["Z"]) + kron(_PAULI["X"], _PAULI["X"])) / np.sqrt(2.0)
 
 
 def p3_matrix() -> np.ndarray:
@@ -93,9 +94,9 @@ def _matrix_rec(n: int) -> np.ndarray:
     elif n == 3:
         m = p3_matrix()
     elif n % 2 == 0:
-        m = np.kron(np.eye(2), _matrix_rec(n - 1)) @ np.kron(p2_matrix(), np.eye(2 ** (n - 2)))
+        m = kron(np.eye(2), _matrix_rec(n - 1)) @ kron(p2_matrix(), np.eye(2 ** (n - 2)))
     else:
-        m = np.kron(np.eye(4), _matrix_rec(n - 2)) @ np.kron(p3_matrix(), np.eye(2 ** (n - 3)))
+        m = kron(np.eye(4), _matrix_rec(n - 2)) @ kron(p3_matrix(), np.eye(2 ** (n - 3)))
     m.setflags(write=False)
     return m
 

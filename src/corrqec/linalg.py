@@ -8,6 +8,9 @@ precision and all operations are plain numpy calls.
 
 Bit convention used package-wide: in kron(a, b) the FIRST factor is the
 most significant one (top wire of a circuit diagram, wire index 0).
+`kron` is the package's one Kronecker product, of two vectors or two
+matrices: the same single products as `np.kron`, so the same bytes, by one
+broadcast multiply, without np.kron's general-rank bookkeeping.
 """
 from __future__ import annotations
 
@@ -55,11 +58,24 @@ class ComplexMatrix:
         return f"ComplexMatrix({self._a.shape[0]}x{self._a.shape[1]})"
 
 
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two 1-D or two 2-D arrays, a's index most
+    significant. Each entry is the one product a[i] * b[j] (a[i, k] *
+    b[j, l]) that `np.kron` forms, in the same dtype, so the bytes agree."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    if a.ndim == b.ndim == 2:
+        (ra, ca), (rb, cb) = a.shape, b.shape
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    raise ValueError(f"kron needs two 1-D or two 2-D arrays, got shapes {a.shape} and {b.shape}")
+
+
 def tensor_power(w, n: int) -> np.ndarray:
     """w tensored with itself n times, the same factor on every wire."""
     m = np.ones((1, 1), dtype=complex)
     for _ in range(n):
-        m = np.kron(m, w)
+        m = kron(m, w)
     return m
 
 

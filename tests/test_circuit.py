@@ -239,6 +239,44 @@ def test_sample_counts_in_chunks_keeps_the_stream(monkeypatch):
     assert whole.sum() == 1000
 
 
+@pytest.mark.parametrize("probs, message", [
+    (np.array([[0.5, 0.5]]), "1-D"),
+    (np.array([]), "1-D"),
+    (np.array([0.5, np.nan, 0.5]), "finite and non-negative"),
+    (np.array([0.5, -np.inf, 0.5]), "finite and non-negative"),
+    (np.array([0.5, np.inf]), "sum to 1"),
+    (np.array([1.5, -0.5]), "finite and non-negative"),
+    (np.array([0.5, 0.5 + 1e-9]), "sum to 1"),
+    (np.array([0.25, 0.25]), "sum to 1"),
+])
+def test_sample_counts_rejects_what_is_not_a_distribution(probs, message):
+    # sorting the draws and counting them per bin needs a non-decreasing cdf
+    with pytest.raises(ValueError, match=message):
+        sample_counts(probs, 10, 0)
+
+
+@pytest.mark.parametrize("shots", (0, -3, 2.0, True, "8"))
+def test_sample_counts_takes_a_positive_integer_shot_count(shots):
+    with pytest.raises(ValueError, match="shots must"):
+        sample_counts(np.array([0.5, 0.5]), shots, 0)
+
+
+def test_sample_counts_accepts_a_sum_off_by_rounding():
+    probs = np.full(10, 0.1)  # sums to 0.9999999999999999
+    assert sample_counts(probs, 1000, 1).sum() == 1000
+    assert sample_counts(probs, np.int64(3), 1).sum() == 3
+
+
+def test_a_circuit_hashes_its_gates_once_and_equal_circuits_share_caches():
+    c = Circuit(3, (PlacedGate(H, (0,)), PlacedGate(CNOT, (0, 2)), PlacedGate(ry(0.3), (1,))))
+    rebuilt = Circuit(c.n_wires, c.gates)
+    assert rebuilt is not c and rebuilt == c
+    assert hash(rebuilt) == hash(c) == hash((c.n_wires, c.gates))
+    assert dagger_circuit(rebuilt) is dagger_circuit(c)
+    assert circuit._program(rebuilt, 0.01, 0.02) is circuit._program(c, 0.01, 0.02)
+    assert hash(Circuit(3, c.gates[:2])) != hash(c)
+
+
 def test_histogram_validation():
     Histogram(n_measured=2, counts={"01": 3, "10": 1}, shots=4)
     with pytest.raises(ValueError):

@@ -233,6 +233,12 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
     (["run", "--scheme", "corr3", "--w", "ry:abc"], "attack selector 'ry:abc': angle 'abc' is not a number"),
     (["run", "--scheme", "hybrid", "--n", "3", "--ancilla", "ry:abc"],
      "ancilla 'ry:abc': angle 'abc' is not a number"),
+    (["run", "--scheme", "corr3", "--w", "ry:nan"], "attack selector 'ry:nan': angle 'nan' is not finite"),
+    (["run", "--scheme", "corr3", "--w", "ry:inf"], "attack selector 'ry:inf': angle 'inf' is not finite"),
+    (["run", "--scheme", "corr5", "--w", "ry:-1e999"],
+     "attack selector 'ry:-1e999': angle '-1e999' is not finite"),
+    (["run", "--scheme", "hybrid", "--n", "5", "--ancilla", "ry:inf"],
+     "ancilla 'ry:inf': angle 'inf' is not finite"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins

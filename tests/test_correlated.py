@@ -18,6 +18,7 @@ from corrqec.correlated import (
     SINK_WIRE,
     THIRD_ANGLE,
     CorrelatedChannel,
+    _erroneous_decomposition,
     apply_channel,
     atom_from_selector,
     basic_decomposition,
@@ -314,6 +315,21 @@ def test_recursive_layout():
             recursive_data_wires(bad)
     assert recursive_data_wires(np.int64(2)) == [1, 3]
     assert recursive_encoder(np.int64(2)) == recursive_encoder(2)
+
+
+def test_fixed_circuits_are_built_once():
+    assert standard_decomposition() is standard_decomposition()
+    assert basic_decomposition() is basic_decomposition()
+    assert recursive_encoder(2) is recursive_encoder(np.int64(2))
+    assert _erroneous_decomposition() is _erroneous_decomposition()
+    # the product is realized afresh, so a caller may not alter a shared one
+    assert erroneous_decomposition_product() is not erroneous_decomposition_product()
+
+
+@pytest.mark.parametrize("bad", (True, 1.0, 0))
+def test_recursive_encoder_checks_k_before_its_cache(bad):
+    with pytest.raises(ValueError, match="k must"):
+        recursive_encoder(bad)
 
 
 def test_recursive_encoder_base_case_is_standard():

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrqec import circuit
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
@@ -47,12 +48,13 @@ from corrqec.circuit import (
     partial_trace,
     pauli_fault_distribution,
     realize,
+    sample_counts,
     to_density,
 )
 from corrqec.correlated import apply_channel, make_channel
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
 from corrqec.hybrid import encoder_circuit
-from corrqec.linalg import ComplexMatrix, tensor_power
+from corrqec.linalg import ComplexMatrix, kron, tensor_power
 from corrqec.noise_exp import (
     _build_experiment,
     _exact_distribution,
@@ -525,6 +527,118 @@ def test_hybrid_success_is_equal_at_widths_2j_plus_1_and_2j_plus_2():
             dense_odd, dense_even = dense_distribution(odd)[0], dense_distribution(even)[0]
             assert abs(dense_odd - dense_even) <= 1e-15
             assert abs(dense_odd - exact_success(odd)) <= 1e-14
+
+
+def tensordot_contract(t, g, axes):
+    """`contract` as np.tensordot and np.moveaxis compute it: the reference
+    whose bytes it must reproduce."""
+    k = len(axes)
+    g = g.reshape((2,) * (2 * k))
+    return np.moveaxis(np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), axes)), range(k), axes)
+
+
+def gaussian(rng, shape, complex_):
+    a = rng.normal(size=shape)
+    return a + 1j * rng.normal(size=shape) if complex_ else a
+
+
+@st.composite
+def contractions(draw):
+    """A (2,)*n tensor, contiguous or a transposed view, and a real or
+    complex 2^k x 2^k g, itself possibly a transposed view, on k distinct
+    axes in any order."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 3)))
+    axes = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(seeds))
+    t = gaussian(rng, (2,) * n, draw(st.booleans()))
+    if draw(st.booleans()):
+        t = t.transpose(draw(st.permutations(range(n))))
+    g = gaussian(rng, (2**k, 2**k), draw(st.booleans()))
+    return t, g.T if draw(st.booleans()) else g, axes
+
+
+@_SETTINGS
+@given(contractions())
+def test_contract_is_tensordot_bit_for_bit(case):
+    t, g, axes = case
+    got, want = contract(t, g, axes), tensordot_contract(t, g, axes)
+    assert (got.shape, got.dtype, got.strides) == (want.shape, want.dtype, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_contract_rejects_repeated_or_missing_axes():
+    t = np.zeros((2, 2, 2))
+    for axes in ((0, 0), (3,), (1, -2)):
+        with pytest.raises(ValueError):
+            contract(t, np.eye(2 ** len(axes)), axes)
+
+
+@st.composite
+def kron_operands(draw):
+    """Two 1-D or two 2-D arrays of sides 1..4, each real or complex."""
+    ndim = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(seeds))
+    a, b = (gaussian(rng, tuple(draw(st.integers(1, 4)) for _ in range(ndim)), draw(st.booleans()))
+            for _ in range(2))
+    return a, b
+
+
+@_SETTINGS
+@given(kron_operands())
+@example((np.ones((1, 1)), np.ones((1, 1), dtype=complex)))
+@example((np.eye(2), Y.matrix.array))
+@example((H.matrix.array, np.eye(4)))
+@example((np.array([1.0, -0.0]), np.array([-0.0, 1j])))
+def test_kron_is_np_kron_bit_for_bit(case):
+    a, b = case
+    got, want = kron(a, b), np.kron(a, b)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kron_takes_two_vectors_or_two_matrices():
+    for a, b in ((np.eye(2), np.ones(2)), (np.ones(()), np.ones(2)), (np.ones((2, 2, 2)), np.eye(2))):
+        with pytest.raises(ValueError, match="kron needs"):
+            kron(a, b)
+
+
+def searchsorted_counts(probs, shots, rng):
+    """The sampler as one binary search per draw over the cdf, chunked
+    like `sample_counts`: the reference its counts must equal."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for done in range(0, shots, circuit._SAMPLE_CHUNK):
+        idx = np.searchsorted(cdf, rng.random(min(circuit._SAMPLE_CHUNK, shots - done)), side="right")
+        counts += np.bincount(np.minimum(idx, len(probs) - 1), minlength=len(probs))
+    return counts
+
+
+# Weights 9, 7, 7, 1, 0 over 24: the cdf rounds to 1.0000000000000002 at
+# its fourth entry, above the exact 1.0 the sampler puts last.
+_ABOVE_ONE = (9, 7, 7, 1, 0)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(0, 9) | st.floats(0.0, 1.0), min_size=1, max_size=16).filter(any),
+       st.integers(1, 3000), st.sampled_from((1, 7, 64, 1 << 20)), seeds)
+@example(list(_ABOVE_ONE), 2000, 7, 3)
+@example([0, 0, 5, 0], 100, 1 << 20, 0)
+def test_sort_and_count_sampler_is_the_searchsorted_sampler(weights, shots, chunk, seed):
+    probs = np.array(weights, dtype=float)
+    probs /= probs.sum()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit, "_SAMPLE_CHUNK", chunk)
+        want = searchsorted_counts(probs, shots, np.random.default_rng(seed))
+        got = sample_counts(probs, shots, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.sum() == shots and not got[probs == 0].any()
+
+
+def test_the_above_one_example_has_a_cdf_above_one_before_its_end():
+    cdf = np.cumsum(np.array(_ABOVE_ONE, dtype=float) / sum(_ABOVE_ONE))
+    assert cdf[-2] > 1.0
 
 
 _FAILING_PROPERTY = """\
