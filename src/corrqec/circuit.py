@@ -10,9 +10,11 @@ so the bytes are tensordot's, without its per-call bookkeeping.
 A circuit hashes its gates once, when it is built, so the caches keyed by
 circuit (`_program`, `dagger_circuit`, `_faults`) cost one lookup.
 The one exception is `realize`, the full unitary of a circuit: a gate whose
-matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so it
-composes into a pending row index in O(2^n), and the 2^n x 2^n matrix is
-gathered by that index once before the next dense gate.
+matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so its
+flat row map, built once per placed gate and width, composes into a pending
+row index in O(2^n), and the 2^n x 2^n matrix is gathered by that index once
+before the next dense gate; a dense gate on consecutive ascending wires is
+one `np.matmul` on a view of the matrix, with no transposed copy.
 States are checked where they enter the package; the images of checked states
 under a unitary or CPTP map are trusted and built without checks.
 
@@ -37,8 +39,9 @@ the output on GF(2) bits once per circuit (`_faults`), and a run costs
 O(faults x 2^m) for m measured wires. Hybrid runs take this path; the
 correlated schemes, whose encoders are not Clifford, take `apply`, which is
 also the tests' reference for the fault engine. `_conjugated_pauli` carries
-one all-wire Pauli back through a Clifford circuit by the same step
-(`_carry_back`), which is how `verify` proves the hybrid factorization.
+a stack of all-wire Paulis back through a Clifford circuit in one walk by the
+same step (`_carry_back`), which is how `verify` proves the hybrid
+factorization.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -276,41 +279,53 @@ def _permutation(gate: Gate) -> np.ndarray | None:
     return src
 
 
-def _gather(t: np.ndarray, src: np.ndarray, axes) -> np.ndarray:
-    """A permutation gate on the given axes of a (2,...,2) tensor, as
-    `contract` would apply it: the entry at index i of those axes comes
-    from index src[i]. An exact copy, with no arithmetic."""
-    k = len(axes)
-    moved = np.moveaxis(t, axes, range(k))
-    shape = moved.shape
-    return np.moveaxis(moved.reshape((2**k,) + shape[k:])[src].reshape(shape), range(k), axes)
+@lru_cache(maxsize=256)  # the placed gates of a few circuits
+def _row_map(pg: PlacedGate, n: int) -> np.ndarray | None:
+    """For a permutation gate (`_permutation`) placed on n wires, the
+    read-only flat map m over the 2^n basis indices with which the placed
+    gate sends basis state m[i] to i, so it takes row m[i] of a matrix to
+    row i. None for any other gate."""
+    src = _permutation(pg.gate)
+    if src is None:
+        return None
+    k = len(pg.wires)
+    moved = np.moveaxis(np.arange(2**n).reshape((2,) * n), pg.wires, range(k))
+    m = np.moveaxis(moved.reshape(2**k, -1)[src].reshape(moved.shape), range(k), pg.wires).reshape(-1)
+    m.setflags(write=False)
+    return m
 
 
 def realize(c: Circuit) -> np.ndarray:
     """Full unitary of the circuit: later gates multiply from the left.
 
     A permutation gate (`_permutation`: CNOT, X, an open-control X, a
-    Toffoli) moves rows, so it is not contracted. Each one composes in
-    O(2^n) into a pending row index, and the 2^n x 2^n matrix is gathered
-    by that index once, before the next dense gate and at the end. Only
-    dense gates go through `contract`. A gather moves entries without
-    arithmetic, and `contract` of a 0/1 matrix adds only products with
-    zero to the entry it selects, so every entry equals that of
-    contracting every gate bit for bit, except that such a sum can turn
-    a -0.0 into +0.0 where the gather keeps it."""
+    Toffoli) moves rows, so it is not multiplied. Its flat row map m
+    (`_row_map`, built once per placed gate and width) composes into a
+    pending row index as rows[m], and the 2^n x 2^n matrix is gathered by
+    that index once, before the next dense gate and at the end. A dense
+    gate on consecutive ascending wires w..w+k-1 is one `np.matmul` of
+    its matrix with the (2^w, 2^k, rest) view of the matrix; any other
+    goes through `contract`. A gather moves entries without arithmetic,
+    and `contract` of a 0/1 matrix adds only products with zero to the
+    entry it selects, so every entry equals that of contracting every
+    gate bit for bit, except that such a sum can turn a -0.0 into +0.0
+    where the gather keeps it."""
     n, d = c.n_wires, 2**c.n_wires
-    t = np.eye(d, dtype=complex).reshape((2,) * (2 * n))
+    t = np.eye(d, dtype=complex)
     rows = None  # pending gather: row i of the result is row rows[i] of t
     for pg in c.gates:
-        src = _permutation(pg.gate)
-        if src is not None:
-            rows = _gather(np.arange(d).reshape((2,) * n) if rows is None else rows, src, pg.wires)
+        m = _row_map(pg, n)
+        if m is not None:
+            rows = m if rows is None else rows[m]
             continue
         if rows is not None:
-            t, rows = t.reshape(d, d)[rows.reshape(-1)].reshape(t.shape), None
-        t = contract(t, pg.gate.matrix.array, pg.wires)
-    t = t.reshape(d, d)
-    return t if rows is None else t[rows.reshape(-1)]
+            t, rows = t[rows], None
+        g, k, w = pg.gate.matrix.array, pg.gate.arity, pg.wires[0]
+        if pg.wires == tuple(range(w, w + k)):
+            t = np.matmul(g, t.reshape(2**w, 2**k, -1)).reshape(d, d)
+        else:
+            t = contract(t.reshape((2,) * (2 * n)), g, pg.wires).reshape(d, d)
+    return t if rows is None else t[rows]
 
 
 @lru_cache(maxsize=64)  # a run decodes through one circuit; a sweep reuses it
@@ -561,19 +576,21 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
     return tuple(arities), sums, walsh, attack_flips
 
 
-def _conjugated_pauli(c: Circuit, w) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z bits, one per wire, of c-dagger (w on every wire) c for
-    a 2x2 Pauli w up to phase: w carried back across the gates, last gate
-    first. The phase is dropped. ValueError if w is not a Pauli up to
-    phase or a gate of c is not Clifford."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (2, 2):
-        raise ValueError("w must be a 2x2 matrix")
+def _conjugated_pauli(c: Circuit, ws) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bits, (k, n) each, of c-dagger (w on every wire) c for
+    each w in a (k, 2, 2) stack of Paulis up to phase. One backward walk,
+    last gate first, carries all k as the columns of a (2n, k) GF(2)
+    matrix, as `_faults` carries its m columns. Phases are dropped.
+    ValueError if ws is not a non-empty stack of Paulis up to phase or a
+    gate of c is not Clifford."""
+    ws = np.asarray(ws, dtype=complex)
+    if ws.ndim != 3 or not len(ws) or ws.shape[1:] != (2, 2):
+        raise ValueError(f"ws must be a non-empty (k, 2, 2) stack of 2x2 matrices, got shape {ws.shape}")
     n = c.n_wires
-    b = np.repeat(_pauli_bits(w[None])[0].astype(np.int64), n)
+    b = np.repeat(_pauli_bits(ws).T.astype(np.int64), n, axis=0)
     for pg in reversed(c.gates):
         _carry_back(b, pg, n)
-    return b[:n], b[n:]
+    return b[:n].T, b[n:].T
 
 
 def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,

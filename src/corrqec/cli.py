@@ -158,6 +158,16 @@ def _hybrid_circuits() -> str:
     return f"n=2..8 exact (max deviation {worst:.3e}, identity wire order)"
 
 
+_TAGS = ("X", "Y", "Z")
+
+
+def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, n) x and z bits of X, Y and Z on every wire, carried back
+    through the width-n encoder circuit in one walk."""
+    ws = np.stack([hybrid.attack_factor([tag]) for tag in _TAGS])
+    return _conjugated_pauli(hybrid.encoder_circuit(n), ws)
+
+
 def _hybrid_conjugation() -> str:
     # Each attack is carried back through the encoder circuit on GF(2)
     # bits. A Pauli with no bit on a data wire is (ancilla Pauli) tensor
@@ -165,8 +175,7 @@ def _hybrid_conjugation() -> str:
     # check before this one proves that the circuit realizes P_n exactly.
     for n in range(hybrid.MIN_QUBITS, hybrid.MAX_QUBITS + 1):
         dw = hybrid.data_wires(n)
-        for tag in ("X", "Y", "Z"):
-            x, z = _conjugated_pauli(hybrid.encoder_circuit(n), hybrid.attack_factor([tag]))
+        for tag, x, z in zip(_TAGS, *_walk_attacks(n)):
             touched = [w for w in dw if x[w] or z[w]]
             _require(not touched, f"n={n} tag={tag}: the decoded attack acts on data wires {touched}")
     return "all attacks factor off the data wires (residual 0.000e+00)"
@@ -181,8 +190,7 @@ def _hybrid_readback() -> str:
     for n in (4, 6, 8):
         dw = hybrid.data_wires(n)
         data = basis_state(len(dw), "0" * len(dw))
-        for tag in ("X", "Y", "Z"):
-            x, _ = _conjugated_pauli(hybrid.encoder_circuit(n), hybrid.attack_factor([tag]))
+        for tag, x in zip(_TAGS, _walk_attacks(n)[0]):
             flipped = [w for w in dw if x[w]]
             for bits in ("00", "01", "10", "11"):
                 _require(not flipped, f"n={n} bits={bits} tag={tag} data fidelity 0 (flips data wires {flipped})")
@@ -386,6 +394,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out must name a file, got an empty path")
         if args.command == "verify":
             return cmd_verify()
         if args.command == "run":

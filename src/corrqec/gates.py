@@ -16,6 +16,7 @@ helpers in linalg may quotient by phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,9 +84,11 @@ def ry(alpha: float) -> Gate:
     return _gate(f"RY({a!r})", [[c, -s], [s, c]])
 
 
+@lru_cache(maxsize=64)  # a run parses its selector twice; a sweep uses a few
 def ry_from_text(selector: str, what: str) -> Gate:
     """ry(alpha) for a selector 'ry:<alpha>'; a ValueError naming `what`,
-    the selector and the angle if alpha is not a finite number."""
+    the selector and the angle if alpha is not a finite number. Cached:
+    a Gate is immutable, and an error is raised again, not cached."""
     angle = selector.strip()[3:]
     try:
         alpha = float(angle)

@@ -16,14 +16,16 @@ diagonal, so classical basis-state ancillas read back deterministically
 (superposed even-width ancillas are NOT preserved and are rejected).
 
 `verify` proves the factorization on GF(2) bits: the encoder circuit is
-CNOT/H, so `circuit._conjugated_pauli` carries each attack back through it
-gate by gate, and no bit may land on a data wire. The even-width readback
-is read off the same bits: the x bits on the two ancilla wires are the
-bits the attack flips. The dense matrices stay as the reference. A Pauli on every wire is a phase times X^x Z^z on every
-wire, a signed permutation of the basis, which `circuit._all_wire_pauli`
-applies exactly to the columns of an array in O(its size); only
-`error_unitary` writes it out as a matrix. Every P_n is real, so P-dagger
-is its transpose, and `conjugated_error` is one dense product, P^T (W P).
+CNOT/H, so `circuit._conjugated_pauli` carries X, Y and Z on every wire
+back through it gate by gate, all three in one walk per width, and no bit
+may land on a data wire. The even-width readback is read off the same
+bits: the x bits on the two ancilla wires are the bits the attack flips.
+The dense matrices stay as the reference. A Pauli on every wire is a
+phase times X^x Z^z on every wire, a signed permutation of the basis,
+which `circuit._all_wire_pauli` applies exactly to the columns of an
+array in O(its size); only `error_unitary` writes it out as a matrix.
+Every P_n is real, so P-dagger is its transpose, and `conjugated_error`
+is one dense product, P^T (W P).
 `hybrid_protect` keeps the decoded state a vector, reduced to the data and
 ancilla wires by `partial_trace` without forming rho.
 """

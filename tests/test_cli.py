@@ -239,6 +239,8 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
      "attack selector 'ry:-1e999': angle '-1e999' is not finite"),
     (["run", "--scheme", "hybrid", "--n", "5", "--ancilla", "ry:inf"],
      "ancilla 'ry:inf': angle 'inf' is not finite"),
+    (["run", "--scheme", "corr3", "--out", ""], "--out must name a file, got an empty path"),
+    (["dump", "u", "--out", ""], "--out must name a file, got an empty path"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins

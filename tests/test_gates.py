@@ -17,6 +17,7 @@ from corrqec.gates import (
     format_placed_gate,
     inverse,
     ry,
+    ry_from_text,
     ry_x,
     x_ry,
 )
@@ -65,6 +66,15 @@ def test_ry_entries():
     theta = -2.0 * np.arcsin(S23)
     assert abs(ry(theta).matrix.array[0, 1] - S23) < 1e-15
     assert max_abs_diff(ry(0.0).matrix, np.eye(2)) == 0.0
+
+
+def test_ry_from_text_builds_one_gate_per_selector_and_raises_every_time():
+    g = ry_from_text("ry:1.1", "attack selector")
+    assert g == ry(1.1)
+    assert ry_from_text("ry:1.1", "attack selector") is g  # cached, and a Gate is immutable
+    for _ in range(2):  # an error is raised again, not cached
+        with pytest.raises(ValueError, match="attack selector 'ry:x': angle 'x' is not a number"):
+            ry_from_text("ry:x", "attack selector")
 
 
 def test_ry_composition():

@@ -51,6 +51,8 @@ _P1 = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+_XYZ = np.stack([_P1[tag] for tag in "XYZ"])  # the attacks, as one stack for the walk
+
 
 def pauli_word(word: str) -> np.ndarray:
     m = np.array([[1.0 + 0j]])
@@ -218,8 +220,9 @@ def test_conjugated_pauli_is_the_dense_ancilla_block():
     ancilla bits read back deterministically."""
     for n in range(MIN_QUBITS, MAX_QUBITS + 1):
         anc, dw = list(ancilla_wires(n)), list(data_wires(n))
-        for tag in ("X", "Y", "Z"):
-            x, z = _conjugated_pauli(encoder_circuit(n), _P1[tag])
+        walked = _conjugated_pauli(encoder_circuit(n), _XYZ)
+        assert walked[0].shape == walked[1].shape == (3, n)
+        for tag, x, z in zip("XYZ", *walked):
             block = ancilla_block(n, conjugated_error(n, tag))
             assert np.array_equal(np.concatenate([x[anc], z[anc]]), _pauli_bits(block[None])[0])
             assert not x[dw].any() and not z[dw].any()
@@ -238,8 +241,7 @@ def test_conjugated_attacks_stay_off_the_data_up_to_256_wires():
     t0 = time.process_time()
     for n in (*range(9, 65), 255, 256):
         k, bits = (1, _ODD_BITS) if n % 2 else (2, _EVEN_BITS)
-        for tag in ("X", "Y", "Z"):
-            x, z = _conjugated_pauli(_encoder_circuit(n), _P1[tag])
+        for tag, x, z in zip("XYZ", *_conjugated_pauli(_encoder_circuit(n), _XYZ)):
             assert (tuple(x[:k]), tuple(z[:k])) == bits[tag], (n, tag)
             assert not x[k:].any() and not z[k:].any(), (n, tag)
     elapsed = time.process_time() - t0

@@ -7,7 +7,9 @@ The oracles are the dense formulas: a gate is embedded as S-dagger
 u rho u-dagger, an attack is W tensored n times, and a depolarizing kick
 is the three-Pauli sum
 (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s. `realize`, which applies
-permutation gates as row gathers, is held to contracting every gate.
+permutation gates as row gathers and dense gates on consecutive wires as
+one matmul, is held to contracting every gate, and the one GF(2) walk of
+a stack of Paulis (`_conjugated_pauli`) to the dense c-dagger W c.
 
 The hybrid scheme's runs go through the Pauli-fault engine, checked here
 against the dense density-matrix pass (encode, attack, decode, Born
@@ -38,6 +40,7 @@ from corrqec.circuit import (
     _all_wire_pauli,
     _conjugated_pauli,
     _kicks,
+    _pauli_bits,
     _permutation,
     apply,
     attack,
@@ -226,6 +229,14 @@ def permutation_and_dense_circuits(draw):
                      PlacedGate(CNOT, (3, 1)), PlacedGate(X, (0,)))))
 @example(Circuit(2, (PlacedGate(ry(1e-200), (0,)), PlacedGate(CNOT, (0, 1)),
                      PlacedGate(ry(1e-200), (0,)), PlacedGate(X, (0,)), PlacedGate(ry(0.0), (1,)))))
+# dense gates on consecutive ascending wires take `realize`'s matmul path,
+# here on entries that are not 0/1, with a pending gather before the last
+@example(Circuit(6, (PlacedGate(H, (2,)), PlacedGate(controlled(ry(0.7), 0), (3, 4)),
+                     PlacedGate(ry(1.3), (0,)), PlacedGate(CNOT, (5, 1)),
+                     PlacedGate(controlled(ry(-2.1), 0), (1, 2)))))
+@example(Circuit(3, (PlacedGate(ry(0.4), (2,)), PlacedGate(controlled(ry(2.2), 1), (0, 1)),
+                     PlacedGate(controlled(CNOT, 0), (0, 1, 2)), PlacedGate(H, (0,)),
+                     PlacedGate(controlled(ry(-0.9), 1), (1, 2)))))
 def test_realize_is_bit_identical_to_contracting_every_gate(c):
     assert bits(realize(c)) == bits(realize_by_contract(c))
 
@@ -486,10 +497,60 @@ def test_pauli_fault_engine_rejects_what_it_cannot_run():
         with pytest.raises(ValueError, match="Pauli"):
             pauli_fault_distribution(enc, zeros, w, [1, 2])
         with pytest.raises(ValueError, match="finite"):
-            _conjugated_pauli(enc, w)
+            _conjugated_pauli(enc, w[None])
+    for ws in (X.matrix.array, np.zeros((0, 2, 2)), np.zeros((1, 4, 4))):
+        with pytest.raises(ValueError, match="stack"):
+            _conjugated_pauli(enc, ws)
     # the accepted inputs, for contrast: a phase on the Pauli is allowed
     probs = pauli_fault_distribution(enc, zeros, 1j * Y.matrix.array, [1, 2], NoiseModel(p1=0.1, p2=0.2))
     assert abs(probs.sum() - 1.0) <= 1e-15 and probs.min() >= 0.0
+
+
+@st.composite
+def clifford_walks(draw):
+    """A random Clifford circuit of CNOT, H, X, Z, CZ and S gates on up to
+    6 wires, and a stack of 1 to 4 Paulis, each with a phase."""
+    n = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        if n == 1 or draw(st.booleans()):
+            gate, wires = draw(st.sampled_from((H, X, Z, _S))), (draw(st.integers(0, n - 1)),)
+        else:
+            gate, wires = draw(st.sampled_from((CNOT, controlled(Z, 1)))), draw(st.permutations(range(n)))[:2]
+        gates.append(PlacedGate(gate, tuple(wires)))
+    paulis = st.sampled_from((np.eye(2), *_PAULIS))
+    ws = draw(st.lists(st.tuples(angles, paulis), min_size=1, max_size=4))
+    return Circuit(n, tuple(gates)), np.array([np.exp(1j * a) * w for a, w in ws])
+
+
+def xz_word(x, z):
+    """The Pauli X^x Z^z on each wire, wire 0 the most significant."""
+    return reduce(np.kron, (np.linalg.matrix_power(X.matrix.array, int(a))
+                            @ np.linalg.matrix_power(Z.matrix.array, int(b)) for a, b in zip(x, z)),
+                  np.eye(1))
+
+
+@_SETTINGS
+@given(clifford_walks())
+def test_one_walk_carries_a_stack_of_paulis_as_the_dense_conjugation_does(case):
+    """Row j of the stacked walk is the Pauli of the dense c-dagger (w_j on
+    every wire) c, and the walk of w_j alone. The dense side uses
+    `_pauli_bits`' criterion, |Tr(P-dagger D)| / 2^n = 1 for the Pauli P
+    of those bits, which holds for exactly one P when D is unitary; it
+    calls `_pauli_bits` itself only up to n = 4, as its basis of 4^n
+    Paulis takes 268 MB at n = 6."""
+    c, ws = case
+    n = c.n_wires
+    u = reduce(lambda m, pg: embed(pg, n) @ m, c.gates, np.eye(2**n))
+    x, z = _conjugated_pauli(c, ws)
+    assert x.shape == z.shape == (len(ws), n)
+    for w, xs, zs in zip(ws, x, z):
+        dense = u.conj().T @ tensor_power(w, n) @ u
+        assert abs(abs(np.vdot(xz_word(xs, zs), dense)) / 2**n - 1.0) <= 1e-12
+        if n <= 4:  # and `_pauli_bits` itself, whose basis is 1 MB at n = 4
+            assert np.array_equal(np.concatenate([xs, zs]), _pauli_bits(dense[None])[0])
+        alone = _conjugated_pauli(c, w[None])
+        assert np.array_equal(alone[0], xs[None]) and np.array_equal(alone[1], zs[None])
 
 
 _LISTS = (["i"], ["x"], ["y"], ["z"], ["x", "y"], ["y", "z"], ["z", "x"], ["x", "y", "z"])

@@ -33,6 +33,13 @@ def test_two_snapshots_of_one_tree_are_identical(tmp_path):
     assert a["verify.txt"].endswith(b"18/18 checks passed\nexit=0\n")
     assert a["cli.txt"].count(b" exit=0\n") == len(_SCHEMES) == 4
     assert a["cli.txt"].count(b" exit=2\n") == len(USAGE_ERRORS) == 25
+    realized = a["realize.txt"].decode().splitlines()
+    assert [line.split()[0] for line in realized[:12]] == [
+        "standard", "basic", "refutation", "recursive2", "recursive3",
+        *(f"hybrid{n}" for n in range(2, 9)),
+    ]
+    assert [line.split()[0] for line in realized[12:]] == [f"{line.split()[0]}-dagger" for line in realized[:12]]
+    assert all(len(line.split()[1]) == 64 for line in realized)  # a sha256 in hex
     assert sorted(name for name in a if name.startswith("cli")) == [
         "cli.txt", "cli/corr3-basic-seed0.json", "cli/corr3-seed0.json",
         "cli/corr5-seed0.json", "cli/hybrid3-seed0.json",
@@ -69,6 +76,10 @@ def test_snapshot_diff_accepts_only_moved_probabilities(tmp_path, capsys):
     _edit(counted / report, f'"{key}": {c}', f'"{key}": {c + 1}')
     assert snapshot_diff.main([str(a), str(counted)]) == 1
     assert f"differs beyond success_probability: {report}" in capsys.readouterr().out
+
+    _edit(counted / "realize.txt", "standard ", "standard-moved ")
+    assert snapshot_diff.main([str(a), str(counted)]) == 1
+    assert "differs beyond success_probability: realize.txt" in capsys.readouterr().out
 
     (missing / "reports/0000.csv").unlink()
     assert snapshot_diff.main([str(a), str(missing)]) == 1

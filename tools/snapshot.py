@@ -13,6 +13,11 @@ this repo's `perfbench/workloads.oracle_grid()` and writes into <outdir>:
                other flag, for each scheme, and of each command line in
                tests/test_cli.py's USAGE_ERRORS
   cli/         the reports those default runs write under their default names
+  realize.txt  per fixed package circuit (both corr decompositions, the
+               refutation, recursive_encoder(2..3), the hybrid encoders
+               n = 2..8) and per `dagger_circuit` of it: its name and the
+               sha256 of `realize(c).tobytes()`, so the matrices `verify`
+               compares are pinned bit for bit, not only its printed digits
 
 Reports are written under relative paths from inside <outdir> (the
 default runs from inside <outdir>/cli, with $CORRQEC_OUTPUT_DIR unset), so
@@ -22,6 +27,7 @@ checkouts and compare the two directories with `diff -r`.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -61,10 +67,23 @@ def _cli_lines(main) -> list[str]:
     return lines
 
 
+def _realize_lines() -> list[str]:
+    from corrqec import correlated, hybrid
+    from corrqec.circuit import dagger_circuit, realize
+
+    named = [("standard", correlated.standard_decomposition()),
+             ("basic", correlated.basic_decomposition()),
+             ("refutation", correlated._erroneous_decomposition())]
+    named += [(f"recursive{k}", correlated.recursive_encoder(k)) for k in (2, 3)]
+    named += [(f"hybrid{n}", hybrid.encoder_circuit(n)) for n in range(hybrid.MIN_QUBITS, hybrid.MAX_QUBITS + 1)]
+    named += [(f"{name}-dagger", dagger_circuit(c)) for name, c in named]
+    return [f"{name} {hashlib.sha256(realize(c).tobytes()).hexdigest()}\n" for name, c in named]
+
+
 def write_snapshot(outdir, ops) -> None:
-    """Write the reports of `ops` (perfbench Ops), the dumps, `verify` and
-    the default and usage-error command lines into outdir with the
-    `corrqec` already imported."""
+    """Write the reports of `ops` (perfbench Ops), the dumps, `verify`,
+    the default and usage-error command lines and the realized circuits
+    into outdir with the `corrqec` already imported."""
     from corrqec.cli import main
 
     outdir = Path(outdir)
@@ -96,6 +115,7 @@ def write_snapshot(outdir, ops) -> None:
     (outdir / "dump.txt").write_text("".join(dumps), encoding="utf-8")
     (outdir / "verify.txt").write_text(f"{out}{err}exit={code}\n", encoding="utf-8")
     (outdir / "cli.txt").write_text("".join(cli), encoding="utf-8")
+    (outdir / "realize.txt").write_text("".join(_realize_lines()), encoding="utf-8")
 
 
 def main(argv) -> int:
@@ -109,7 +129,7 @@ def main(argv) -> int:
     print(f"corrqec from {Path(corrqec.__file__).parent}")
     ops = oracle_grid()
     write_snapshot(outdir, ops)
-    print(f"wrote {2 * len(ops)} reports, {len(DUMP_TARGETS)} dumps, verify and cli to {outdir}")
+    print(f"wrote {2 * len(ops)} reports, {len(DUMP_TARGETS)} dumps, verify, cli and realize to {outdir}")
     return 0
 
 

@@ -7,7 +7,8 @@ exact `success_probability` in its last digits and nothing else. This
 prints how many such values moved and the largest |delta|, and exits 0,
 when every other byte of the two snapshots is the same: the file set, every
 other line of every `reports/*.json`, the CSV reports (counts), `runs.txt`,
-`dump.txt` and `verify.txt`. Anything else is printed and exits 1.
+`dump.txt`, `verify.txt`, `cli.txt` and `realize.txt`. Anything else is
+printed and exits 1.
 """
 from __future__ import annotations
 
