@@ -7,8 +7,9 @@ wire (rows, then columns), and a gate touches only its axes (arXiv:1802.08032).
 performs, then the transpose back that `np.moveaxis` would make, with both
 axis orders cached per (rank, axes): the same arrays reach the same `dot`,
 so the bytes are tensordot's, without its per-call bookkeeping.
-A circuit hashes its gates once, when it is built, so the caches keyed by
-circuit (`_program`, `dagger_circuit`, `_faults`) cost one lookup.
+A gate, a placed gate and a circuit each hash once, when built, so the
+caches keyed by them (`_symplectic`, `_row_map`, `_program`,
+`dagger_circuit`, `_faults`) cost one lookup.
 The one exception is `realize`, the full unitary of a circuit: a gate whose
 matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so its
 flat row map, built once per placed gate and width, composes into a pending
@@ -30,8 +31,7 @@ superoperator (gate fusion, arXiv:2011.13524), built once per
 (circuit, p1, p2) and cached.
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
-axis pair of a density matrix; `_all_wire_pauli` applies a Pauli on every
-wire to the columns of an array as the signed permutation it is.
+axis pair of a density matrix.
 `pauli_fault_distribution` gives the outcome distribution of encode, attack,
 decode without a density matrix when the circuit is Clifford and the attack a
 Pauli, as in the hybrid scheme: every kick is then a Pauli fault, pushed to
@@ -58,7 +58,7 @@ from itertools import product
 import numpy as np
 
 from .gates import Gate, I, PlacedGate, X, Y, Z, format_placed_gate, inverse
-from .linalg import is_unitary, kron
+from .linalg import _integer, is_unitary, kron
 
 _STATE_NORM_TOL = 1e-10
 _DM_HERM_TOL = 1e-10
@@ -73,23 +73,13 @@ _SAMPLE_CHUNK = 1 << 20  # draws per batch, so memory does not grow with shots
 _BLOCK_WIRES = 3
 
 
-def _integer(v, name: str, least: int) -> int:
-    """An integer argument; a bool or a float is rejected, not truncated."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    if v < least:
-        raise ValueError(f"{name} must be at least {least}, got {v}")
-    return int(v)
-
-
 @dataclass(frozen=True)
 class Circuit:
     n_wires: int
     gates: tuple[PlacedGate, ...] = ()
 
     def __post_init__(self):
-        if self.n_wires < 1:
-            raise ValueError("circuit needs at least one wire")
+        object.__setattr__(self, "n_wires", _integer(self.n_wires, "n_wires", 1))
         object.__setattr__(self, "gates", tuple(self.gates))
         for pg in self.gates:
             if any(w >= self.n_wires for w in pg.wires):
@@ -112,7 +102,7 @@ class StateVector:
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("a state needs at least one amplitude")
-        n = int(np.log2(a.size)) if n_wires is None else int(n_wires)
+        n = int(np.log2(a.size)) if n_wires is None else _integer(n_wires, "n_wires", 0)
         if a.size != 2**n:
             raise ValueError(f"amplitude length {a.size} is not 2^{n}")
         if not np.isfinite(a).all():
@@ -150,7 +140,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square and non-empty, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("density matrix entries must be finite (no NaN/Inf)")
-        n = int(np.log2(a.shape[0])) if n_wires is None else int(n_wires)
+        n = int(np.log2(a.shape[0])) if n_wires is None else _integer(n_wires, "n_wires", 0)
         d = 2**n
         if a.shape != (d, d):
             raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, expected {d}x{d}")
@@ -206,6 +196,7 @@ class Histogram:
 
 def basis_state(n_wires: int, bits: str | int) -> StateVector:
     """Computational basis state; bits given as a string ('010') or an index."""
+    n_wires = _integer(n_wires, "n_wires", 0)
     if isinstance(bits, str):
         if len(bits) != n_wires or any(ch not in "01" for ch in bits):
             raise ValueError(f"bad bit string {bits!r} for {n_wires} wires")
@@ -447,34 +438,6 @@ def attack(s: StateVector | DensityMatrix, w):
 # One wire's Paulis I, X, Y, Z, and their symplectic (x, z) bits.
 _PAULIS = tuple(g.matrix.array for g in (I, X, Y, Z))
 _PAULI_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
-_PHASES = (1, 1j, -1, -1j)
-
-
-def _all_wire_pauli(w, a: np.ndarray) -> np.ndarray:
-    """W on every wire times a, for an array a of 2^n rows: exactly
-    tensor_power(w, n) @ a, in O(a.size), with no 2^n x 2^n matrix.
-
-    w must be exactly i^k X^x Z^z. Then W on n wires is i^(kn) times
-    X^x on every wire, which sends row r to r XOR 1...1, after Z^z on
-    every wire, which signs row r by (-1)^popcount(r). Every factor is 0,
-    +-1 or +-i, so the result is exact. ValueError for any other w."""
-    w = np.asarray(w, dtype=complex)
-    a = np.asarray(a)
-    n = int(a.shape[0]).bit_length() - 1 if a.ndim else -1
-    if a.ndim not in (1, 2) or n < 0 or a.shape[0] != 2**n:
-        raise ValueError(f"the operand needs 2^n rows, got shape {a.shape}")
-    if w.shape == (2, 2):
-        x = int(w[0, 0] == 0)
-        phase = complex(w[x, 0])
-        z = int(w[1 - x, 1] == -phase)
-        if phase in _PHASES and np.array_equal(w, phase * np.diag([1, 1 - 2 * z])[[x, 1 - x]]):
-            src = np.arange(2**n) ^ (2**n - 1 if x else 0)
-            parity = np.zeros(2**n, dtype=np.int64)
-            for b in range(n if z else 0):
-                parity ^= (src >> b) & 1
-            coef = complex(_PHASES[_PHASES.index(phase) * n % 4]) * (1 - 2 * parity)
-            return (coef if a.ndim == 1 else coef[:, None]) * a[src]
-    raise ValueError("w must be exactly a Pauli times a phase in {1, i, -1, -i}")
 
 
 @lru_cache(maxsize=None)  # one entry per gate width
@@ -613,7 +576,7 @@ def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
     n = c.n_wires
     if n != s.n_wires:
         raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
-    measured = tuple(sorted(set(int(q) for q in measured)))
+    measured = tuple(sorted(set(_integer(q, "measured wire") for q in measured)))
     if not measured or measured[0] < 0 or measured[-1] >= n:
         raise ValueError(f"measured wires {list(measured)} must be a nonempty subset of 0..{n - 1}")
     probs = (np.abs(s.amplitudes) ** 2).reshape((2,) * n)
@@ -641,7 +604,7 @@ def partial_trace(d: StateVector | DensityMatrix, keep) -> DensityMatrix:
     """Reduced state over the kept wires, ascending wire order preserved.
     A state vector's is M M-dagger, for M its amplitudes with the kept
     wires as rows, so no density matrix of the whole state is formed."""
-    keep = sorted(set(int(w) for w in keep))
+    keep = sorted(set(_integer(w, "kept wire") for w in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if any(w < 0 or w >= d.n_wires for w in keep):
@@ -663,7 +626,7 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
     Outcome index bit order follows the histogram key convention: the
     smallest measured wire is the most significant bit of the index.
     """
-    wires = sorted(set(int(w) for w in wires))
+    wires = sorted(set(_integer(w, "measured wire") for w in wires))
     if not wires:
         raise ValueError("measure at least one wire")
     if any(w < 0 or w >= s.n_wires for w in wires):

@@ -31,7 +31,6 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
-    _integer,
     attack,
     basis_state,
     fidelity,
@@ -41,7 +40,7 @@ from .circuit import (
     to_density,
 )
 from .gates import CNOT, Gate, H, I, PlacedGate, X, Y, Z, controlled, ry, ry_from_text, ry_x, x_ry
-from .linalg import ComplexMatrix, is_unitary, tensor_power
+from .linalg import ComplexMatrix, _integer, is_unitary, tensor_power
 
 _S13 = np.sqrt(1.0 / 3.0)
 _S23 = np.sqrt(2.0 / 3.0)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ComplexMatrix, is_unitary
+from .linalg import ComplexMatrix, _integer, is_unitary
 
 _UNITARY_TOL = 1e-12
 
@@ -32,8 +32,7 @@ class Gate:
     arity: int
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError("gate arity must be at least 1")
+        _integer(self.arity, "gate arity", 1)
         d = 2**self.arity
         rows, cols = self.matrix.array.shape
         if (rows, cols) != (d, d):
@@ -42,6 +41,11 @@ class Gate:
             )
         if not is_unitary(self.matrix.array, _UNITARY_TOL):
             raise ValueError(f"gate {self.name!r}: matrix is not unitary within {_UNITARY_TOL}")
+        # the dataclass hash, once: it hashes the matrix bytes
+        object.__setattr__(self, "_hash", hash((self.name, self.matrix, self.arity)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class PlacedGate:
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        wires = tuple(int(w) for w in self.wires)
+        wires = tuple(_integer(w, "wire index") for w in self.wires)
         object.__setattr__(self, "wires", wires)
         if len(wires) != self.gate.arity:
             raise ValueError(
@@ -60,6 +64,10 @@ class PlacedGate:
             raise ValueError(f"wires must be distinct, got {wires}")
         if any(w < 0 for w in wires):
             raise ValueError(f"wire indices must be non-negative, got {wires}")
+        object.__setattr__(self, "_hash", hash((self.gate, wires)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _gate(name: str, rows) -> Gate:

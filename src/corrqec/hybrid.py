@@ -20,14 +20,10 @@ CNOT/H, so `circuit._conjugated_pauli` carries X, Y and Z on every wire
 back through it gate by gate, all three in one walk per width, and no bit
 may land on a data wire. The even-width readback is read off the same
 bits: the x bits on the two ancilla wires are the bits the attack flips.
-The dense matrices stay as the reference. A Pauli on every wire is a
-phase times X^x Z^z on every wire, a signed permutation of the basis,
-which `circuit._all_wire_pauli` applies exactly to the columns of an
-array in O(its size); only `error_unitary` writes it out as a matrix.
-Every P_n is real, so P-dagger is its transpose, and `conjugated_error`
-is one dense product, P^T (W P).
-`hybrid_protect` keeps the decoded state a vector, reduced to the data and
-ancilla wires by `partial_trace` without forming rho.
+The dense matrices stay as the reference: `conjugated_error` is
+P^T (W tensored n times) P, as every P_n is real, and `hybrid_protect`
+runs the attack through `circuit.attack` on the encoded vector, reduced
+to the data and ancilla wires by `partial_trace` without forming rho.
 """
 from __future__ import annotations
 
@@ -40,15 +36,14 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
-    _all_wire_pauli,
-    _integer,
+    attack,
     basis_state,
     fidelity,
     partial_trace,
     tensor,
 )
 from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry_from_text
-from .linalg import kron
+from .linalg import _integer, kron, tensor_power
 
 _PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
 PAULI_TAGS = tuple(_PAULI)
@@ -167,7 +162,7 @@ def data_wires(n: int) -> tuple[int, ...]:
 def error_unitary(n: int, tag: str) -> np.ndarray:
     """The attack: one Pauli applied to every wire simultaneously."""
     n = _check_width(n)
-    return _all_wire_pauli(_PAULI[normalize_tag(tag)], np.eye(2**n, dtype=complex))
+    return tensor_power(_PAULI[normalize_tag(tag)], n)
 
 
 def attack_factor(tags) -> np.ndarray:
@@ -188,11 +183,10 @@ def attack_factor(tags) -> np.ndarray:
 
 
 def _conjugate(n: int, w) -> np.ndarray:
-    """P-dagger (w on every wire) P, for a Pauli w up to a phase in
-    {1, i, -1, -i}: one dense product, as w on every wire is exact. P is
-    real, so P-dagger is its transpose, a view."""
+    """P-dagger (w on every wire) P. P is real, so P-dagger is its
+    transpose, a view."""
     p = _matrix_rec(n)
-    return p.T @ _all_wire_pauli(w, p)
+    return p.T @ (tensor_power(w, n) @ p)
 
 
 def conjugated_error(n: int, tag: str) -> np.ndarray:
@@ -201,10 +195,14 @@ def conjugated_error(n: int, tag: str) -> np.ndarray:
     return _conjugate(n, _PAULI[normalize_tag(tag)])
 
 
-def factor_residual(n: int, conjugated: np.ndarray) -> tuple[np.ndarray, float]:
-    """The ancilla-side factor A of a conjugated attack C, and the largest
-    entry of |C - A tensor identity-on-data|, taken block by block: A is
-    the top-left entry of each data-sized block."""
+def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
+    """Extract the ancilla-side factor A from a conjugated attack C: the
+    top-left entry of each data-sized block of C.
+
+    C must equal A tensor identity-on-data, compared block by block;
+    raises if the factorization fails (it never should for Pauli attacks,
+    and a failure here means the encoder construction is wrong).
+    """
     n = _check_width(n)
     k = 2 ** len(ancilla_wires(n))
     d = 2**n // k
@@ -213,18 +211,7 @@ def factor_residual(n: int, conjugated: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"conjugated attack must be {2**n}x{2**n}, got shape {c.shape}")
     blocks = c.reshape(k, d, k, d)
     a = blocks[:, 0, :, 0].copy()
-    return a, float(np.abs(blocks - a[:, None, :, None] * np.eye(d)[None, :, None, :]).max())
-
-
-def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
-    """Extract the ancilla-side factor A from a conjugated attack.
-
-    The conjugated attack must equal A tensor identity-on-data; raises if
-    the factorization fails (it never should for Pauli attacks, and a
-    failure here means the encoder construction is wrong).
-    """
-    a, residual = factor_residual(n, conjugated)
-    if residual > 1e-10:
+    if np.abs(blocks - a[:, None, :, None] * np.eye(d)[None, :, None, :]).max() > 1e-10:
         raise ValueError("conjugated attack does not factor as ancilla block tensor identity")
     return a
 
@@ -307,7 +294,7 @@ def hybrid_protect(
     p = _matrix_rec(n)
     anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
     full = anc_state if data is None else tensor(anc_state, data)
-    out = StateVector(p.T @ _all_wire_pauli(factor, p @ full.amplitudes), n)
+    out = StateVector(p.T @ attack(StateVector(p @ full.amplitudes, n), factor).amplitudes, n)
 
     fid_data = 1.0 if data is None else fidelity(partial_trace(out, list(dw)), data)
 

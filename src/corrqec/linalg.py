@@ -17,6 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 
+def _integer(v, name: str, least: int | None = None) -> int:
+    """An integer argument; a bool or a float is rejected, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v}")
+    return int(v)
+
+
 class ComplexMatrix:
     """A gate's matrix: immutable, dense, complex, compared by value.
 

@@ -27,7 +27,6 @@ from .circuit import (
     DensityMatrix,
     Histogram,
     NoiseModel,
-    _integer,
     apply,
     attack,
     basis_state,
@@ -39,6 +38,7 @@ from .circuit import (
     tensor,
     to_density,
 )
+from .linalg import _integer
 
 
 def _readout_flip(probs: np.ndarray, p: float) -> np.ndarray:

@@ -18,12 +18,15 @@ from corrqec.circuit import (
     dagger_circuit,
     fidelity,
     partial_trace,
+    pauli_fault_distribution,
     realize,
     sample_counts,
     tensor,
     to_density,
 )
-from corrqec.gates import CNOT, H, X, Z, PlacedGate, controlled, ry
+from corrqec.gates import CNOT, H, X, Z, Gate, PlacedGate, controlled, ry
+from corrqec.hybrid import encoder_circuit
+from corrqec.linalg import ComplexMatrix
 
 
 def bell_circuit() -> Circuit:
@@ -275,6 +278,51 @@ def test_a_circuit_hashes_its_gates_once_and_equal_circuits_share_caches():
     assert dagger_circuit(rebuilt) is dagger_circuit(c)
     assert circuit._program(rebuilt, 0.01, 0.02) is circuit._program(c, 0.01, 0.02)
     assert hash(Circuit(3, c.gates[:2])) != hash(c)
+
+
+def test_a_gate_cache_hit_hashes_no_matrix(monkeypatch):
+    # a gate and a placed gate keep the dataclass hash, computed once, so
+    # a lookup in a cache keyed by them does not hash matrix bytes again
+    gates = encoder_circuit(8).gates
+    for pg in gates:
+        assert hash(pg.gate) == hash((pg.gate.name, pg.gate.matrix, pg.gate.arity))
+        assert hash(pg) == hash((pg.gate, pg.wires))
+        circuit._symplectic(pg.gate), circuit._row_map(pg, 8)
+    rebuilt = Gate(CNOT.name, ComplexMatrix(CNOT.matrix.array), CNOT.arity)
+    assert rebuilt == CNOT and hash(rebuilt) == hash(CNOT)
+    calls = []
+    real = ComplexMatrix.__hash__
+    monkeypatch.setattr(ComplexMatrix, "__hash__", lambda m: calls.append(m) or real(m))
+    hits = circuit._symplectic.cache_info().hits
+    for pg in gates:
+        circuit._symplectic(pg.gate), circuit._row_map(pg, 8)
+    assert circuit._symplectic(rebuilt) is circuit._symplectic(CNOT)
+    assert circuit._symplectic.cache_info().hits == hits + len(gates) + 2
+    assert calls == []
+
+
+_TWO_WIRES = Circuit(2, (PlacedGate(H, (0,)),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PlacedGate(X, (1.7,)), "wire index must be an integer, got 1.7"),
+    (lambda: PlacedGate(X, (True,)), "wire index must be an integer, got True"),
+    (lambda: Gate("X", X.matrix, 1.0), "gate arity must be an integer, got 1.0"),
+    (lambda: Circuit(2.5, ()), "n_wires must be an integer, got 2.5"),
+    (lambda: StateVector(np.ones(4) / 2, 2.7), "n_wires must be an integer, got 2.7"),
+    (lambda: DensityMatrix(np.eye(2) / 2, 1.5), "n_wires must be an integer, got 1.5"),
+    (lambda: partial_trace(basis_state(2, "00"), [0.9]), "kept wire must be an integer, got 0.9"),
+    (lambda: born_distribution(basis_state(2, "00"), [1.9]), "measured wire must be an integer, got 1.9"),
+    (lambda: pauli_fault_distribution(_TWO_WIRES, basis_state(2, "00"), Z.matrix.array, [0.5]),
+     "measured wire must be an integer, got 0.5"),
+    (lambda: basis_state(2.0, "01"), "n_wires must be an integer, got 2.0"),
+], ids=["placed-float", "placed-bool", "gate-arity", "circuit", "vector", "density", "partial-trace", "born",
+        "pauli-faults", "basis-state"])
+def test_a_width_or_wire_that_is_not_an_integer_is_rejected(build, message):
+    # each was truncated (1.7 acted on wire 1), accepted (a gate of arity
+    # 1.0) or, for basis_state, a TypeError
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_histogram_validation():

@@ -20,7 +20,6 @@ from corrqec.hybrid import (
     data_wires,
     encoder_circuit,
     error_unitary,
-    factor_residual,
     hybrid_encoder,
     hybrid_protect,
     normalize_tag,
@@ -178,16 +177,24 @@ def test_conjugated_error_is_the_dense_conjugation():
             assert np.abs(conjugated_error(n, tag) - dense).max() <= 1e-15
 
 
-def test_factor_residual_is_the_kron_residual():
-    # the blockwise residual is the largest entry of |C - A (x) I|, for
-    # conjugated attacks and for matrices that do not factor
+def test_ancilla_block_is_the_kron_factor():
+    # A = C[::d, ::d] when |C - A (x) I| is at most 1e-10 everywhere, and a
+    # ValueError otherwise: for conjugated attacks, for matrices that do not
+    # factor, and for a factoring matrix moved by 1e-11 and by 1e-9
     rng = np.random.default_rng(7)
     for n in range(MIN_QUBITS, MAX_QUBITS + 1):
         d = 2 ** (n - len(ancilla_wires(n)))
-        for c in (conjugated_error(n, "Y"), hybrid_encoder(n).matrix, rng.normal(size=(2**n, 2**n))):
-            a, residual = factor_residual(n, c)
-            assert np.array_equal(a, c[::d, ::d])
-            assert residual == np.abs(c - np.kron(a, np.eye(d))).max()
+        kron_a = np.kron(rng.normal(size=(2**n // d, 2**n // d)), np.eye(d))
+        cases = [conjugated_error(n, tag) for tag in PAULI_TAGS]
+        cases += [hybrid_encoder(n).matrix, rng.normal(size=(2**n, 2**n)), kron_a]
+        cases += [kron_a + eps * rng.choice([-1, 1], size=kron_a.shape) for eps in (1e-11, 1e-9)]
+        for c in cases:
+            a = c[::d, ::d]
+            if np.abs(c - np.kron(a, np.eye(d))).max() <= 1e-10:
+                assert np.array_equal(ancilla_block(n, c), a)
+            else:
+                with pytest.raises(ValueError, match="does not factor"):
+                    ancilla_block(n, c)
 
 
 def test_conjugated_identity_is_identity():

@@ -37,7 +37,6 @@ from corrqec.circuit import (
     DensityMatrix,
     NoiseModel,
     StateVector,
-    _all_wire_pauli,
     _conjugated_pauli,
     _kicks,
     _pauli_bits,
@@ -278,44 +277,24 @@ def test_closed_form_depolarizing_is_the_pauli_sum(case):
 
 
 @_SETTINGS
-@given(st.integers(1, 5), seeds)
-def test_attack_is_the_dense_tensor_power(n, seed):
-    # the per-wire attack against the dense W tensored n times, on a pure
-    # and on a mixed state, for a Haar-random U(2) factor
+@given(st.integers(1, 8), st.lists(st.integers(0, 3), max_size=4), st.integers(0, 3), seeds)
+def test_attack_is_the_dense_tensor_power(n, word, k, seed):
+    # the per-wire attack against the dense W tensored n times: bit for bit
+    # on a pure state for a phased product of 0-4 Paulis, as `hybrid_protect`
+    # uses it, and on a pure and on a mixed state for a Haar-random U(2)
+    # factor
     rng = np.random.default_rng(seed)
-    w = random_unitary(rng, 1)
-    wn = tensor_power(w, n)
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v /= np.linalg.norm(v)
+    paulis = (np.eye(2, dtype=complex), *_PAULIS)
+    pauli = (1, 1j, -1, -1j)[k] * reduce(np.matmul, [paulis[i] for i in word], paulis[0])
+    assert np.array_equal(attack(StateVector(v, n), pauli).amplitudes, tensor_power(pauli, n) @ v)
+    w = random_unitary(rng, 1)
+    wn = tensor_power(w, n)
     assert np.abs(attack(StateVector(v, n), w).amplitudes - wn @ v).max() <= 1e-13
     rho = random_density(rng, n)
     got = attack(DensityMatrix(rho, n), w).matrix
     assert np.abs(got - wn @ rho @ wn.conj().T).max() <= 1e-13
-
-
-@_SETTINGS
-@given(st.integers(1, 8), st.lists(st.integers(0, 3), max_size=4), st.integers(0, 3),
-       st.integers(0, 3), seeds)
-def test_all_wire_pauli_is_the_dense_tensor_power(n, word, k, cols, seed):
-    # a phased product of 0-4 Paulis on every wire, by index arithmetic,
-    # against the dense W tensored n times times a vector (cols = 0) or a
-    # matrix, bit for bit
-    paulis = (np.eye(2, dtype=complex), *_PAULIS)
-    w = (1, 1j, -1, -1j)[k] * reduce(np.matmul, [paulis[i] for i in word], paulis[0])
-    rng = np.random.default_rng(seed)
-    shape = (2**n, cols) if cols else (2**n,)
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    assert np.array_equal(_all_wire_pauli(w, a), tensor_power(w, n) @ a)
-
-
-def test_all_wire_pauli_rejects_anything_but_a_phased_pauli():
-    for w in (H.matrix.array, ry(0.3).matrix.array, 2 * X.matrix.array,
-              np.exp(0.1j) * Z.matrix.array, np.eye(4)):
-        with pytest.raises(ValueError, match="Pauli"):
-            _all_wire_pauli(w, np.ones(4, dtype=complex))
-    for a in (np.ones(3), np.ones((6, 2)), np.ones((2, 2, 2)), np.array(1.0)):
-        with pytest.raises(ValueError, match="2\\^n rows"):
-            _all_wire_pauli(X.matrix.array, a)
 
 
 @_SETTINGS

@@ -5,9 +5,12 @@ tensor-contraction pass, sharing only the circuit definitions with corrqec;
 `perfbench/oracle.json` holds the values the benchmark checks reports
 against. This test runs both on a tenth of the grid, so an engine change
 that moves a success probability fails here before it reaches the benchmark.
+So does a traced function that is renamed or removed, or a `verify` check
+added or dropped without the benchmark's count.
 """
 from __future__ import annotations
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -15,11 +18,21 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from checks import load_oracle  # noqa: E402
+from checks import VERIFY_CHECKS, load_oracle  # noqa: E402
 from make_oracle import AGREE_TOL, library_success, reference_success  # noqa: E402
+from tracer import TRACED  # noqa: E402
 from workloads import oracle_grid  # noqa: E402
 
-from corrqec import correlated, hybrid  # noqa: E402
+from corrqec import cli, correlated, hybrid  # noqa: E402
+
+
+def test_every_name_the_benchmark_pins_resolves():
+    # the tracer wraps each "<module>.<function>" by name, and the verify
+    # check counts the PASS lines
+    for name in TRACED:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"corrqec.{module}"), function, None)), name
+    assert len(cli.CHECKS) == VERIFY_CHECKS
 
 
 def test_every_tenth_grid_point_matches_the_reference_and_the_oracle():
