@@ -277,24 +277,36 @@ def test_closed_form_depolarizing_is_the_pauli_sum(case):
 
 
 @_SETTINGS
-@given(st.integers(1, 8), st.lists(st.integers(0, 3), max_size=4), st.integers(0, 3), seeds)
-def test_attack_is_the_dense_tensor_power(n, word, k, seed):
-    # the per-wire attack against the dense W tensored n times: bit for bit
-    # on a pure state for a phased product of 0-4 Paulis, as `hybrid_protect`
-    # uses it, and on a pure and on a mixed state for a Haar-random U(2)
-    # factor
+@given(st.integers(1, 5), seeds)
+def test_attack_is_the_dense_tensor_power(n, seed):
+    # the per-wire attack against the dense W tensored n times, on a pure
+    # and on a mixed state, for a Haar-random U(2) factor
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    v /= np.linalg.norm(v)
-    paulis = (np.eye(2, dtype=complex), *_PAULIS)
-    pauli = (1, 1j, -1, -1j)[k] * reduce(np.matmul, [paulis[i] for i in word], paulis[0])
-    assert np.array_equal(attack(StateVector(v, n), pauli).amplitudes, tensor_power(pauli, n) @ v)
     w = random_unitary(rng, 1)
     wn = tensor_power(w, n)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)
     assert np.abs(attack(StateVector(v, n), w).amplitudes - wn @ v).max() <= 1e-13
     rho = random_density(rng, n)
     got = attack(DensityMatrix(rho, n), w).matrix
     assert np.abs(got - wn @ rho @ wn.conj().T).max() <= 1e-13
+
+
+@_SETTINGS
+@given(st.integers(1, 8), st.lists(st.integers(0, 3), max_size=4), st.integers(0, 3),
+       st.integers(0, 3), seeds)
+def test_all_wire_pauli_is_the_dense_tensor_power(n, word, k, cols, seed):
+    # a phased product of 0-4 Paulis on every wire, as `hybrid_protect`
+    # applies it through `attack`, against the dense W tensored n times
+    # times one vector (cols = 0) or each column of a matrix, bit for bit
+    paulis = (np.eye(2, dtype=complex), *_PAULIS)
+    w = (1, 1j, -1, -1j)[k] * reduce(np.matmul, [paulis[i] for i in word], paulis[0])
+    wn = tensor_power(w, n)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, max(cols, 1))) + 1j * rng.normal(size=(2**n, max(cols, 1)))
+    a /= np.linalg.norm(a, axis=0)
+    for v in a.T:
+        assert np.array_equal(attack(StateVector(v, n), w).amplitudes, wn @ v)
 
 
 @_SETTINGS
