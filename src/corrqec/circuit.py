@@ -9,7 +9,7 @@ axis orders cached per (rank, axes): the same arrays reach the same `dot`,
 so the bytes are tensordot's, without its per-call bookkeeping.
 A gate, a placed gate and a circuit each hash once, when built, so the
 caches keyed by them (`_symplectic`, `_row_map`, `_program`,
-`dagger_circuit`, `_faults`) cost one lookup.
+`dagger_circuit`, `_faults`, `_effects`, `_fault_base`) cost one lookup.
 The one exception is `realize`, the full unitary of a circuit: a gate whose
 matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so its
 flat row map, built once per placed gate and width, composes into a pending
@@ -32,16 +32,21 @@ superoperator (gate fusion, arXiv:2011.13524), built once per
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
 axis pair of a density matrix.
-`pauli_fault_distribution` gives the outcome distribution of encode, attack,
-decode without a density matrix when the circuit is Clifford and the attack a
-Pauli, as in the hybrid scheme: every kick is then a Pauli fault, pushed to
-the output on GF(2) bits once per circuit (`_faults`), and a run costs
-O(faults x 2^m) for m measured wires. Hybrid runs take this path; the
-correlated schemes, whose encoders are not Clifford, take `apply`, which is
-also the tests' reference for the fault engine. `_conjugated_pauli` carries
-a stack of all-wire Paulis back through a Clifford circuit in one walk by the
-same step (`_carry_back`), which is how `verify` proves the hybrid
-factorization.
+A run, encode, attack, decode and read the measured wires, has two engines,
+and each compiles everything but the attack once per (circuit, measured
+wires, p1, p2). `effect_distribution`, which the correlated schemes take,
+caches the encoded state and the decoder's effects (`_effects`, built with
+`apply`) and per run forms W rho W-dagger for W = w on every wire and pairs
+it with the effects, so no run path passes a density matrix through a
+circuit. `pauli_fault_distribution` needs no density matrix at all when the
+circuit is Clifford and the attack a Pauli, as in the hybrid scheme: every
+kick is then a Pauli fault, pushed to the output on GF(2) bits once per
+circuit (`_faults`), its distribution without the attack is cached
+(`_fault_base`), and a run only shifts it by the attack's flips. The dense
+pass `apply`, `attack`, `born_distribution` is the tests' reference for
+both. `_conjugated_pauli` carries a stack of all-wire Paulis back through a
+Clifford circuit in one walk by the same step as `_faults` (`_carry_back`),
+which is how `verify` proves the hybrid factorization.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -58,7 +63,7 @@ from itertools import product
 import numpy as np
 
 from .gates import Gate, I, PlacedGate, X, Y, Z, format_placed_gate, inverse
-from .linalg import _integer, is_unitary, kron
+from .linalg import _integer, is_unitary, kron, tensor_power
 
 _STATE_NORM_TOL = 1e-10
 _DM_HERM_TOL = 1e-10
@@ -417,11 +422,18 @@ def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None =
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
 
 
+def _attack_factor(w) -> np.ndarray:
+    """w as a complex array; ValueError unless it is a 2x2 unitary within
+    1e-12, a Gate's tolerance."""
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (2, 2) or not is_unitary(w, 1e-12):
+        raise ValueError("attack factor must be a 2x2 unitary within 1e-12")
+    return w
+
+
 def attack(s: StateVector | DensityMatrix, w):
     """The 2x2 unitary w on every wire at once, one contraction per wire."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (2, 2) or not is_unitary(w, 1e-12):  # a Gate's tolerance
-        raise ValueError("attack factor must be a 2x2 unitary within 1e-12")
+    w = _attack_factor(w)
     n = s.n_wires
     if isinstance(s, StateVector):
         t = s.amplitudes.reshape((2,) * n)
@@ -433,6 +445,81 @@ def attack(s: StateVector | DensityMatrix, w):
     for wire in range(n):
         t = contract(t, superop, (wire, n + wire))
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
+
+
+def _measured_wires(c: Circuit, measured) -> tuple[int, ...]:
+    """The measured wires of c, sorted, each once; ValueError unless they
+    are a nonempty subset of its wires."""
+    measured = tuple(sorted(set(_integer(q, "measured wire") for q in measured)))
+    if not measured or measured[0] < 0 or measured[-1] >= c.n_wires:
+        raise ValueError(f"measured wires {list(measured)} must be a nonempty subset of 0..{c.n_wires - 1}")
+    return measured
+
+
+def _check_distribution(probs: np.ndarray, what: str) -> None:
+    """ValueError unless probs is finite, nowhere below -1e-12 and sums to
+    1 within 1e-10: rounding may leave it slightly off, nothing more."""
+    if not np.isfinite(probs).all() or probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
+        raise ValueError(f"{what} is not a probability distribution")
+
+
+@lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires, p1, p2)
+def _effects(c: Circuit, measured: tuple[int, ...], p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of a run of encode c from |0...0>, attack, decode
+    `dagger_circuit(c)` under gate noise (p1, p2), read on the m sorted
+    measured wires, that do not depend on the attack, both read-only:
+
+    - rho_enc, the encoded state `apply(c, |0...0><0...0|)`, a 2^n x 2^n
+      matrix checked once as a `DensityMatrix`;
+    - the decoder's effects, a (2^m, 4^n) matrix whose row j, read as the
+      2^n x 2^n matrix G_j, gives outcome j of the decoder's input sigma
+      with probability sum_{r,c} G_j[r, c] sigma[r, c].
+
+    A block of the program with superoperator S maps vec(rho) to
+    S vec(rho), so it maps an effect vec(E) back to S^T vec(E). The m
+    outcome projectors are carried back as one (2,)*(m+2n) tensor, block
+    by block, last block first. The decoder preserves the trace, so the
+    G_j sum to the identity; ValueError if not within 1e-12."""
+    n, m = c.n_wires, len(measured)
+    rho = apply(c, to_density(basis_state(n, 0)), NoiseModel(p1, p2))
+    rho = DensityMatrix(rho.matrix, n).matrix  # the one check of the state
+    basis = np.arange(2**n)
+    outcome = sum(((basis >> (n - 1 - q)) & 1) << (m - 1 - k) for k, q in enumerate(measured))
+    g = np.zeros((2**m, 2**n, 2**n), dtype=complex)
+    g[outcome, basis, basis] = 1.0  # the projector of outcome j on the diagonal
+    g = g.reshape((2,) * (m + 2 * n))
+    for superop, axes in reversed(_program(dagger_circuit(c), p1, p2)):
+        g = contract(g, superop.T, tuple(m + a for a in axes))
+    g = g.reshape(2**m, 4**n)
+    if np.abs(g.sum(axis=0) - np.eye(2**n).reshape(-1)).max() > 1e-12:
+        raise ValueError("the decoder's effects do not sum to the identity within 1e-12")
+    g.setflags(write=False)
+    return rho, g
+
+
+def effect_distribution(c: Circuit, w, measured, noise: NoiseModel | None = None) -> np.ndarray:
+    """Exact outcome distribution on the measured wires of encode c from
+    |0...0>, the 2x2 unitary w on every wire, decode `dagger_circuit(c)`,
+    each gate followed by its kicks as in `apply`. The measured wires are
+    sorted and ordered as in `born_distribution`; p_readout is not applied.
+
+    Only the attack depends on w. The encoded state rho_enc and the
+    decoder's effects G_j are compiled once per (circuit, measured wires,
+    p1, p2) (`_effects`), and a run takes sigma = W rho_enc W-dagger with
+    W = w on every wire (`tensor_power`), then p_j = Re sum G_j * sigma.
+    ValueError unless w is a 2x2 unitary within 1e-12, the measured wires
+    a nonempty subset of c's and p a distribution (finite, nowhere below
+    -1e-12, sum 1 within 1e-10); p is then clamped at 0 and divided by its
+    sum, as `born_distribution` does."""
+    measured = _measured_wires(c, measured)
+    w = _attack_factor(w)
+    nm = noise or NoiseModel()
+    rho, effects = _effects(c, measured, nm.p1, nm.p2)
+    wn = tensor_power(w, c.n_wires)
+    probs = np.real(effects @ (wn @ rho @ wn.conj().T).reshape(-1))
+    _check_distribution(probs, "effect distribution")
+    probs = np.maximum(probs, 0.0)  # rounding only
+    return probs / probs.sum()
 
 
 # One wire's Paulis I, X, Y, Z, and their symplectic (x, z) bits.
@@ -556,6 +643,24 @@ def _conjugated_pauli(c: Circuit, ws) -> tuple[np.ndarray, np.ndarray]:
     return b[:n].T, b[n:].T
 
 
+@lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires, p1, p2)
+def _fault_base(c: Circuit, measured: tuple[int, ...], p1: float,
+                p2: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """The outcome distribution of `pauli_fault_distribution` with no
+    attack, under gate noise (p1, p2), read-only, and the outcome masks an
+    X and a Z on every wire flip (`_faults`). The distribution is the
+    inverse Walsh-Hadamard transform of chi; ValueError unless it is a
+    probability distribution up to rounding."""
+    arities, sums, walsh, attack_flips = _faults(c, measured)
+    p = np.array([_kick_strength(k, p1, p2) for k in arities])
+    # the factor of chi as 1 - (p/4)(3 - sum): exactly 1 where the sum is 3
+    chi = np.prod(1.0 - 0.25 * p[:, None] * (3 - sums), axis=0)
+    base = walsh @ chi / len(chi)
+    _check_distribution(base, "Pauli-fault distribution")
+    base.setflags(write=False)
+    return base, attack_flips
+
+
 def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
                              noise: NoiseModel | None = None) -> np.ndarray:
     """Exact outcome distribution on the measured wires of encode c, the 2x2
@@ -572,13 +677,13 @@ def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
     independent, so the characteristic function of the outcome is
     chi(u) = prod_f (1 - 3p_f/4 + (p_f/4) sum_P (-1)^(u . mask_P)), and
     its inverse Walsh-Hadamard transform, shifted by the attack's mask, is
-    the distribution (Aaronson & Gottesman, arXiv:quant-ph/0406196)."""
+    the distribution (Aaronson & Gottesman, arXiv:quant-ph/0406196). The
+    transform is taken once per (circuit, measured wires, p1, p2)
+    (`_fault_base`); a run validates its input and gathers the shift."""
     n = c.n_wires
     if n != s.n_wires:
         raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
-    measured = tuple(sorted(set(_integer(q, "measured wire") for q in measured)))
-    if not measured or measured[0] < 0 or measured[-1] >= n:
-        raise ValueError(f"measured wires {list(measured)} must be a nonempty subset of 0..{n - 1}")
+    measured = _measured_wires(c, measured)
     probs = (np.abs(s.amplitudes) ** 2).reshape((2,) * n)
     if abs(probs[tuple(0 if q in measured else slice(None) for q in range(n))].sum() - 1.0) > _STATE_NORM_TOL:
         raise ValueError("the measured wires must start in |0...0>")
@@ -590,14 +695,8 @@ def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
     except ValueError:
         raise ValueError("attack factor must be a Pauli up to phase") from None
     nm = noise or NoiseModel()
-    arities, sums, walsh, (x_flip, z_flip) = _faults(c, measured)
-    p = np.array([_kick_strength(k, nm.p1, nm.p2) for k in arities])
-    # the factor above as 1 - (p/4)(3 - sum): exactly 1 where the sum is 3
-    chi = np.prod(1.0 - 0.25 * p[:, None] * (3 - sums), axis=0)
-    probs = (walsh @ chi / len(chi))[np.arange(len(chi)) ^ (x_flip if x else 0) ^ (z_flip if z else 0)]
-    if not np.isfinite(probs).all() or probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
-        raise ValueError("Pauli-fault distribution is not a probability distribution")
-    return np.maximum(probs, 0.0)  # rounding only
+    base, (x_flip, z_flip) = _fault_base(c, measured, nm.p1, nm.p2)
+    return np.maximum(base[np.arange(len(base)) ^ (x_flip if x else 0) ^ (z_flip if z else 0)], 0.0)
 
 
 def partial_trace(d: StateVector | DensityMatrix, keep) -> DensityMatrix:

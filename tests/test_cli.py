@@ -241,6 +241,8 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
      "ancilla 'ry:inf': angle 'inf' is not finite"),
     (["run", "--scheme", "corr3", "--out", ""], "--out must name a file, got an empty path"),
     (["dump", "u", "--out", ""], "--out must name a file, got an empty path"),
+    (["run", "--scheme", "corr3", "--shots", "100000000000000000000"],
+     "shots must be at most 1000000000, got 100000000000000000000"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins

@@ -17,6 +17,8 @@ from corrqec.circuit import (
     basis_state,
     born_distribution,
     dagger_circuit,
+    effect_distribution,
+    pauli_fault_distribution,
     realize,
     to_density,
 )
@@ -94,10 +96,11 @@ def test_noisy_application_preserves_trace():
 
 
 def test_noiseless_success_is_certain():
+    # exactly 1: the effect engine divides by the sum, as born_distribution does
     for scheme in ("corr3", "corr3-basic", "corr5"):
-        for w in ("h", "x", "y", "z", "ry:0.8"):
+        for w in ("h", "x", "y", "z", "i", "ry:0.4", "ry:0.8", "ry:1.1", "ry:2.356"):
             s = exact_success({"scheme": scheme, "w": w, "noise": {}})
-            assert abs(s - 1.0) < 1e-10, (scheme, w)
+            assert s == 1.0, (scheme, w, s)
 
 
 def test_noiseless_success_many_rounds():
@@ -161,6 +164,61 @@ def test_program_cache_is_bounded_read_only_and_keyed_on_gate_noise():
         with pytest.raises(ValueError):
             superop[0, 0] = 2.0
         assert superop.shape == (4 ** (len(axes) // 2),) * 2 and len(axes) <= 2 * circuit._BLOCK_WIRES
+
+
+def test_run_engines_cache_only_what_the_attack_does_not_change():
+    corr, _, _, corr_data = _build_experiment(_normalize_spec({"scheme": "corr5"}))
+    hyb, init, x, hyb_data = _build_experiment(_normalize_spec({"scheme": "hybrid", "n": 5, "errors": ["x"]}))
+    # a long noise sweep in one process keeps at most maxsize entries
+    for i in range(200):
+        nm = NoiseModel(p1=i / 4000, p2=i / 400)
+        effect_distribution(corr, H.matrix, corr_data, nm)
+        pauli_fault_distribution(hyb, init, x, hyb_data, nm)
+    for cached in (circuit._effects, circuit._fault_base):
+        assert cached.cache_info().currsize <= cached.cache_parameters()["maxsize"] == 64
+    # readout noise acts on the distribution, not on what is compiled
+    for scheme in ("corr5", "hybrid"):
+        exact_success({"scheme": scheme, "noise": {"p1": 1e-3, "p2": 1e-2}})
+    misses = circuit._effects.cache_info().misses, circuit._fault_base.cache_info().misses
+    for readout in (0.0, 0.01, 0.2):
+        for scheme in ("corr5", "hybrid"):
+            exact_success({"scheme": scheme, "noise": {"p1": 1e-3, "p2": 1e-2, "p_readout": readout}})
+    assert (circuit._effects.cache_info().misses, circuit._fault_base.cache_info().misses) == misses
+    rho, effects = circuit._effects(corr, (1, 3), 1e-3, 1e-2)
+    base, _ = circuit._fault_base(hyb, tuple(hyb_data), 1e-3, 1e-2)
+    assert rho.shape == (32, 32) and effects.shape == (4, 32 * 32)
+    for a in (rho, effects, base):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # the decoder preserves the trace, so its effects sum to the identity
+    for p1, p2 in ((0.0, 0.0), (1e-3, 1e-2), (1.0, 1.0)):
+        _, effects = circuit._effects(corr, (1, 3), p1, p2)
+        assert np.abs(effects.sum(axis=0).reshape(32, 32) - np.eye(32)).max() <= 1e-12
+
+
+def test_a_corr_run_with_a_new_attack_builds_no_density_matrix(monkeypatch):
+    spec = {"scheme": "corr5", "w": "h", "noise": {"p1": 1e-3, "p2": 1e-2, "p_readout": 1e-2}}
+    run_named(spec)  # compiles the encoded state and the decoder's effects
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm run built or checked a density matrix")
+
+    monkeypatch.setattr(circuit, "apply", forbidden)
+    monkeypatch.setattr(DensityMatrix, "__init__", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    for w in ("x", "ry:0.123", "matrix:[[[0,0],[1,0]],[[1,0],[0,0]]]"):
+        assert 0.0 < run_named(dict(spec, w=w)).success_probability < 1.0
+
+
+def test_the_effect_engine_rejects_a_non_unitary_attack_or_a_wire_out_of_range():
+    c = _build_experiment(_normalize_spec({"scheme": "corr3"}))[0]
+    for w in (2 * H.matrix.array, np.eye(4), [[1, 0], [0, 1 + 1e-9]], np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="unitary"):
+            effect_distribution(c, w, [1])
+    for measured in ([3], [-1], [], [0.5]):
+        with pytest.raises(ValueError, match="measured wire"):
+            effect_distribution(c, H.matrix, measured)
 
 
 def test_hybrid_noiseless_success():
@@ -284,6 +342,10 @@ def test_spec_validation_errors():
                       ({"scheme": "corr3", "noise": None}, "noise")):
         with pytest.raises(ValueError, match=key):
             run_named(spec)
+    # a shot count is bounded, so a huge one exits at once instead of hanging
+    assert _normalize_spec({"scheme": "corr3", "shots": 10**9})["shots"] == 10**9
+    with pytest.raises(ValueError, match="shots must be at most 1000000000, got 1000000001"):
+        _normalize_spec({"scheme": "corr3", "shots": 10**9 + 1})
     # None keeps meaning the default
     assert run_named({"scheme": "corr3", "w": None, "shots": 1}).config["w"] == "h"
     assert run_named({"scheme": "hybrid", "n": 4, "ancilla": None, "shots": 1}).config["ancilla"] == "00"

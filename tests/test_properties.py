@@ -11,15 +11,18 @@ permutation gates as row gathers and dense gates on consecutive wires as
 one matmul, is held to contracting every gate, and the one GF(2) walk of
 a stack of Paulis (`_conjugated_pauli`) to the dense c-dagger W c.
 
-The hybrid scheme's runs go through the Pauli-fault engine, checked here
-against the dense density-matrix pass (encode, attack, decode, Born
-marginal, readout flip). Its success probability cannot increase with gate
-noise or with readout noise up to 0.5, does not depend on the ancilla or
-on the Pauli list, and is the same at widths 2j+1 and 2j+2. So is the
+The hybrid scheme's runs go through the Pauli-fault engine and the corr
+schemes' through the effect engine (`effect_distribution`), both checked
+here against the dense density-matrix pass (encode, attack, decode, Born
+marginal, readout flip); the fault engine's cached attack-free part gives
+the bytes of its former per-run formula. Hybrid success cannot increase
+with gate noise or with readout noise up to 0.5, does not depend on the
+ancilla or on the Pauli list, and is the same at widths 2j+1 and 2j+2. So is the
 reporting of a failing property: it must not abort the test session.
 """
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from functools import reduce
@@ -414,7 +417,8 @@ def test_hybrid_success_does_not_increase_with_noise(case):
 
 
 def dense_distribution(spec):
-    """A hybrid run's outcome distribution through the density-matrix pass."""
+    """A run's outcome distribution through the density-matrix pass: encode,
+    attack, decode, Born marginal, readout flip."""
     ns = _normalize_spec(spec)
     circ, init, w, data = _build_experiment(ns)
     rho = apply(circ, to_density(init), ns["noise"])
@@ -429,6 +433,18 @@ def test_pauli_fault_engine_matches_the_dense_pass(spec, p1, p2, readout):
     spec = dict(spec, noise={"p1": p1, "p2": p2, "p_readout": readout})
     probs, _ = _exact_distribution(_normalize_spec(spec))
     assert np.abs(probs - dense_distribution(spec)).max() <= 1e-14
+
+
+@_SETTINGS
+@given(st.sampled_from(("corr3", "corr3-basic", "corr5")), seeds, probabilities, probabilities,
+       probabilities)
+def test_corr_runs_match_the_dense_pass(scheme, seed, p1, p2, readout):
+    # a Haar-random attack, given to full precision as a `matrix:` selector
+    w = random_unitary(np.random.default_rng(seed), 1)
+    selector = "matrix:" + json.dumps([[[z.real, z.imag] for z in row] for row in w])
+    spec = {"scheme": scheme, "w": selector, "noise": {"p1": p1, "p2": p2, "p_readout": readout}}
+    probs, _ = _exact_distribution(_normalize_spec(spec))
+    assert np.abs(probs - dense_distribution(spec)).max() <= 1e-13
 
 
 # S, and SH, which cycles X, Z and Y up to signs: unlike the maps of H, S
@@ -469,6 +485,33 @@ def test_pauli_fault_engine_matches_the_dense_pass_on_clifford_circuits(case):
     rho = apply(dagger_circuit(c), attack(rho, w), nm)
     expect = born_distribution(rho, measured)
     assert np.abs(pauli_fault_distribution(c, s, w, measured, nm) - expect).max() <= 1e-13
+
+
+def per_run_fault_distribution(c, w, measured, nm):
+    """The Pauli-fault engine as it was before its attack-free part was
+    cached: the whole transform taken per run, then shifted."""
+    arities, sums, walsh, (x_flip, z_flip) = circuit._faults(c, tuple(sorted(measured)))
+    x, z = _pauli_bits(np.asarray(w, dtype=complex)[None])[0]
+    p = np.array([circuit._kick_strength(k, nm.p1, nm.p2) for k in arities])
+    chi = np.prod(1.0 - 0.25 * p[:, None] * (3 - sums), axis=0)
+    probs = (walsh @ chi / len(chi))[np.arange(len(chi)) ^ (x_flip if x else 0) ^ (z_flip if z else 0)]
+    return np.maximum(probs, 0.0)
+
+
+@st.composite
+def hybrid_runs(draw):
+    """A hybrid spec's circuit, state, attack and data wires, with gate noise."""
+    spec = draw(hybrid_specs(range(3, 9)))
+    ns = _normalize_spec(dict(spec, noise={"p1": draw(probabilities), "p2": draw(probabilities)}))
+    return (*_build_experiment(ns), ns["noise"])
+
+
+@_SETTINGS
+@given(clifford_runs() | hybrid_runs())
+def test_the_cached_fault_base_gives_the_per_run_bytes(case):
+    c, s, w, measured, nm = case
+    got = pauli_fault_distribution(c, s, w, measured, nm)
+    assert got.tobytes() == per_run_fault_distribution(c, w, measured, nm).tobytes()
 
 
 def test_pauli_fault_engine_rejects_what_it_cannot_run():

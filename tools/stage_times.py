@@ -14,7 +14,7 @@ the op runs the same code as without the tool:
   argparse           cli._PARSER.parse_args
   _normalize_spec    noise_exp._normalize_spec
   _build_experiment  noise_exp._build_experiment
-  engine             noise_exp.apply, attack, born_distribution and
+  engine             noise_exp.effect_distribution and
                      pauli_fault_distribution
   sample_counts      noise_exp.sample_counts
   report             noise_exp.report_to_json and report_to_csv
@@ -49,7 +49,7 @@ DEFAULT_FLAGS = ("--scheme", "corr5", "--w", "ry:1.1", "--seed", "7",
 _WRAPPED = {
     "_normalize_spec": (noise_exp, ("_normalize_spec",)),
     "_build_experiment": (noise_exp, ("_build_experiment",)),
-    "engine": (noise_exp, ("apply", "attack", "born_distribution", "pauli_fault_distribution")),
+    "engine": (noise_exp, ("effect_distribution", "pauli_fault_distribution")),
     "sample_counts": (noise_exp, ("sample_counts",)),
     "report": (noise_exp, ("report_to_json", "report_to_csv")),
 }
