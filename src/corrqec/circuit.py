@@ -32,14 +32,17 @@ superoperator (gate fusion, arXiv:2011.13524), built once per
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
 axis pair of a density matrix.
-A run, encode, attack, decode and read the measured wires, has two engines,
-and each compiles everything but the attack once per (circuit, measured
-wires, p1, p2). `effect_distribution`, which the correlated schemes take,
-caches the encoded state and the decoder's effects (`_effects`, built with
-`apply`) and per run forms W rho W-dagger for W = w on every wire and pairs
-it with the effects, so no run path passes a density matrix through a
-circuit. `pauli_fault_distribution` needs no density matrix at all when the
-circuit is Clifford and the attack a Pauli, as in the hybrid scheme: every
+A run, encode, attack, decode and read the measured wires, has two engines
+with one argument list (circuit, 2x2 attack factor w, measured wires,
+noise) and no state: the measured wires start in |0...0>. Each compiles
+everything but the attack once per (circuit, measured wires, p1, p2).
+`effect_distribution`, which the correlated schemes take, runs from |0...0>
+on every wire: it caches the encoded state and the decoder's effects
+(`_effects`, built with `apply`) and per run forms W rho W-dagger for W = w
+on every wire and pairs it with the effects, so no run path passes a
+density matrix through a circuit. `pauli_fault_distribution` needs no
+density matrix at all when the circuit is Clifford and the attack a Pauli,
+as in the hybrid scheme, and lets the other wires start in any state: every
 kick is then a Pauli fault, pushed to the output on GF(2) bits once per
 circuit (`_faults`), its distribution without the attack is cached
 (`_fault_base`), and a run only shifts it by the attack's flips. The dense
@@ -661,32 +664,26 @@ def _fault_base(c: Circuit, measured: tuple[int, ...], p1: float,
     return base, attack_flips
 
 
-def pauli_fault_distribution(c: Circuit, s: StateVector, w, measured,
-                             noise: NoiseModel | None = None) -> np.ndarray:
+def pauli_fault_distribution(c: Circuit, w, measured, noise: NoiseModel | None = None) -> np.ndarray:
     """Exact outcome distribution on the measured wires of encode c, the 2x2
     w on every wire, decode `dagger_circuit(c)`, each gate followed by its
     kicks as in `apply`, with no density matrix. The measured wires are
     sorted and ordered as in `born_distribution`; p_readout is not applied.
 
-    Every gate of c must be Clifford, w a Pauli up to phase, and the
-    measured wires of s in |0...0>, so unentangled from the rest;
-    ValueError otherwise. Then the run without kicks ends the measured
-    wires in one basis state, whatever the others hold, and each kick of
-    strength p is a Pauli fault, X, Y or Z with probability p/4 each, that
-    XORs a fixed mask into the outcome (`_faults`). The flips are
-    independent, so the characteristic function of the outcome is
-    chi(u) = prod_f (1 - 3p_f/4 + (p_f/4) sum_P (-1)^(u . mask_P)), and
-    its inverse Walsh-Hadamard transform, shifted by the attack's mask, is
-    the distribution (Aaronson & Gottesman, arXiv:quant-ph/0406196). The
-    transform is taken once per (circuit, measured wires, p1, p2)
-    (`_fault_base`); a run validates its input and gathers the shift."""
-    n = c.n_wires
-    if n != s.n_wires:
-        raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
+    The measured wires start in |0...0>, and the other wires in any state,
+    which the result does not depend on. Every gate of c must be Clifford
+    and w a Pauli up to phase; ValueError otherwise. Then the run without
+    kicks ends the measured wires in one basis state, whatever the others
+    hold, and each kick of strength p is a Pauli fault, X, Y or Z with
+    probability p/4 each, that XORs a fixed mask into the outcome
+    (`_faults`). The flips are independent, so the characteristic function
+    of the outcome is chi(u) = prod_f (1 - 3p_f/4 + (p_f/4) sum_P
+    (-1)^(u . mask_P)), and its inverse Walsh-Hadamard transform, shifted
+    by the attack's mask, is the distribution (Aaronson & Gottesman,
+    arXiv:quant-ph/0406196). The transform is taken once per (circuit,
+    measured wires, p1, p2) (`_fault_base`); a run validates its input and
+    gathers the shift."""
     measured = _measured_wires(c, measured)
-    probs = (np.abs(s.amplitudes) ** 2).reshape((2,) * n)
-    if abs(probs[tuple(0 if q in measured else slice(None) for q in range(n))].sum() - 1.0) > _STATE_NORM_TOL:
-        raise ValueError("the measured wires must start in |0...0>")
     w = np.asarray(w, dtype=complex)
     if w.shape != (2, 2):
         raise ValueError("attack factor must be a 2x2 matrix")

@@ -206,8 +206,8 @@ class CorrelatedChannel:
             if not is_unitary(wm, 1e-12):
                 raise ValueError("channel atom is not unitary within 1e-12")
             pf = float(p)
-            if pf < 0:
-                raise ValueError(f"negative probability {pf}")
+            if not np.isfinite(pf) or pf < 0:  # NaN passes every comparison
+                raise ValueError(f"probability {pf} is negative or not finite")
             wm.setflags(write=False)
             sup.append((wm, pf))
             total += pf
@@ -294,6 +294,15 @@ def _recursive_encoder(k: int, base: Circuit) -> Circuit:
 _NAMED_ATOMS = {g.name.lower(): g for g in (I, X, Y, Z, H)}
 
 
+def _json_entry(pair) -> complex:
+    """One entry of a `matrix:` selector, a JSON [re, im] pair of numbers;
+    TypeError for a boolean, which complex() would read as 0 or 1."""
+    re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError(f"entry {json.dumps(pair)} is not a pair of numbers")
+    return complex(re, im)
+
+
 def atom_from_selector(sel: str) -> np.ndarray:
     """Parse an attack-unitary selector: h|x|y|z|i, ry:<alpha>, or
     matrix:<json 2x2 of [re, im] pairs>, which must be unitary. Returns
@@ -305,7 +314,9 @@ def atom_from_selector(sel: str) -> np.ndarray:
         return ry_from_text(sel, "attack selector").matrix.array
     if s.startswith("matrix:"):
         try:
-            rows = [[complex(re, im) for re, im in row] for row in json.loads(sel.strip()[7:])]
+            rows = [[_json_entry(z) for z in row] for row in json.loads(sel.strip()[7:])]
+            if [len(row) for row in rows] != [2, 2]:
+                raise ValueError(f"got rows of lengths {[len(row) for row in rows]}")
         except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"matrix selector must be a JSON 2x2 of [re, im] pairs ({exc})") from None
         return Gate("matrix", ComplexMatrix(rows), 1).matrix.array

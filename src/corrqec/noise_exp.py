@@ -2,15 +2,17 @@
 
 An experiment is encode -> attack -> decode -> measure the data wires,
 under the spec's `NoiseModel` (the `circuit` docstring says where the kicks
-go). The attack is one 2x2 factor on every wire: W^rounds for the
-correlated schemes, the product of the Pauli list for hybrid. The scheme
-picks the engine, and each engine compiles everything but the attack once
-per (circuit, measured wires, p1, p2): the correlated schemes run
-`circuit.effect_distribution`, which attacks a cached encoded state and
-reads it through the decoder's cached effects, and hybrid runs, Clifford
-encoders under a Pauli attack, run the exact
-`circuit.pauli_fault_distribution`. Readout bit-flips, if enabled, act on
-the exact outcome distribution of the measured wires, per run.
+go). `_normalize_spec` checks a spec and resolves it once into the encode
+circuit, the attack as one 2x2 factor on every wire (W^rounds for the
+correlated schemes, the product of the Pauli list for hybrid) and the data
+wires. The scheme picks the engine; both take those parts as one argument
+list and compile everything but the attack once per (circuit, measured
+wires, p1, p2): the correlated schemes run `circuit.effect_distribution`,
+which attacks a cached encoded state and reads it through the decoder's
+cached effects, and hybrid runs, Clifford encoders under a Pauli attack,
+run the exact `circuit.pauli_fault_distribution`, which does not read the
+ancilla. Readout bit-flips, if enabled, act on the exact outcome
+distribution of the measured wires, per run.
 
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
@@ -26,14 +28,13 @@ import numpy as np
 
 from . import correlated, hybrid
 from .circuit import (
+    Circuit,
     Histogram,
     NoiseModel,
-    basis_state,
     contract,
     effect_distribution,
     pauli_fault_distribution,
     sample_counts,
-    tensor,
 )
 from .linalg import _integer
 
@@ -81,8 +82,12 @@ _DEFAULTS = {"shots": 8192, "seed": 0, "rounds": 1, "w": "h", "n": 3, "errors": 
 _MAX_SHOTS = 10**9
 
 
-def _normalize_spec(spec: dict) -> dict:
-    """Validate an experiment spec and fill in every default."""
+def _normalize_spec(spec: dict) -> tuple[dict, Circuit, np.ndarray, list[int]]:
+    """Validate an experiment spec, fill in every default and resolve each
+    selector once. Returns the normalized spec, the encode circuit, the
+    attack as one 2x2 factor for every wire (W^rounds, or the hybrid Pauli
+    product, so a run's cost depends on neither) and the data wires, which
+    start in |0...0>, so success is the probability of outcome 0."""
     s = dict(spec)
     scheme = s.get("scheme")
     if scheme not in _SCHEMES:
@@ -121,13 +126,20 @@ def _normalize_spec(spec: dict) -> dict:
             raise ValueError(f"{key} must be a string, got {v!r}")
     if scheme in _CORRELATED:
         out["w"] = _DEFAULTS["w"] if w is None else w
-        correlated.atom_from_selector(out["w"])  # validate early
+        w = correlated.atom_from_selector(out["w"])
+        if out["rounds"] > 1:
+            # rounding drifts a long power off unitarity (H^(2e9) by 4e-7):
+            # project it onto the nearest unitary, the polar factor u vh
+            u, _, vh = np.linalg.svd(np.linalg.matrix_power(w, out["rounds"]))
+            w = u @ vh
         out["name"] = name or scheme
+        circ = _CORRELATED[scheme]()
+        data = correlated.recursive_data_wires(circ.n_wires // 2)
     else:
         n = _integer(s.get("n", _DEFAULTS["n"]), "n", 3)  # n = 2 has no data wire to measure
         if ancilla is None:
             ancilla = "0" if n % 2 == 1 else "00"
-        hybrid.parse_ancilla(n, ancilla)
+        hybrid.parse_ancilla(n, ancilla)  # checked only: the engine does not read it
         errors = s.get("errors", _DEFAULTS["errors"])
         if not isinstance(errors, (list, tuple)):
             raise ValueError(f"errors must be a list of tags, got {errors!r}")
@@ -137,52 +149,23 @@ def _normalize_spec(spec: dict) -> dict:
         out["ancilla"] = ancilla
         out["errors"] = [hybrid.normalize_tag(t) for t in errors]
         out["name"] = name or f"hybrid{n}"
-    return out
-
-
-def _build_experiment(ns: dict):
-    """Return (encode circuit, initial state, attack factor, data wires)
-    for a normalized experiment spec. The data wires are prepared as all
-    zeros, so success is the probability of outcome 0. The attack is one
-    2x2 factor for every wire: W^rounds, or the hybrid Pauli product, so
-    the cost of a run depends on neither the rounds nor the list."""
-    if ns["scheme"] in _CORRELATED:
-        circ = _CORRELATED[ns["scheme"]]()
-        n = circ.n_wires
-        init = basis_state(n, "0" * n)
-        w = correlated.atom_from_selector(ns["w"])
-        if ns["rounds"] > 1:
-            # rounding drifts a long power off unitarity (H^(2e9) by 4e-7):
-            # project it onto the nearest unitary, the polar factor u vh
-            u, _, vh = np.linalg.svd(np.linalg.matrix_power(w, ns["rounds"]))
-            w = u @ vh
-        data = correlated.recursive_data_wires(n // 2)
-    else:
-        n = ns["n"]
+        w = hybrid.attack_factor(out["errors"])
         circ = hybrid.encoder_circuit(n)
-        anc = hybrid.parse_ancilla(n, ns["ancilla"])
-        anc_state = basis_state(2, anc) if isinstance(anc, str) else anc
         data = list(hybrid.data_wires(n))
-        init = tensor(anc_state, basis_state(len(data), "0" * len(data)))
-        w = hybrid.attack_factor(ns["errors"])
-    return circ, init, w, data
+    return out, circ, w, data
 
 
-def _exact_distribution(ns: dict):
-    circ, init, w, data = _build_experiment(ns)
+def _exact_distribution(ns: dict, circ: Circuit, w: np.ndarray, data: list[int]) -> np.ndarray:
+    """The exact outcome distribution of a resolved spec's data wires,
+    readout flips included. Both engines take the same arguments."""
+    engine = pauli_fault_distribution if ns["scheme"] == "hybrid" else effect_distribution
     nm: NoiseModel = ns["noise"]
-    if ns["scheme"] == "hybrid":  # Clifford encoder, Pauli attack
-        probs = pauli_fault_distribution(circ, init, w, data, nm)
-    else:  # from |0...0>, which `init` is
-        probs = effect_distribution(circ, w, data, nm)
-    return _readout_flip(probs, nm.p_readout), data
+    return _readout_flip(engine(circ, w, data, nm), nm.p_readout)
 
 
 def exact_success(spec: dict) -> float:
     """Probability mass on the prepared data bits, no sampling involved."""
-    ns = _normalize_spec(spec)
-    probs, _ = _exact_distribution(ns)
-    return float(probs[0])
+    return float(_exact_distribution(*_normalize_spec(spec))[0])
 
 
 def run_named(spec: dict) -> ExperimentReport:
@@ -192,8 +175,8 @@ def run_named(spec: dict) -> ExperimentReport:
     different experiments at the same seed are independent while repeat
     runs are bit-identical.
     """
-    ns = _normalize_spec(spec)
-    probs, data = _exact_distribution(ns)
+    ns, circ, w, data = _normalize_spec(spec)
+    probs = _exact_distribution(ns, circ, w, data)
     success = float(probs[0])
 
     seq = np.random.SeedSequence([ns["seed"]] + list(ns["name"].encode()))

@@ -313,7 +313,7 @@ _TWO_WIRES = Circuit(2, (PlacedGate(H, (0,)),))
     (lambda: DensityMatrix(np.eye(2) / 2, 1.5), "n_wires must be an integer, got 1.5"),
     (lambda: partial_trace(basis_state(2, "00"), [0.9]), "kept wire must be an integer, got 0.9"),
     (lambda: born_distribution(basis_state(2, "00"), [1.9]), "measured wire must be an integer, got 1.9"),
-    (lambda: pauli_fault_distribution(_TWO_WIRES, basis_state(2, "00"), Z.matrix.array, [0.5]),
+    (lambda: pauli_fault_distribution(_TWO_WIRES, Z.matrix.array, [0.5]),
      "measured wire must be an integer, got 0.5"),
     (lambda: basis_state(2.0, "01"), "n_wires must be an integer, got 2.0"),
 ], ids=["placed-float", "placed-bool", "gate-arity", "circuit", "vector", "density", "partial-trace", "born",

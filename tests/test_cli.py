@@ -243,6 +243,12 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
     (["dump", "u", "--out", ""], "--out must name a file, got an empty path"),
     (["run", "--scheme", "corr3", "--shots", "100000000000000000000"],
      "shots must be at most 1000000000, got 100000000000000000000"),
+    (["run", "--scheme", "corr3", "--w", "matrix:[[[true,0],[0,0]],[[0,0],[1,0]]]"],
+     "matrix selector must be a JSON 2x2 of [re, im] pairs (entry [true, 0] is not a pair of numbers)"),
+    (["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]],[[0,0]]]"],
+     "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [2, 1])"),
+    (["run", "--scheme", "corr3", "--w", "matrix:[]"],
+     "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [])"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins
@@ -400,8 +406,8 @@ def test_run_help_quotes_the_spec_defaults():
     # flag is left out
     run = next(a for a in cli._PARSER._actions if a.dest == "command").choices["run"]
     helps = {a.dest: a.help for a in run._actions}
-    corr = noise_exp._normalize_spec({"scheme": "corr3"})
-    hyb = noise_exp._normalize_spec({"scheme": "hybrid"})
+    corr = noise_exp._normalize_spec({"scheme": "corr3"})[0]
+    hyb = noise_exp._normalize_spec({"scheme": "hybrid"})[0]
     expect = {"w": corr["w"], "rounds": str(corr["rounds"]), "n": str(hyb["n"]),
               "errors": ",".join(t.lower() for t in hyb["errors"])}
     for dest, value in expect.items():

@@ -213,6 +213,12 @@ def test_channel_validation():
         make_channel(3, [(ComplexMatrix(np.eye(3)), 1.0)])  # wrong size
     with pytest.raises(ValueError):
         CorrelatedChannel(0, ((ComplexMatrix(np.eye(2)), 1.0),))
+    # NaN passes both `p < 0` and the sum's tolerance, so it is named first;
+    # a channel holding it would give `three_qubit_protect` a nan fidelity
+    for support in ([(H, np.nan)], [(X, 0.5), (Z, np.nan)], [(X, np.inf), (Z, -np.inf)],
+                    [(X, 1.0), (Z, float("nan"))]):
+        with pytest.raises(ValueError, match="not finite"):
+            make_channel(3, support)
     # a width is an integer: a float is rejected, not truncated
     for bad in (3.5, 3.0, True):
         with pytest.raises(ValueError, match="n_qubits"):
@@ -418,6 +424,19 @@ def test_atom_selectors():
         "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]",  # not unitary, determinant 1
     ):
         with pytest.raises(ValueError):
+            atom_from_selector(bad)
+    # JSON booleans are not numbers, and a ragged or empty input is not 2x2:
+    # each is named by the selector's message, not by numpy's
+    for bad in (
+        "matrix:[[[true,0],[0,0]],[[0,0],[1,0]]]",
+        "matrix:[[[1,0],[0,false]],[[0,0],[1,0]]]",
+        "matrix:[[[1,0],[0,0]],[[0,0]]]",
+        "matrix:[[[1,0]],[[0,0],[1,0]]]",
+        "matrix:[]",
+        "matrix:[[],[]]",
+        "matrix:[[[1,0]]]",
+    ):
+        with pytest.raises(ValueError, match=r"^matrix selector must be a JSON 2x2 of \[re, im\] pairs \("):
             atom_from_selector(bad)
 
 

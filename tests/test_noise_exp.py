@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import corrqec
-from corrqec import circuit
+from corrqec import circuit, correlated, hybrid
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
+    StateVector,
     _kicks,
     _program,
     apply,
@@ -20,14 +21,14 @@ from corrqec.circuit import (
     effect_distribution,
     pauli_fault_distribution,
     realize,
+    tensor,
     to_density,
 )
 from corrqec.gates import CNOT, H, X, PlacedGate
-from corrqec.hybrid import _PAULI, attack_factor
+from corrqec.hybrid import _PAULI, attack_factor, parse_ancilla
 from corrqec.noise_exp import (
     ExperimentReport,
     NoiseModel,
-    _build_experiment,
     _exact_distribution,
     _normalize_spec,
     exact_success,
@@ -45,6 +46,17 @@ SWEEP = [
     (0.02, 0.943633),
     (0.04, 0.893267),
 ]
+
+
+def initial_state(ns: dict, n: int):
+    """The n-wire state a resolved spec's run starts from, which the
+    engines do not take: |0...0>, or for hybrid the spec's ancilla beside
+    data wires in |0...0>. The dense references run from it."""
+    if ns["scheme"] != "hybrid":
+        return basis_state(n, 0)
+    anc = parse_ancilla(n, ns["ancilla"])
+    anc = basis_state(2, anc) if isinstance(anc, str) else anc
+    return tensor(anc, basis_state(n - anc.n_wires, 0))
 
 
 def test_noise_model_validation():
@@ -111,7 +123,7 @@ def test_noiseless_success_many_rounds():
 def test_rounds_are_a_repeat_count_not_a_list():
     # the rounds fold into one factor at once, so a huge --rounds cannot
     # exhaust memory or time before the attack is applied
-    _, _, w, _ = _build_experiment(_normalize_spec({"scheme": "corr3", "rounds": 10**12}))
+    _, _, w, _ = _normalize_spec({"scheme": "corr3", "rounds": 10**12})
     assert np.abs(w - np.eye(2)).max() <= 1e-12  # H^(10^12) = I
 
 
@@ -124,8 +136,7 @@ def test_folded_rounds_match_round_by_round():
         q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         w = q * (np.diag(r) / np.abs(np.diag(r)))
         sel = "matrix:" + json.dumps([[[z.real, z.imag] for z in row] for row in w])
-        ns = _normalize_spec({"scheme": "corr3", "w": sel, "rounds": rounds})
-        _, _, folded, _ = _build_experiment(ns)
+        _, _, folded, _ = _normalize_spec({"scheme": "corr3", "w": sel, "rounds": rounds})
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T), n)
         expect = rho
@@ -144,10 +155,10 @@ def test_kick_cache_stays_bounded_over_a_noise_sweep():
 
 
 def test_program_cache_is_bounded_read_only_and_keyed_on_gate_noise():
-    enc, init, w, _ = _build_experiment(_normalize_spec({"scheme": "hybrid", "n": 5}))
+    _, enc, _, _ = _normalize_spec({"scheme": "hybrid", "n": 5})
     dec = dagger_circuit(enc)
     assert dagger_circuit(enc) is dec  # built and checked once per circuit
-    rho = to_density(init)
+    rho = to_density(basis_state(5, 0))
     # a long noise sweep in one process keeps at most maxsize programs
     for i in range(200):
         apply(enc, rho, NoiseModel(p1=i / 4000, p2=i / 400))
@@ -167,13 +178,13 @@ def test_program_cache_is_bounded_read_only_and_keyed_on_gate_noise():
 
 
 def test_run_engines_cache_only_what_the_attack_does_not_change():
-    corr, _, _, corr_data = _build_experiment(_normalize_spec({"scheme": "corr5"}))
-    hyb, init, x, hyb_data = _build_experiment(_normalize_spec({"scheme": "hybrid", "n": 5, "errors": ["x"]}))
+    _, corr, _, corr_data = _normalize_spec({"scheme": "corr5"})
+    _, hyb, x, hyb_data = _normalize_spec({"scheme": "hybrid", "n": 5, "errors": ["x"]})
     # a long noise sweep in one process keeps at most maxsize entries
     for i in range(200):
         nm = NoiseModel(p1=i / 4000, p2=i / 400)
         effect_distribution(corr, H.matrix, corr_data, nm)
-        pauli_fault_distribution(hyb, init, x, hyb_data, nm)
+        pauli_fault_distribution(hyb, x, hyb_data, nm)
     for cached in (circuit._effects, circuit._fault_base):
         assert cached.cache_info().currsize <= cached.cache_parameters()["maxsize"] == 64
     # readout noise acts on the distribution, not on what is compiled
@@ -211,8 +222,40 @@ def test_a_corr_run_with_a_new_attack_builds_no_density_matrix(monkeypatch):
         assert 0.0 < run_named(dict(spec, w=w)).success_probability < 1.0
 
 
+def test_a_run_resolves_each_selector_once_and_builds_no_register_state(monkeypatch):
+    noise = {"p1": 1e-3, "p2": 1e-2}
+    specs = ({"scheme": "corr5", "w": "ry:1.1", "rounds": 3, "noise": noise},
+             {"scheme": "hybrid", "n": 5, "ancilla": "ry:0.7", "errors": ["x", "y"], "noise": noise},
+             {"scheme": "hybrid", "n": 6, "ancilla": "01", "noise": noise})
+    for spec in specs:
+        run_named(spec)  # compiles what the engines keep per circuit
+    calls, widths = [], []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(correlated, "atom_from_selector", counted(correlated.atom_from_selector))
+    monkeypatch.setattr(hybrid, "parse_ancilla", counted(hybrid.parse_ancilla))
+    init = StateVector.__init__
+
+    def recorded(self, amplitudes, n_wires=None):
+        init(self, amplitudes, n_wires)
+        widths.append(self.n_wires)
+
+    monkeypatch.setattr(StateVector, "__init__", recorded)
+    for spec, selector in zip(specs, ("atom_from_selector", "parse_ancilla", "parse_ancilla")):
+        calls.clear()
+        run_named(spec)
+        assert calls == [selector], spec
+    assert widths == [1]  # only the odd-width ancilla ry:0.7, as it is parsed
+
+
 def test_the_effect_engine_rejects_a_non_unitary_attack_or_a_wire_out_of_range():
-    c = _build_experiment(_normalize_spec({"scheme": "corr3"}))[0]
+    c = _normalize_spec({"scheme": "corr3"})[1]
     for w in (2 * H.matrix.array, np.eye(4), [[1, 0], [0, 1 + 1e-9]], np.full((2, 2), np.nan)):
         with pytest.raises(ValueError, match="unitary"):
             effect_distribution(c, w, [1])
@@ -233,12 +276,12 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
     # dense pass that gives the very same numbers as applying each Pauli in
     # turn, and the run's Pauli-fault engine agrees with both to rounding
     for n, ancilla in ((5, "ry:0.7"), (6, "01")):
-        ns = _normalize_spec({"scheme": "hybrid", "n": n, "ancilla": ancilla,
-                              "errors": ["x", "y", "z", "y"],
-                              "noise": {"p1": 1e-3, "p2": 1e-2}})
-        circ, init, w, data = _build_experiment(ns)
+        run = _normalize_spec({"scheme": "hybrid", "n": n, "ancilla": ancilla,
+                               "errors": ["x", "y", "z", "y"],
+                               "noise": {"p1": 1e-3, "p2": 1e-2}})
+        ns, circ, w, data = run
         assert np.array_equal(w, attack_factor(ns["errors"]))
-        rho = apply(circ, to_density(init), ns["noise"])
+        rho = apply(circ, to_density(initial_state(ns, n)), ns["noise"])
         dec = dagger_circuit(circ)
         folded = apply(dec, attack(rho, w), ns["noise"])
         for tag in ns["errors"]:
@@ -246,8 +289,7 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         rho = apply(dec, rho, ns["noise"])
         expect = born_distribution(DensityMatrix(rho.matrix, n), data)
         assert np.array_equal(born_distribution(DensityMatrix(folded.matrix, n), data), expect)
-        probs, _ = _exact_distribution(ns)
-        assert np.abs(probs - expect).max() <= 1e-14
+        assert np.abs(_exact_distribution(*run) - expect).max() <= 1e-14
 
 
 def test_preset_noise_regression():
@@ -343,7 +385,7 @@ def test_spec_validation_errors():
         with pytest.raises(ValueError, match=key):
             run_named(spec)
     # a shot count is bounded, so a huge one exits at once instead of hanging
-    assert _normalize_spec({"scheme": "corr3", "shots": 10**9})["shots"] == 10**9
+    assert _normalize_spec({"scheme": "corr3", "shots": 10**9})[0]["shots"] == 10**9
     with pytest.raises(ValueError, match="shots must be at most 1000000000, got 1000000001"):
         _normalize_spec({"scheme": "corr3", "shots": 10**9 + 1})
     # None keeps meaning the default

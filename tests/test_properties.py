@@ -46,7 +46,6 @@ from corrqec.circuit import (
     _permutation,
     apply,
     attack,
-    basis_state,
     born_distribution,
     contract,
     dagger_circuit,
@@ -61,12 +60,12 @@ from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed,
 from corrqec.hybrid import encoder_circuit
 from corrqec.linalg import ComplexMatrix, kron, tensor_power
 from corrqec.noise_exp import (
-    _build_experiment,
     _exact_distribution,
     _normalize_spec,
     _readout_flip,
     exact_success,
 )
+from test_noise_exp import initial_state
 
 _PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -419,9 +418,8 @@ def test_hybrid_success_does_not_increase_with_noise(case):
 def dense_distribution(spec):
     """A run's outcome distribution through the density-matrix pass: encode,
     attack, decode, Born marginal, readout flip."""
-    ns = _normalize_spec(spec)
-    circ, init, w, data = _build_experiment(ns)
-    rho = apply(circ, to_density(init), ns["noise"])
+    ns, circ, w, data = _normalize_spec(spec)
+    rho = apply(circ, to_density(initial_state(ns, circ.n_wires)), ns["noise"])
     rho = apply(dagger_circuit(circ), attack(rho, w), ns["noise"])
     probs = born_distribution(DensityMatrix(rho.matrix, circ.n_wires), data)
     return _readout_flip(probs, ns["noise"].p_readout)
@@ -431,7 +429,7 @@ def dense_distribution(spec):
 @given(hybrid_specs(range(3, 9)), probabilities, probabilities, probabilities)
 def test_pauli_fault_engine_matches_the_dense_pass(spec, p1, p2, readout):
     spec = dict(spec, noise={"p1": p1, "p2": p2, "p_readout": readout})
-    probs, _ = _exact_distribution(_normalize_spec(spec))
+    probs = _exact_distribution(*_normalize_spec(spec))
     assert np.abs(probs - dense_distribution(spec)).max() <= 1e-14
 
 
@@ -443,7 +441,7 @@ def test_corr_runs_match_the_dense_pass(scheme, seed, p1, p2, readout):
     w = random_unitary(np.random.default_rng(seed), 1)
     selector = "matrix:" + json.dumps([[[z.real, z.imag] for z in row] for row in w])
     spec = {"scheme": scheme, "w": selector, "noise": {"p1": p1, "p2": p2, "p_readout": readout}}
-    probs, _ = _exact_distribution(_normalize_spec(spec))
+    probs = _exact_distribution(*_normalize_spec(spec))
     assert np.abs(probs - dense_distribution(spec)).max() <= 1e-13
 
 
@@ -484,7 +482,7 @@ def test_pauli_fault_engine_matches_the_dense_pass_on_clifford_circuits(case):
     rho = apply(c, to_density(s), nm)
     rho = apply(dagger_circuit(c), attack(rho, w), nm)
     expect = born_distribution(rho, measured)
-    assert np.abs(pauli_fault_distribution(c, s, w, measured, nm) - expect).max() <= 1e-13
+    assert np.abs(pauli_fault_distribution(c, w, measured, nm) - expect).max() <= 1e-13
 
 
 def per_run_fault_distribution(c, w, measured, nm):
@@ -500,43 +498,41 @@ def per_run_fault_distribution(c, w, measured, nm):
 
 @st.composite
 def hybrid_runs(draw):
-    """A hybrid spec's circuit, state, attack and data wires, with gate noise."""
+    """A hybrid spec's circuit, initial state, attack and data wires, with
+    gate noise."""
     spec = draw(hybrid_specs(range(3, 9)))
-    ns = _normalize_spec(dict(spec, noise={"p1": draw(probabilities), "p2": draw(probabilities)}))
-    return (*_build_experiment(ns), ns["noise"])
+    ns, circ, w, data = _normalize_spec(dict(spec, noise={"p1": draw(probabilities), "p2": draw(probabilities)}))
+    return circ, initial_state(ns, circ.n_wires), w, data, ns["noise"]
 
 
 @_SETTINGS
 @given(clifford_runs() | hybrid_runs())
 def test_the_cached_fault_base_gives_the_per_run_bytes(case):
-    c, s, w, measured, nm = case
-    got = pauli_fault_distribution(c, s, w, measured, nm)
+    c, _, w, measured, nm = case
+    got = pauli_fault_distribution(c, w, measured, nm)
     assert got.tobytes() == per_run_fault_distribution(c, w, measured, nm).tobytes()
 
 
 def test_pauli_fault_engine_rejects_what_it_cannot_run():
-    zeros = basis_state(3, "000")
     with pytest.raises(ValueError, match="not Clifford"):
         pauli_fault_distribution(Circuit(3, (PlacedGate(CNOT, (0, 1)), PlacedGate(ry(0.3), (2,)))),
-                                 zeros, X.matrix, [1, 2])
+                                 X.matrix, [1, 2])
     enc = encoder_circuit(3)
     with pytest.raises(ValueError, match="Pauli"):
-        pauli_fault_distribution(enc, zeros, H.matrix, [1, 2])
-    with pytest.raises(ValueError, match="start in"):
-        pauli_fault_distribution(enc, basis_state(3, "010"), X.matrix, [1, 2])
+        pauli_fault_distribution(enc, H.matrix, [1, 2])
     with pytest.raises(ValueError, match="nonempty"):
-        pauli_fault_distribution(enc, zeros, X.matrix, [])
+        pauli_fault_distribution(enc, X.matrix, [])
     # a NaN compares false with every tolerance, so it is rejected first
     for w in (np.full((2, 2), np.nan), np.array([[np.nan, 0], [0, 1]])):
         with pytest.raises(ValueError, match="Pauli"):
-            pauli_fault_distribution(enc, zeros, w, [1, 2])
+            pauli_fault_distribution(enc, w, [1, 2])
         with pytest.raises(ValueError, match="finite"):
             _conjugated_pauli(enc, w[None])
     for ws in (X.matrix.array, np.zeros((0, 2, 2)), np.zeros((1, 4, 4))):
         with pytest.raises(ValueError, match="stack"):
             _conjugated_pauli(enc, ws)
     # the accepted inputs, for contrast: a phase on the Pauli is allowed
-    probs = pauli_fault_distribution(enc, zeros, 1j * Y.matrix.array, [1, 2], NoiseModel(p1=0.1, p2=0.2))
+    probs = pauli_fault_distribution(enc, 1j * Y.matrix.array, [1, 2], NoiseModel(p1=0.1, p2=0.2))
     assert abs(probs.sum() - 1.0) <= 1e-15 and probs.min() >= 0.0
 
 
@@ -597,10 +593,10 @@ def test_hybrid_outcomes_do_not_depend_on_ancilla_or_pauli_list(n):
     ancillas = ("0", "1", "ry:0.7", "ry:2.356") if n % 2 else ("00", "01", "10", "11")
     noise = {"p1": 1e-3, "p2": 1e-2, "p_readout": 1e-2}
     spec = {"scheme": "hybrid", "n": n, "noise": noise}
-    ref, _ = _exact_distribution(_normalize_spec(spec))
+    ref = _exact_distribution(*_normalize_spec(spec))
     for ancilla in ancillas:
         for errors in _LISTS:
-            got, _ = _exact_distribution(_normalize_spec(dict(spec, ancilla=ancilla, errors=errors)))
+            got = _exact_distribution(*_normalize_spec(dict(spec, ancilla=ancilla, errors=errors)))
             assert np.array_equal(got, ref)
     # the dense pass agrees to rounding on every ancilla and every list
     cases = [dict(spec, ancilla=a, errors=["x", "y"]) for a in ancillas]

@@ -11,15 +11,15 @@ a temporary directory unless the flags give --out.
 The stages are timed by wrapping the module attributes the op looks up, so
 the op runs the same code as without the tool:
 
-  argparse           cli._PARSER.parse_args
-  _normalize_spec    noise_exp._normalize_spec
-  _build_experiment  noise_exp._build_experiment
-  engine             noise_exp.effect_distribution and
-                     pauli_fault_distribution
-  sample_counts      noise_exp.sample_counts
-  report             noise_exp.report_to_json and report_to_csv
-  write              from cli's open() of the report to its close
-  other              the rest of cli.main
+  argparse         cli._PARSER.parse_args
+  _normalize_spec  noise_exp._normalize_spec, which also resolves the
+                   spec into circuit, attack factor and data wires
+  engine           noise_exp.effect_distribution and
+                   pauli_fault_distribution
+  sample_counts    noise_exp.sample_counts
+  report           noise_exp.report_to_json and report_to_csv
+  write            from cli's open() of the report to its close
+  other            the rest of cli.main
 
 No stage calls another. The first run fills the package's caches; the
 median keeps it out of the result once there are three or more repeats.
@@ -48,7 +48,6 @@ DEFAULT_FLAGS = ("--scheme", "corr5", "--w", "ry:1.1", "--seed", "7",
 # stage -> (module, attribute names) whose calls it times
 _WRAPPED = {
     "_normalize_spec": (noise_exp, ("_normalize_spec",)),
-    "_build_experiment": (noise_exp, ("_build_experiment",)),
     "engine": (noise_exp, ("effect_distribution", "pauli_fault_distribution")),
     "sample_counts": (noise_exp, ("sample_counts",)),
     "report": (noise_exp, ("report_to_json", "report_to_csv")),
