@@ -49,7 +49,9 @@ circuit (`_faults`), its distribution without the attack is cached
 pass `apply`, `attack`, `born_distribution` is the tests' reference for
 both. `_conjugated_pauli` carries a stack of all-wire Paulis back through a
 Clifford circuit in one walk by the same step as `_faults` (`_carry_back`),
-which is how `verify` proves the hybrid factorization.
+which is how `verify` proves the hybrid factorization. Both hold their
+Paulis packed: one Python int per x or z bit row of a wire, one bit per
+Pauli, so a gate costs a few XORs of ints.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -574,11 +576,27 @@ def _symplectic(gate: Gate) -> np.ndarray:
     return s
 
 
-def _carry_back(b: np.ndarray, pg: PlacedGate, n: int) -> None:
-    """Carry the Paulis in b, the rows of x bits then z bits of n wires,
-    back across the gate: P -> g-dagger P g, in place."""
-    rows = list(pg.wires) + [n + w for w in pg.wires]
-    b[rows] = _symplectic(pg.gate) @ b[rows] % 2
+@lru_cache(maxsize=64)  # a few gate types per circuit
+def _sources(gate: Gate) -> tuple[tuple[int, ...], ...]:
+    """For each of a gate's 2k bit rows (x, then z), the rows whose XOR it
+    becomes under P -> g-dagger P g: the set columns of that row of
+    `_symplectic`."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in _symplectic(gate))
+
+
+def _carry_back(b: list[int], pg: PlacedGate, n: int) -> None:
+    """Carry the Paulis packed in b back across the gate, P -> g-dagger P g,
+    in place. b holds 2n rows, the x bits of wires 0..n-1 then their z
+    bits, each a Python int with one bit per Pauli, so a gate XORs a few
+    ints (`_sources`), as CHP updates a tableau (Aaronson & Gottesman,
+    arXiv:quant-ph/0406196)."""
+    rows = (*pg.wires, *(n + w for w in pg.wires))
+    old = [b[r] for r in rows]
+    for r, src in zip(rows, _sources(pg.gate)):
+        v = 0
+        for j in src:
+            v ^= old[j]
+        b[r] = v
 
 
 @lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires)
@@ -589,22 +607,25 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
     A fault F flips the readout of measured wire q exactly when it
     anticommutes with B_q, the final Z_q carried back to F's place
     (B -> g-dagger B g across each later gate g). One backward walk over
-    the gates carries all m of them, as the columns of a (2n, m) GF(2)
-    matrix of x bits, then z bits. An X fault on wire w flips the readouts
-    where B_q has a z bit on w, a Z fault those with an x bit, a Y both.
-    The attack, a Pauli, leaves every B_q as it is.
+    the gates carries all m of them, packed as `_carry_back` packs Paulis:
+    B_q is the bit of weight 2^(m-1-k) for q = measured[k], the weight of
+    q's bit in an outcome index. So a row is itself an outcome mask: an X
+    fault on wire w flips the readouts in w's z row, a Z fault those in
+    its x row, a Y both. The attack, a Pauli, leaves every B_q as it is.
 
     Returns, all read-only:
     - the arity of each fault's gate, one fault per kicked wire;
     - sums[f, u], the sum over P = X, Y, Z of (-1)^(u . mask of P) of
-      fault f, 3 or -1, as int8 (faults x 2^m);
+      fault f, 3 or -1, as int8 (faults x 2^m), from the parity of
+      u & mask;
     - walsh[x, u] = (-1)^(x . u), the (2^m x 2^m) Walsh-Hadamard matrix;
     - the outcome masks that an X and a Z on every wire between encoder
-      and decoder flip, as outcome indices.
+      and decoder flip.
     """
     n, m = c.n_wires, len(measured)
-    b = np.zeros((2 * n, m), dtype=np.int64)
-    b[[n + q for q in measured], range(m)] = 1
+    b = [0] * (2 * n)
+    for k, q in enumerate(measured):
+        b[n + q] = 1 << (m - 1 - k)
     flips, arities = [], []
 
     def back(gates) -> None:
@@ -612,18 +633,18 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
             # the kicks after the gate, then B carried back across it
             for w in pg.wires:
                 x, z = b[w], b[n + w]
-                flips.append(np.array([z, x ^ z, x]))  # X, Y, Z
+                flips.append((z, x ^ z, x))  # X, Y, Z
                 arities.append(pg.gate.arity)
             _carry_back(b, pg, n)
 
     back(dagger_circuit(c).gates)
-    top = 1 << np.arange(m - 1, -1, -1)  # measured[0] is the top bit
-    attack_flips = (int(np.bitwise_xor.reduce(b[n:]) @ top), int(np.bitwise_xor.reduce(b[:n]) @ top))
+    attack_flips = (reduce(int.__xor__, b[n:]), reduce(int.__xor__, b[:n]))
     back(c.gates)
-    u = (np.arange(2**m)[:, None] & top[None, :]) != 0
-    masks = np.array(flips, dtype=np.int64).reshape(-1, 3, m)
-    sums = (1 - 2 * (masks @ u.T % 2)).sum(axis=1).astype(np.int8)
-    walsh = 1.0 - 2.0 * (u.astype(np.int64) @ u.T % 2)
+    u = np.arange(2**m)
+    parity = np.array([i.bit_count() & 1 for i in range(2**m)])  # of each m-bit mask
+    odd = parity[np.array(flips, dtype=np.int64).reshape(-1, 3, 1) & u]
+    sums = 3 - 2 * odd.sum(axis=1, dtype=np.int8)
+    walsh = 1.0 - 2.0 * parity[u[:, None] & u]
     sums.setflags(write=False)
     walsh.setflags(write=False)
     return tuple(arities), sums, walsh, attack_flips
@@ -632,18 +653,20 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
 def _conjugated_pauli(c: Circuit, ws) -> tuple[np.ndarray, np.ndarray]:
     """The x and z bits, (k, n) each, of c-dagger (w on every wire) c for
     each w in a (k, 2, 2) stack of Paulis up to phase. One backward walk,
-    last gate first, carries all k as the columns of a (2n, k) GF(2)
-    matrix, as `_faults` carries its m columns. Phases are dropped.
+    last gate first, carries all k packed as `_carry_back` packs them, w_j
+    as bit j of each row, as `_faults` carries its m. Phases are dropped.
     ValueError if ws is not a non-empty stack of Paulis up to phase or a
     gate of c is not Clifford."""
     ws = np.asarray(ws, dtype=complex)
     if ws.ndim != 3 or not len(ws) or ws.shape[1:] != (2, 2):
         raise ValueError(f"ws must be a non-empty (k, 2, 2) stack of 2x2 matrices, got shape {ws.shape}")
-    n = c.n_wires
-    b = np.repeat(_pauli_bits(ws).T.astype(np.int64), n, axis=0)
+    n, k = c.n_wires, len(ws)
+    x, z = (sum(int(v) << j for j, v in enumerate(col)) for col in _pauli_bits(ws).T)
+    b = [x] * n + [z] * n
     for pg in reversed(c.gates):
         _carry_back(b, pg, n)
-    return b[:n].T, b[n:].T
+    bits = np.array([[row >> j & 1 for row in b] for j in range(k)], dtype=np.int64)
+    return bits[:, :n], bits[:, n:]
 
 
 @lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires, p1, p2)

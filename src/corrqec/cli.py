@@ -27,10 +27,9 @@ from .circuit import (
     partial_trace,
     realize,
     tensor,
-    to_density,
 )
 from .gates import H
-from .linalg import equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff
+from .linalg import _kron_stack, equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff
 
 _BATTERY_SEED = 20240815
 
@@ -95,14 +94,9 @@ def _refutation_spots() -> str:
 
 
 def _blocks_random() -> str:
-    rng = np.random.default_rng(_BATTERY_SEED)
-    u = correlated.build_new_U()
-    worst_off = worst_tl = 0.0
-    for _ in range(20):
-        w = correlated.random_su2(rng)
-        rep = correlated.verify_block_structure(u, w)
-        worst_off = max(worst_off, rep.off_diag_norm)
-        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, kron(np.eye(2), w)))
+    ws = correlated.random_su2(np.random.default_rng(_BATTERY_SEED), 20)
+    rep = correlated.verify_block_structure(correlated.build_new_U(), ws)
+    worst_off, worst_tl = rep.off_diag_norm, max_abs_diff(rep.top_left, _kron_stack(np.eye(2), ws))
     _require(worst_off <= 1e-10 and worst_tl <= 1e-10,
              f"off-diag {worst_off:.3e}, top-left {worst_tl:.3e}")
     return f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
@@ -124,7 +118,7 @@ def _recovery_three() -> str:
     rng = np.random.default_rng(_BATTERY_SEED + 1)
     ch = correlated.make_channel(3, [(H, 1.0)])
     worst, _ = correlated.three_qubit_protect(_rand_qubit(rng), _rand_qubit(rng), ch, 1)
-    ch = correlated.make_channel(3, [(correlated.random_su2(rng), 0.2) for _ in range(5)])
+    ch = correlated.make_channel(3, [(w, 0.2) for w in correlated.random_su2(rng, 5)])
     fid, _ = correlated.three_qubit_protect(_rand_qubit(rng), _rand_qubit(rng), ch, 3)
     worst = min(worst, fid)
     _require(worst >= 1 - 1e-9, f"fidelity {worst}")
@@ -140,11 +134,10 @@ def _recovery_five() -> str:
         w = correlated.random_su2(rng)
         psi1, psi2, v = _rand_qubit(rng), _rand_qubit(rng), _rand_qubit(rng)
         full = tensor(zero, psi1, v, psi2, zero)
-        out = enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes
-        rho = to_density(StateVector(out, 5))
+        out = StateVector(enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes, 5)
         expect = ((1, psi1), (3, psi2), (0, zero), (4, zero), (2, StateVector(w @ v.amplitudes, 1)))
         for wire, target in expect:
-            worst = min(worst, fidelity(partial_trace(rho, [wire]), target))
+            worst = min(worst, fidelity(partial_trace(out, [wire]), target))
     _require(worst >= 1 - 1e-9, f"fidelity {worst}")
     return f"worst fidelity deficit {1 - worst:.2e}"
 

@@ -93,8 +93,9 @@ def build_new_U() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlockReport:
-    """4x4 diagonal blocks of a conjugated three-wire attack, plus the
-    largest off-diagonal entry magnitude."""
+    """4x4 diagonal blocks of a conjugated three-wire attack, or (k, 4, 4)
+    stacks of them for k attacks, plus the largest off-diagonal entry
+    magnitude."""
 
     top_left: np.ndarray
     bottom_right: np.ndarray
@@ -106,19 +107,25 @@ class BlockReport:
 
 
 def verify_block_structure(u, w) -> BlockReport:
-    """Report the block structure of U-dagger (W tensor W tensor W) U."""
+    """Report the block structure of U-dagger (W tensor W tensor W) U, for
+    one 2x2 W or a non-empty (k, 2, 2) stack of them.
+
+    For a stack the blocks are (k, 4, 4) stacks in the order of the Ws,
+    each bit for bit the block that W gets alone, and off_diag_norm is the
+    largest over the whole stack. ValueError unless u is an 8x8 unitary and
+    every W a 2x2 unitary, within 1e-10; one check covers the whole stack."""
     um, wm = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
     if um.shape != (8, 8):
         raise ValueError("encoder must be 8x8")
-    if wm.shape != (2, 2):
-        raise ValueError("attack unitary must be 2x2")
+    if wm.ndim not in (2, 3) or wm.shape[-2:] != (2, 2) or not wm.size:
+        raise ValueError("attack unitary must be 2x2, or a non-empty (k, 2, 2) stack of them")
     if not is_unitary(um, 1e-10):
         raise ValueError("encoder input is not unitary")
     if not is_unitary(wm, 1e-10):
         raise ValueError("attack input is not unitary")
     m = um.conj().T @ tensor_power(wm, 3) @ um
-    off = max(float(np.abs(m[:4, 4:]).max()), float(np.abs(m[4:, :4]).max()))
-    return BlockReport(top_left=m[:4, :4], bottom_right=m[4:, 4:], off_diag_norm=off)
+    off = max(float(np.abs(m[..., :4, 4:]).max()), float(np.abs(m[..., 4:, :4]).max()))
+    return BlockReport(top_left=m[..., :4, :4], bottom_right=m[..., 4:, 4:], off_diag_norm=off)
 
 
 @cache  # a fixed circuit: built and its gates checked once, then shared
@@ -323,11 +330,22 @@ def atom_from_selector(sel: str) -> np.ndarray:
     raise ValueError(f"unknown attack selector {sel!r}")
 
 
-def random_su2(rng: np.random.Generator) -> np.ndarray:
+def random_su2(rng: np.random.Generator, k: int | None = None) -> np.ndarray:
     """Haar-random 2x2 special unitary (QR of a Ginibre sample, then
-    phase-fixed so the determinant is exactly 1)."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    phase-fixed so the determinant is 1 up to rounding); with k, a
+    (k, 2, 2) stack of them.
+
+    Each sample takes 8 normals from rng, the real parts then the
+    imaginary parts of its 2x2 Ginibre matrix, so the stack draws what k
+    calls without k would, in the same order, and its members are those
+    calls' results bit for bit: the stacked QR, matmul and determinant run
+    the same kernel on each member."""
+    x = rng.normal(size=(1 if k is None else _integer(k, "k", 1), 2, 2, 2))
+    g = x[:, 0] + 1j * x[:, 1]
     q, r = np.linalg.qr(g)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    q = q / np.sqrt(np.linalg.det(q))
-    return q
+    phases = np.zeros_like(r)  # diag(r_ii / |r_ii|), one per member
+    d = np.diagonal(r, axis1=1, axis2=2)
+    phases[:, [0, 1], [0, 1]] = d / np.abs(d)
+    q = q @ phases
+    q = q / np.sqrt(np.linalg.det(q))[:, None, None]
+    return q[0] if k is None else q

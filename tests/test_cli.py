@@ -225,30 +225,37 @@ def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # no partial files left behind
 
 
+def _case(number, argv, message):
+    """A case of the test below. Its id is its fixed number and its message,
+    so a case added anywhere takes a new number and renames no other test."""
+    return pytest.param(argv, message, id=f"argv{number}-{message}")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["dump", "pn:abc"], "dump target 'pn:abc': width 'abc' is not an integer"),
-    (["dump", "pn:"], "dump target 'pn:': width '' is not an integer"),
-    (["dump", "circuit:hybridx"], "dump target 'circuit:hybridx': width 'x' is not an integer"),
-    (["run", "--scheme", "corr3", "--noise", "p1=abc"], "noise parameter 'p1': 'abc' is not a number"),
-    (["run", "--scheme", "corr3", "--w", "ry:abc"], "attack selector 'ry:abc': angle 'abc' is not a number"),
-    (["run", "--scheme", "hybrid", "--n", "3", "--ancilla", "ry:abc"],
-     "ancilla 'ry:abc': angle 'abc' is not a number"),
-    (["run", "--scheme", "corr3", "--w", "ry:nan"], "attack selector 'ry:nan': angle 'nan' is not finite"),
-    (["run", "--scheme", "corr3", "--w", "ry:inf"], "attack selector 'ry:inf': angle 'inf' is not finite"),
-    (["run", "--scheme", "corr5", "--w", "ry:-1e999"],
-     "attack selector 'ry:-1e999': angle '-1e999' is not finite"),
-    (["run", "--scheme", "hybrid", "--n", "5", "--ancilla", "ry:inf"],
-     "ancilla 'ry:inf': angle 'inf' is not finite"),
-    (["run", "--scheme", "corr3", "--out", ""], "--out must name a file, got an empty path"),
-    (["dump", "u", "--out", ""], "--out must name a file, got an empty path"),
-    (["run", "--scheme", "corr3", "--shots", "100000000000000000000"],
-     "shots must be at most 1000000000, got 100000000000000000000"),
-    (["run", "--scheme", "corr3", "--w", "matrix:[[[true,0],[0,0]],[[0,0],[1,0]]]"],
-     "matrix selector must be a JSON 2x2 of [re, im] pairs (entry [true, 0] is not a pair of numbers)"),
-    (["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]],[[0,0]]]"],
-     "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [2, 1])"),
-    (["run", "--scheme", "corr3", "--w", "matrix:[]"],
-     "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [])"),
+    _case(0, ["dump", "pn:abc"], "dump target 'pn:abc': width 'abc' is not an integer"),
+    _case(1, ["dump", "pn:"], "dump target 'pn:': width '' is not an integer"),
+    _case(2, ["dump", "circuit:hybridx"], "dump target 'circuit:hybridx': width 'x' is not an integer"),
+    _case(3, ["run", "--scheme", "corr3", "--noise", "p1=abc"], "noise parameter 'p1': 'abc' is not a number"),
+    _case(4, ["run", "--scheme", "corr3", "--w", "ry:abc"],
+          "attack selector 'ry:abc': angle 'abc' is not a number"),
+    _case(5, ["run", "--scheme", "hybrid", "--n", "3", "--ancilla", "ry:abc"],
+          "ancilla 'ry:abc': angle 'abc' is not a number"),
+    _case(6, ["run", "--scheme", "corr3", "--w", "ry:nan"], "attack selector 'ry:nan': angle 'nan' is not finite"),
+    _case(7, ["run", "--scheme", "corr3", "--w", "ry:inf"], "attack selector 'ry:inf': angle 'inf' is not finite"),
+    _case(8, ["run", "--scheme", "corr5", "--w", "ry:-1e999"],
+          "attack selector 'ry:-1e999': angle '-1e999' is not finite"),
+    _case(9, ["run", "--scheme", "hybrid", "--n", "5", "--ancilla", "ry:inf"],
+          "ancilla 'ry:inf': angle 'inf' is not finite"),
+    _case(10, ["run", "--scheme", "corr3", "--out", ""], "--out must name a file, got an empty path"),
+    _case(11, ["dump", "u", "--out", ""], "--out must name a file, got an empty path"),
+    _case(12, ["run", "--scheme", "corr3", "--shots", "100000000000000000000"],
+          "shots must be at most 1000000000, got 100000000000000000000"),
+    _case(13, ["run", "--scheme", "corr3", "--w", "matrix:[[[true,0],[0,0]],[[0,0],[1,0]]]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (entry [true, 0] is not a pair of numbers)"),
+    _case(14, ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]],[[0,0]]]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [2, 1])"),
+    _case(15, ["run", "--scheme", "corr3", "--w", "matrix:[]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [])"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins
@@ -339,6 +346,20 @@ def test_readme_quick_start_runs(capsys):
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_the_block_check_reports_the_worst_of_its_samples_taken_one_at_a_time():
+    # the per-sample loop that the check runs as one stacked call: the
+    # same draws, and the same worst off-diagonal and top-left deviations
+    rng = np.random.default_rng(cli._BATTERY_SEED)
+    u = correlated.build_new_U()
+    worst_off = worst_tl = 0.0
+    for _ in range(20):
+        w = correlated.random_su2(rng)
+        rep = correlated.verify_block_structure(u, w)
+        worst_off = max(worst_off, rep.off_diag_norm)
+        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w)))
+    assert cli._blocks_random() == f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
 
 
 def test_dump_encoder_round_trips(capsys):

@@ -199,6 +199,53 @@ def test_verify_block_structure_rejects_bad_input():
         verify_block_structure(ComplexMatrix(np.eye(4)), I.matrix)
     with pytest.raises(ValueError):
         verify_block_structure(build_new_U(), ComplexMatrix(np.eye(4)))
+    for bad in (np.zeros((0, 2, 2)), np.tile(np.eye(4), (3, 1, 1)), np.ones((1, 1, 2, 2))):
+        with pytest.raises(ValueError, match="2x2"):
+            verify_block_structure(build_new_U(), bad)
+
+
+@pytest.mark.parametrize("at", [0, 7, 19])
+def test_one_non_unitary_attack_in_a_stack_fails_the_stack(at):
+    ws = random_su2(np.random.default_rng(at), 20)
+    verify_block_structure(build_new_U(), ws)  # the stack as drawn passes
+    ws[at] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="attack input is not unitary"):
+        verify_block_structure(build_new_U(), ws)
+
+
+def su2_one_sample(rng):
+    """The single-sample recipe written out: two 2x2 normal draws, QR,
+    the phases of R's diagonal, then the square root of the determinant."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(g)
+    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    return q / np.sqrt(np.linalg.det(q))
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_a_stack_of_special_unitaries_is_k_single_draws_bit_for_bit(k):
+    for seed in range(10):
+        one, stacked, alone = (np.random.default_rng(seed) for _ in range(3))
+        want = np.array([su2_one_sample(one) for _ in range(k)])
+        got = random_su2(stacked, k)
+        assert got.shape == (k, 2, 2)
+        assert got.tobytes() == want.tobytes()
+        assert np.array([random_su2(alone) for _ in range(k)]).tobytes() == want.tobytes()
+        # each generator is left at the same place in its stream
+        assert one.random() == stacked.random() == alone.random()
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_block_structure_of_a_stack_is_each_attacks_bit_for_bit(k):
+    u = build_new_U()
+    for seed in range(10):
+        ws = random_su2(np.random.default_rng(seed), k)
+        rep = verify_block_structure(u, ws)
+        alone = [verify_block_structure(u, w) for w in ws]
+        assert rep.top_left.shape == rep.bottom_right.shape == (k, 4, 4)
+        assert rep.top_left.tobytes() == np.array([r.top_left for r in alone]).tobytes()
+        assert rep.bottom_right.tobytes() == np.array([r.bottom_right for r in alone]).tobytes()
+        assert rep.off_diag_norm == max(r.off_diag_norm for r in alone)
 
 
 def test_channel_validation():
@@ -446,3 +493,6 @@ def test_random_su2_is_special_unitary():
         w = random_su2(rng)
         assert is_unitary(w, 1e-12)
         assert abs(np.linalg.det(w) - 1.0) < 1e-12
+    for k in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="k must be"):
+            random_su2(rng, k)
