@@ -8,8 +8,8 @@ performs, then the transpose back that `np.moveaxis` would make, with both
 axis orders cached per (rank, axes): the same arrays reach the same `dot`,
 so the bytes are tensordot's, without its per-call bookkeeping.
 A gate, a placed gate and a circuit each hash once, when built, so the
-caches keyed by them (`_symplectic`, `_row_map`, `_program`,
-`dagger_circuit`, `_faults`, `_effects`, `_fault_base`) cost one lookup.
+caches keyed by them (`_row_map`, `_sources`, `_effects`, `_fault_base`)
+cost one lookup; what is read only to build their entries is not cached.
 The one exception is `realize`, the full unitary of a circuit: a gate whose
 matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so its
 flat row map, built once per placed gate and width, composes into a pending
@@ -22,13 +22,10 @@ under a unitary or CPTP map are trusted and built without checks.
 `apply` is the one density-matrix pass. After every gate, each touched wire
 gets a single-wire depolarizing kick: p1 for a one-wire gate, p2 split evenly
 over the wires of a wider gate (p2/2 on each wire of a two-wire gate, not a
-15-Pauli two-wire channel; `_kick_strength` states the rule once). So a k-wire
-gate g and its kicks are one 4^k x 4^k superoperator D_k(p) (g tensor conj(g))
-on the gate's row and column axes.
-`apply` runs a compiled `_program` rather than the gates: runs of consecutive
-gates on at most _BLOCK_WIRES wires together, each multiplied out into one
-superoperator (gate fusion, arXiv:2011.13524), built once per
-(circuit, p1, p2) and cached.
+15-Pauli two-wire channel; `_kick_strength` states the rule once). So the
+pass is a program of steps (`_program`), gate by gate: a k-wire gate g as the
+4^k x 4^k superoperator g tensor conj(g) on its row and column axes, then
+one 4x4 kick (`_kick`) on each of its wires' (row, column) axis pair.
 `attack` applies one 2x2 unitary W exactly to every wire (it models the channel
 being corrected, not hardware error), as W tensor conj(W) on each (row, column)
 axis pair of a density matrix.
@@ -43,8 +40,8 @@ on every wire and pairs it with the effects, so no run path passes a
 density matrix through a circuit. `pauli_fault_distribution` needs no
 density matrix at all when the circuit is Clifford and the attack a Pauli,
 as in the hybrid scheme, and lets the other wires start in any state: every
-kick is then a Pauli fault, pushed to the output on GF(2) bits once per
-circuit (`_faults`), its distribution without the attack is cached
+kick is then a Pauli fault, pushed to the output on GF(2) bits
+(`_faults`), its distribution without the attack is cached
 (`_fault_base`), and a run only shifts it by the attack's flips. The dense
 pass `apply`, `attack`, `born_distribution` is the tests' reference for
 both. `_conjugated_pauli` carries a stack of all-wire Paulis back through a
@@ -75,12 +72,6 @@ _DM_HERM_TOL = 1e-10
 _DM_TRACE_TOL = 1e-10
 _DM_PSD_FLOOR = -1e-9
 _SAMPLE_CHUNK = 1 << 20  # draws per batch, so memory does not grow with shots
-# Widest block of gates `_program` fuses into one superoperator. One noisy
-# hybrid encode + attack + decode (process CPU time, median of 40, shared
-# 2-core host) took 3.8 / 19 ms at n = 7 / 8 with blocks of up to 3 wires,
-# 4.4 / 26 ms with one block per gate, and 5.3 / 27 ms with up to 4 wires,
-# whose 256 x 256 blocks also took 15-30 ms more to compile.
-_BLOCK_WIRES = 3
 
 
 @dataclass(frozen=True)
@@ -265,19 +256,16 @@ def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
     return np.dot(g.reshape(d, d), t.transpose(front).reshape(d, -1)).reshape(t.shape).transpose(back)
 
 
-@lru_cache(maxsize=64)  # a few gate types per circuit
 def _permutation(gate: Gate) -> np.ndarray | None:
     """For a gate whose matrix is a permutation matrix, every entry exactly
-    0 or 1 and one 1 in each row and column, the read-only array src with
+    0 or 1 and one 1 in each row and column, the array src with
     g[i, src[i]] = 1, so the gate sends basis state src[i] to i. None for
     any other gate, however close to one it is."""
     g = gate.matrix.array
     ones = g == 1
     if not (ones | (g == 0)).all() or not (ones.sum(axis=0) == 1).all() or not (ones.sum(axis=1) == 1).all():
         return None
-    src = ones.argmax(axis=1)
-    src.setflags(write=False)
-    return src
+    return ones.argmax(axis=1)
 
 
 @lru_cache(maxsize=256)  # the placed gates of a few circuits
@@ -329,16 +317,15 @@ def realize(c: Circuit) -> np.ndarray:
     return t if rows is None else t[rows]
 
 
-@lru_cache(maxsize=64)  # a run decodes through one circuit; a sweep reuses it
 def dagger_circuit(c: Circuit) -> Circuit:
-    """Inverse circuit: reversed order, each gate replaced by its adjoint.
-    Cached per circuit, so a repeated run builds and checks no inverse gate."""
+    """Inverse circuit: reversed order, each gate replaced by its adjoint."""
     return Circuit(c.n_wires, tuple(PlacedGate(inverse(pg.gate), pg.wires) for pg in reversed(c.gates)))
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing gate noise for `apply`; p_readout flips measured bits."""
+    """Depolarizing gate noise for `apply`; p_readout flips measured bits.
+    Each is a real number in [0, 1], not a bool or a string, held as a float."""
 
     p1: float = 0.0
     p2: float = 0.0
@@ -346,26 +333,21 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p_readout"):
-            v = float(getattr(self, name))
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            v = float(v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
 
 
-@lru_cache(maxsize=64)  # a run needs 1-3 entries; a sweep must not pile them up
-def _kicks(k: int, p: float) -> np.ndarray:
-    """D_k(p), a depolarizing kick of strength p on each of k wires: a
-    read-only 4^k x 4^k superoperator in (row axes, column axes) order.
-    One wire's kick (1-p) rho + p (I/2 tensor Tr_wire rho) is, on its
-    (row, column) axis pair, (1-p) I_4 + (p/2) v v^T with v = (1, 0, 0, 1)."""
+def _kick(p: float) -> np.ndarray:
+    """A depolarizing kick of strength p on one wire, (1-p) rho +
+    p (I/2 tensor Tr_wire rho), as the 4x4 superoperator on the wire's
+    (row, column) axis pair: (1-p) I_4 + (p/2) v v^T with v = (1, 0, 0, 1)."""
     v = np.array([1.0, 0.0, 0.0, 1.0])
-    one = (1.0 - p) * np.eye(4) + (0.5 * p) * np.outer(v, v)
-    d = np.eye(4**k).reshape((2,) * (4 * k))
-    for i in range(k):
-        d = contract(d, one, (i, k + i))
-    d = d.reshape(4**k, 4**k)
-    d.setflags(write=False)
-    return d
+    return (1.0 - p) * np.eye(4) + (0.5 * p) * np.outer(v, v)
 
 
 def _kick_strength(k: int, p1: float, p2: float) -> float:
@@ -374,42 +356,25 @@ def _kick_strength(k: int, p1: float, p2: float) -> float:
     return p1 if k == 1 else p2 / k
 
 
-@lru_cache(maxsize=64)  # a run needs 2 entries (encoder, decoder) per (p1, p2)
-def _program(c: Circuit, p1: float, p2: float) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+def _program(c: Circuit, p1: float, p2: float) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The density-matrix pass of c under gate noise (p1, p2), as
-    (superoperator, rho axes) steps in time order.
-    Consecutive gates whose wires together number at most _BLOCK_WIRES form
-    one block; its read-only 4^m x 4^m superoperator is the product of its
-    gates' D_k(p) (g tensor conj(g)), and its axes are the block's row axes,
-    then its column axes. A wider gate is a block of its own."""
-    runs: list[tuple[tuple[int, ...], list[PlacedGate]]] = []
-    for pg in c.gates:
-        if runs:
-            wires, pgs = runs[-1]
-            grown = wires + tuple(w for w in pg.wires if w not in wires)
-            if len(grown) <= _BLOCK_WIRES:
-                runs[-1] = (grown, pgs + [pg])
-                continue
-        runs.append((pg.wires, [pg]))
+    (superoperator, rho axes) steps in time order: for each gate g on
+    wires ws, g tensor conj(g) on ws's row axes, then their column axes,
+    then the kick (`_kick`, of strength `_kick_strength`) on each wire
+    w of ws, on the axes (w, n + w)."""
     n, steps = c.n_wires, []
-    for wires, pgs in runs:
-        m = len(wires)
-        t = np.eye(4**m).reshape((2,) * (4 * m))
-        for pg in pgs:
-            g, k = pg.gate.matrix.array, pg.gate.arity
-            local = tuple(wires.index(w) for w in pg.wires)
-            superop = _kicks(k, _kick_strength(k, p1, p2)) @ kron(g, g.conj())
-            t = contract(t, superop, local + tuple(m + i for i in local))
-        t = t.reshape(4**m, 4**m)
-        t.setflags(write=False)
-        steps.append((t, wires + tuple(n + w for w in wires)))
-    return tuple(steps)
+    for pg in c.gates:
+        g, k = pg.gate.matrix.array, pg.gate.arity
+        steps.append((kron(g, g.conj()), pg.wires + tuple(n + w for w in pg.wires)))
+        kick = _kick(_kick_strength(k, p1, p2))
+        steps += [(kick, (w, n + w)) for w in pg.wires]
+    return steps
 
 
 def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None = None):
     """Run the circuit: vectors map to Us, densities to U rho U-dagger with
     each gate followed by its kicks. A vector takes no gate noise; a density
-    runs the circuit's cached `_program` for the noise's (p1, p2)."""
+    runs the circuit's `_program` for the noise's (p1, p2), step by step."""
     n = c.n_wires
     if n != s.n_wires:
         raise ValueError(f"circuit has {n} wires, state has {s.n_wires}")
@@ -480,10 +445,10 @@ def _effects(c: Circuit, measured: tuple[int, ...], p1: float, p2: float) -> tup
       2^n x 2^n matrix G_j, gives outcome j of the decoder's input sigma
       with probability sum_{r,c} G_j[r, c] sigma[r, c].
 
-    A block of the program with superoperator S maps vec(rho) to
+    A step of the program with superoperator S maps vec(rho) to
     S vec(rho), so it maps an effect vec(E) back to S^T vec(E). The m
-    outcome projectors are carried back as one (2,)*(m+2n) tensor, block
-    by block, last block first. The decoder preserves the trace, so the
+    outcome projectors are carried back as one (2,)*(m+2n) tensor, step
+    by step, last step first. The decoder preserves the trace, so the
     G_j sum to the identity; ValueError if not within 1e-12."""
     n, m = c.n_wires, len(measured)
     rho = apply(c, to_density(basis_state(n, 0)), NoiseModel(p1, p2))
@@ -561,10 +526,11 @@ def _pauli_bits(ops: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)  # a few gate types per circuit
-def _symplectic(gate: Gate) -> np.ndarray:
-    """The read-only GF(2) matrix of P -> g-dagger P g on a gate's 2k
-    (x, then z) bits: column j is the image of X_0..X_{k-1}, Z_0..Z_{k-1}
-    in turn. ValueError if the gate is not Clifford."""
+def _sources(gate: Gate) -> tuple[tuple[int, ...], ...]:
+    """For each of a gate's 2k bit rows (x, then z), the rows whose XOR it
+    becomes under P -> g-dagger P g: the set columns of that row of the
+    map's GF(2) matrix, whose column j is the image of X_0..X_{k-1},
+    Z_0..Z_{k-1} in turn. ValueError if the gate is not Clifford."""
     g, k = gate.matrix.array, gate.arity
     stack, _ = _pauli_basis(k)
     generators = stack[[a * 4 ** (k - 1 - i) for a in (1, 3) for i in range(k)]]
@@ -572,16 +538,7 @@ def _symplectic(gate: Gate) -> np.ndarray:
         s = _pauli_bits(g.conj().T @ generators @ g).T
     except ValueError:
         raise ValueError(f"gate {gate.name!r} is not Clifford: it maps a Pauli to a non-Pauli") from None
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=64)  # a few gate types per circuit
-def _sources(gate: Gate) -> tuple[tuple[int, ...], ...]:
-    """For each of a gate's 2k bit rows (x, then z), the rows whose XOR it
-    becomes under P -> g-dagger P g: the set columns of that row of
-    `_symplectic`."""
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in _symplectic(gate))
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in s)
 
 
 def _carry_back(b: list[int], pg: PlacedGate, n: int) -> None:
@@ -599,10 +556,9 @@ def _carry_back(b: list[int], pg: PlacedGate, n: int) -> None:
         b[r] = v
 
 
-@lru_cache(maxsize=64)  # a run needs 1 entry per (circuit, measured wires)
 def _faults(c: Circuit, measured: tuple[int, ...]):
     """The Pauli faults of encode c, attack, decode dagger_circuit(c), read
-    on the m sorted measured wires.
+    on the m sorted measured wires, built once per `_fault_base` entry.
 
     A fault F flips the readout of measured wire q exactly when it
     anticommutes with B_q, the final Z_q carried back to F's place
@@ -613,7 +569,7 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
     fault on wire w flips the readouts in w's z row, a Z fault those in
     its x row, a Y both. The attack, a Pauli, leaves every B_q as it is.
 
-    Returns, all read-only:
+    Returns:
     - the arity of each fault's gate, one fault per kicked wire;
     - sums[f, u], the sum over P = X, Y, Z of (-1)^(u . mask of P) of
       fault f, 3 or -1, as int8 (faults x 2^m), from the parity of
@@ -645,8 +601,6 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
     odd = parity[np.array(flips, dtype=np.int64).reshape(-1, 3, 1) & u]
     sums = 3 - 2 * odd.sum(axis=1, dtype=np.int8)
     walsh = 1.0 - 2.0 * parity[u[:, None] & u]
-    sums.setflags(write=False)
-    walsh.setflags(write=False)
     return tuple(arities), sums, walsh, attack_flips
 
 
@@ -768,7 +722,8 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
 def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Inverse-CDF i.i.d. sampling; deterministic for a given seed.
 
-    `seed` may be an integer or a ready-made numpy Generator. `probs` must
+    `seed` may be a non-negative integer or a ready-made numpy Generator;
+    ValueError for anything else, such as a float or a bool. `probs` must
     be a 1-D, finite, non-negative distribution summing to 1 within 1e-10;
     ValueError otherwise. A draw r lands in the first bin j with
     r < cdf[j], and the last entry of the cdf is set to exactly 1. Each
@@ -791,7 +746,7 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
+        rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed", 0)))
     counts = np.zeros(len(p), dtype=np.int64)
     for done in range(0, shots, _SAMPLE_CHUNK):
         r = np.sort(rng.random(min(_SAMPLE_CHUNK, shots - done)))
@@ -800,7 +755,10 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
 
 
 def fidelity(a: DensityMatrix | StateVector, b: StateVector) -> float:
-    """<b|a|b> for a density matrix a; |<a|b>|^2 for a state vector a."""
+    """<b|a|b> for a density matrix a; |<a|b>|^2 for a state vector a.
+    ValueError unless b is a StateVector on as many wires as a."""
+    if not isinstance(b, StateVector):
+        raise ValueError(f"b must be a StateVector, got {type(b).__name__}")
     if a.n_wires != b.n_wires:
         raise ValueError(f"wire mismatch: {a.n_wires} vs {b.n_wires}")
     if isinstance(a, StateVector):

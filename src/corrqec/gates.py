@@ -92,7 +92,7 @@ def ry(alpha: float) -> Gate:
     return _gate(f"RY({a!r})", [[c, -s], [s, c]])
 
 
-@lru_cache(maxsize=64)  # a run parses its selector twice; a sweep uses a few
+@lru_cache(maxsize=64)  # a run parses its selector once; a sweep repeats a few
 def ry_from_text(selector: str, what: str) -> Gate:
     """ry(alpha) for a selector 'ry:<alpha>'; a ValueError naming `what`,
     the selector and the angle if alpha is not a finite number. Cached:

@@ -105,10 +105,7 @@ def _normalize_spec(spec: dict) -> tuple[dict, Circuit, np.ndarray, list[int]]:
         unknown = set(nm) - {"p1", "p2", "p_readout"}
         if unknown:
             raise ValueError(f"unknown noise parameters {sorted(unknown)}")
-        for k, v in nm.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{k} must be a real number, got {v!r}")
-        nm = NoiseModel(**{k: float(v) for k, v in nm.items()})
+        nm = NoiseModel(**nm)
     shots = _integer(s.get("shots", _DEFAULTS["shots"]), "shots", 1)
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots must be at most {_MAX_SHOTS}, got {shots}")

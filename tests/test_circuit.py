@@ -264,6 +264,13 @@ def test_sample_counts_takes_a_positive_integer_shot_count(shots):
         sample_counts(np.array([0.5, 0.5]), shots, 0)
 
 
+@pytest.mark.parametrize("seed", (1.7, True, -1), ids=("float", "bool", "negative"))
+def test_sample_counts_takes_a_non_negative_integer_seed(seed):
+    # a float seed was truncated: 1.7 sampled as seed 1
+    with pytest.raises(ValueError, match="seed must"):
+        sample_counts(np.array([0.5, 0.5]), 10, seed)
+
+
 def test_sample_counts_accepts_a_sum_off_by_rounding():
     probs = np.full(10, 0.1)  # sums to 0.9999999999999999
     assert sample_counts(probs, 1000, 1).sum() == 1000
@@ -275,8 +282,11 @@ def test_a_circuit_hashes_its_gates_once_and_equal_circuits_share_caches():
     rebuilt = Circuit(c.n_wires, c.gates)
     assert rebuilt is not c and rebuilt == c
     assert hash(rebuilt) == hash(c) == hash((c.n_wires, c.gates))
-    assert dagger_circuit(rebuilt) is dagger_circuit(c)
-    assert circuit._program(rebuilt, 0.01, 0.02) is circuit._program(c, 0.01, 0.02)
+    assert dagger_circuit(rebuilt) == dagger_circuit(c)
+    first = circuit._effects(c, (1,), 0.01, 0.02)
+    hits = circuit._effects.cache_info().hits
+    assert circuit._effects(rebuilt, (1,), 0.01, 0.02) is first
+    assert circuit._effects.cache_info().hits == hits + 1
     assert hash(Circuit(3, c.gates[:2])) != hash(c)
 
 
@@ -287,17 +297,18 @@ def test_a_gate_cache_hit_hashes_no_matrix(monkeypatch):
     for pg in gates:
         assert hash(pg.gate) == hash((pg.gate.name, pg.gate.matrix, pg.gate.arity))
         assert hash(pg) == hash((pg.gate, pg.wires))
-        circuit._symplectic(pg.gate), circuit._row_map(pg, 8)
+        circuit._sources(pg.gate), circuit._row_map(pg, 8)
     rebuilt = Gate(CNOT.name, ComplexMatrix(CNOT.matrix.array), CNOT.arity)
     assert rebuilt == CNOT and hash(rebuilt) == hash(CNOT)
     calls = []
     real = ComplexMatrix.__hash__
     monkeypatch.setattr(ComplexMatrix, "__hash__", lambda m: calls.append(m) or real(m))
-    hits = circuit._symplectic.cache_info().hits
+    hits = circuit._sources.cache_info().hits, circuit._row_map.cache_info().hits
     for pg in gates:
-        circuit._symplectic(pg.gate), circuit._row_map(pg, 8)
-    assert circuit._symplectic(rebuilt) is circuit._symplectic(CNOT)
-    assert circuit._symplectic.cache_info().hits == hits + len(gates) + 2
+        circuit._sources(pg.gate), circuit._row_map(pg, 8)
+    assert circuit._sources(rebuilt) is circuit._sources(CNOT)
+    assert circuit._sources.cache_info().hits == hits[0] + len(gates) + 2
+    assert circuit._row_map.cache_info().hits == hits[1] + len(gates)
     assert calls == []
 
 
@@ -344,6 +355,9 @@ def test_fidelity_examples():
     assert abs(fidelity(rho, basis_state(1, "0")) - 0.5) < 1e-12
     with pytest.raises(ValueError):
         fidelity(basis_state(2, "00"), basis_state(1, "0"))
+    # b is a state vector; a density matrix there raised AttributeError
+    with pytest.raises(ValueError, match="b must be a StateVector, got DensityMatrix"):
+        fidelity(rho, rho)
 
 
 def test_circuit_to_text():

@@ -11,8 +11,6 @@ from corrqec.circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
-    _kicks,
-    _program,
     apply,
     attack,
     basis_state,
@@ -69,6 +67,11 @@ def test_noise_model_validation():
         NoiseModel(p2=1.5)
     with pytest.raises(ValueError):
         NoiseModel(p_readout=2.0)
+    # a strength is a real number: a bool or a string was read as 1.0 or 0.1
+    for key, value in (("p1", True), ("p2", False), ("p_readout", "0.1"), ("p1", None), ("p2", 1j)):
+        with pytest.raises(ValueError, match=f"{key} must be a real number, got {value!r}"):
+            NoiseModel(**{key: value})
+    assert NoiseModel(p2=np.float32(0.5)).p2 == 0.5 and NoiseModel(p_readout=np.int64(0)).p_readout == 0.0
 
 
 def test_zero_noise_is_plain_application():
@@ -144,37 +147,6 @@ def test_folded_rounds_match_round_by_round():
             expect = attack(expect, w)
         got = attack(rho, folded).matrix
         assert np.abs(got - expect.matrix).max() <= 1e-13
-
-
-def test_kick_cache_stays_bounded_over_a_noise_sweep():
-    # the kick superoperators are cached per (k, p); a long sweep over noise
-    # strengths in one process must not keep one per strength
-    for i in range(200):
-        _kicks(2, i / 400)
-    assert _kicks.cache_info().currsize <= 64
-
-
-def test_program_cache_is_bounded_read_only_and_keyed_on_gate_noise():
-    _, enc, _, _ = _normalize_spec({"scheme": "hybrid", "n": 5})
-    dec = dagger_circuit(enc)
-    assert dagger_circuit(enc) is dec  # built and checked once per circuit
-    rho = to_density(basis_state(5, 0))
-    # a long noise sweep in one process keeps at most maxsize programs
-    for i in range(200):
-        apply(enc, rho, NoiseModel(p1=i / 4000, p2=i / 400))
-    assert _program.cache_info().currsize <= _program.cache_parameters()["maxsize"]
-    # readout noise acts on the distribution, not on the program
-    first = _program(enc, 1e-3, 1e-2)
-    misses = _program.cache_info().misses
-    for readout in (0.0, 0.01, 0.2):
-        apply(enc, rho, NoiseModel(p1=1e-3, p2=1e-2, p_readout=readout))
-    assert _program.cache_info().misses == misses
-    assert _program(enc, 1e-3, 1e-2) is first
-    for superop, axes in first:
-        assert not superop.flags.writeable
-        with pytest.raises(ValueError):
-            superop[0, 0] = 2.0
-        assert superop.shape == (4 ** (len(axes) // 2),) * 2 and len(axes) <= 2 * circuit._BLOCK_WIRES
 
 
 def test_run_engines_cache_only_what_the_attack_does_not_change():

@@ -41,7 +41,7 @@ from corrqec.circuit import (
     NoiseModel,
     StateVector,
     _conjugated_pauli,
-    _kicks,
+    _kick,
     _pauli_bits,
     _permutation,
     apply,
@@ -269,11 +269,12 @@ def test_closed_form_depolarizing_is_the_pauli_sum(case):
     rho = random_density(np.random.default_rng(seed), n)
     t = rho.reshape((2,) * (2 * n))
     wire = order[0]
-    got = contract(t, _kicks(1, p), (wire, n + wire)).reshape(rho.shape)
+    got = contract(t, _kick(p), (wire, n + wire)).reshape(rho.shape)
     assert np.abs(got - pauli_depolarize(rho, wire, n, p)).max() <= 1e-15
     if n >= 2:
+        # a two-wire gate's kicks: one per wire, on distinct wires
         a, b = order[:2]
-        got = contract(t, _kicks(2, p), (a, b, n + a, n + b)).reshape(rho.shape)
+        got = contract(contract(t, _kick(p), (a, n + a)), _kick(p), (b, n + b)).reshape(rho.shape)
         expect = pauli_depolarize(pauli_depolarize(rho, a, n, p), b, n, p)
         assert np.abs(got - expect).max() <= 1e-15
 
