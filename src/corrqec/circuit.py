@@ -95,7 +95,10 @@ class Circuit:
 
 
 class StateVector:
-    """Normalized pure state on n_wires qubits."""
+    """Normalized pure state on n_wires qubits; `amplitudes` is read-only.
+    `_trusted` builds states derived from checked ones without checks: a
+    basis state, a tensor product, and the image under a circuit or an
+    attack."""
 
     __slots__ = ("_amps", "n_wires")
 
@@ -115,6 +118,14 @@ class StateVector:
         a.setflags(write=False)
         object.__setattr__(self, "_amps", a)
         object.__setattr__(self, "n_wires", n)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray, n: int) -> StateVector:
+        a.setflags(write=False)
+        s = object.__new__(cls)
+        object.__setattr__(s, "_amps", a)
+        object.__setattr__(s, "n_wires", n)
+        return s
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -206,7 +217,7 @@ def basis_state(n_wires: int, bits: str | int) -> StateVector:
         raise ValueError(f"basis index {bits!r} is not an integer in [0, {2**n_wires})")
     amps = np.zeros(2**n_wires, dtype=complex)
     amps[bits] = 1.0
-    return StateVector(amps, n_wires)
+    return StateVector._trusted(amps, n_wires)
 
 
 def tensor(*states: StateVector) -> StateVector:
@@ -218,7 +229,7 @@ def tensor(*states: StateVector) -> StateVector:
     for s in states[1:]:
         amps = kron(amps, s.amplitudes)
         n += s.n_wires
-    return StateVector(amps, n)
+    return StateVector._trusted(amps, n)
 
 
 def to_density(s: StateVector) -> DensityMatrix:
@@ -336,7 +347,7 @@ class NoiseModel:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
+            v = float(v) + 0.0  # -0.0 becomes 0.0, so a report never reads "-0.0"
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
@@ -385,7 +396,7 @@ def apply(c: Circuit, s: StateVector | DensityMatrix, noise: NoiseModel | None =
         t = s.amplitudes.reshape((2,) * n)
         for pg in c.gates:
             t = contract(t, pg.gate.matrix.array, pg.wires)
-        return StateVector(t.reshape(-1), n)
+        return StateVector._trusted(t.reshape(-1), n)
     t = s.matrix.reshape((2,) * (2 * n))
     for superop, axes in _program(c, nm.p1, nm.p2):
         t = contract(t, superop, axes)
@@ -409,7 +420,7 @@ def attack(s: StateVector | DensityMatrix, w):
         t = s.amplitudes.reshape((2,) * n)
         for wire in range(n):
             t = contract(t, w, (wire,))
-        return StateVector(t.reshape(-1), n)
+        return StateVector._trusted(t.reshape(-1), n)
     superop = kron(w, w.conj())
     t = s.matrix.reshape((2,) * (2 * n))
     for wire in range(n):
@@ -684,7 +695,8 @@ def partial_trace(d: StateVector | DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep set {keep} out of range for {d.n_wires} wires")
     n, k = d.n_wires, len(keep)
     if isinstance(d, StateVector):
-        m = np.moveaxis(d.amplitudes.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
+        front, _ = _axis_orders(n, tuple(keep))  # the kept wires first, as np.moveaxis puts them
+        m = d.amplitudes.reshape((2,) * n).transpose(front).reshape(2**k, -1)
         return DensityMatrix._trusted(m @ m.conj().T, k)
     drop = [w for w in range(n) if w not in keep]
     t = d.matrix.reshape((2,) * (2 * n))

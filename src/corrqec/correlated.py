@@ -15,6 +15,13 @@ The recursive scheme chains the same encoder over 2k+1 wires to protect k
 data qubits (odd wires), with the sink still on wire 2 and every remaining
 even wire returning to |0>.
 
+A `CorrelatedChannel` keeps its atoms as one (k, 2, 2) stack, and
+`apply_channel` applies the whole mixture as one stacked conjugation by
+the k tensor powers W_i^(tensor n), the dense form the effect engine
+(`circuit.effect_distribution`) takes per run: O(k 8^n), against
+O(k n 4^n) for the per-wire `attack` once per atom, and the cheaper for
+the 3-wire channels of this package (the tests go up to n = 5).
+
 NEW_U_ENTRIES / OLD_U_ENTRIES are deliberately plain mutable tables so a
 test harness can corrupt one entry and confirm the verification battery
 notices (see cli.cmd_verify).
@@ -22,7 +29,7 @@ notices (see cli.cmd_verify).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
@@ -31,7 +38,6 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
-    attack,
     basis_state,
     fidelity,
     partial_trace,
@@ -196,31 +202,43 @@ def _erroneous_decomposition() -> Circuit:
 
 @dataclass(frozen=True, eq=False)
 class CorrelatedChannel:
-    """Finitely supported mixture of all-wire tensor-power attacks. Each
-    atom is copied once, into a read-only 2x2 array."""
+    """Finitely supported mixture of all-wire tensor-power attacks,
+    rho -> sum_k p_k W_k^(tensor n) rho W_k^(tensor n)-dagger.
+
+    The atoms are copied once, into the read-only (k, 2, 2) stack `atoms`
+    that `apply_channel` conjugates by, beside the read-only (k,) weight
+    vector `weights`; `support` pairs each atom, a view into the stack,
+    with its weight. The weights are checked first, so an empty support
+    fails on its sum, then one unitarity check covers the whole stack."""
 
     n_qubits: int
     support: tuple[tuple[np.ndarray, float], ...]
+    atoms: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "n_qubits", 1))
-        sup = []
-        total = 0.0
+        ws, ps = [], []
         for w, p in self.support:
-            wm = np.array(w, dtype=complex)
+            wm = np.asarray(w, dtype=complex)
             if wm.shape != (2, 2):
                 raise ValueError("channel atoms must be 2x2")
-            if not is_unitary(wm, 1e-12):
-                raise ValueError("channel atom is not unitary within 1e-12")
             pf = float(p)
             if not np.isfinite(pf) or pf < 0:  # NaN passes every comparison
                 raise ValueError(f"probability {pf} is negative or not finite")
-            wm.setflags(write=False)
-            sup.append((wm, pf))
-            total += pf
+            ws.append(wm)
+            ps.append(pf)
+        total = sum(ps)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "support", tuple(sup))
+        atoms, weights = np.array(ws), np.array(ps)  # the one copy of the atoms
+        if not is_unitary(atoms, 1e-12):
+            raise ValueError("channel atom is not unitary within 1e-12")
+        atoms.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "support", tuple(zip(atoms, ps)))
 
 
 def make_channel(n: int, support) -> CorrelatedChannel:
@@ -231,10 +249,19 @@ def make_channel(n: int, support) -> CorrelatedChannel:
 
 
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
-    if rho.n_wires != ch.n_qubits:
-        raise ValueError(f"channel acts on {ch.n_qubits} wires, state has {rho.n_wires}")
-    out = sum(p * attack(rho, w).matrix for w, p in ch.support)
-    return DensityMatrix._trusted(out, rho.n_wires)
+    """The channel on rho as one stacked product: the (k, 2^n, 2^n) stack
+    of tensor powers W_k^(tensor n) (`tensor_power` on `ch.atoms`, as
+    `circuit.effect_distribution` forms its one) conjugates rho, and the
+    k images are summed with the weights. That costs O(k 8^n), against
+    O(k n 4^n) for k calls of `attack`, one contraction per wire each;
+    the channels in this package act on 3 wires, where the one batched
+    product is the cheaper, and the tests take it up to n = 5."""
+    n = rho.n_wires
+    if n != ch.n_qubits:
+        raise ValueError(f"channel acts on {ch.n_qubits} wires, state has {n}")
+    wn = tensor_power(ch.atoms, n)
+    out = ch.weights @ (wn @ rho.matrix @ wn.conj().swapaxes(-1, -2)).reshape(len(wn), -1)
+    return DensityMatrix._trusted(out.reshape(2**n, 2**n), n)
 
 
 def three_qubit_protect(

@@ -1,4 +1,5 @@
-"""`tools/check_times.py` prints one timed row per `verify` check."""
+"""`tools/check_times.py` prints one timed row per `verify` check, with
+its minor page faults."""
 from __future__ import annotations
 
 import subprocess
@@ -15,11 +16,14 @@ def test_one_battery_prints_a_row_per_check():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "median process-CPU time over 1 batteries"
-    rows = [line.rsplit(None, 2) for line in lines[2:-1]]
-    assert [name for name, _, _ in rows] == [name for name, _ in cli.CHECKS]
+    assert lines[1].split()[-3:] == ["ms", "share", "faults"]
+    rows = [line.rsplit(None, 3) for line in lines[2:-1]]
+    assert [name for name, _, _, _ in rows] == [name for name, _ in cli.CHECKS]
     assert len(rows) == 18
-    assert all(float(ms) >= 0 and share.endswith("%") for _, ms, share in rows)
-    assert lines[-1].split()[0] == "total"
+    assert all(float(ms) >= 0 and share.endswith("%") and float(faults) >= 0 for _, ms, share, faults in rows)
+    total = lines[-1].split()
+    assert total[0] == "total" and len(total) == 3
+    assert float(total[2]) == sum(float(faults) for _, _, _, faults in rows)  # one battery: no median
 
 
 def test_a_bad_battery_count_is_a_usage_error():

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec import cli, correlated, hybrid, noise_exp
+from corrqec.circuit import StateVector, attack, basis_state, fidelity, partial_trace, realize, tensor
 from corrqec.linalg import max_abs_diff
 
 
@@ -102,6 +103,18 @@ def test_run_noiseless_success(tmp_path, capsys):
     assert d["config"]["scheme"] == "corr3"
     assert d["name"] == "corr3"
     assert d["seed"] == 1
+
+
+def test_a_negative_zero_strength_is_reported_as_zero(tmp_path, capsys):
+    # -0 is the physics of 0, so it writes the same report bytes
+    reports = []
+    for noise in ("p1=-0,p2=-0.0,readout=-0", "p1=0,p2=0,readout=0"):
+        out = tmp_path / f"{len(reports)}.json"
+        code, _, _ = run_cli(["run", "--scheme", "corr3", "--noise", noise, "--out", str(out)], capsys)
+        assert code == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert '"p1": 0.0' in reports[0] and "-0.0" not in reports[0]
 
 
 def test_run_hybrid_rotated_ancilla(tmp_path, capsys):
@@ -360,6 +373,28 @@ def test_the_block_check_reports_the_worst_of_its_samples_taken_one_at_a_time():
         worst_off = max(worst_off, rep.off_diag_norm)
         worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w)))
     assert cli._blocks_random() == f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
+
+
+def test_the_five_wire_check_reads_its_samples_as_one_at_a_time():
+    # the per-sample loop that the check runs as one (3, 32) stack: the
+    # same draws, each through `attack`, `partial_trace` and `fidelity`
+    rng = np.random.default_rng(cli._BATTERY_SEED + 2)
+    ws = correlated.random_su2(rng, 3)
+    qubits = cli._rand_qubits(rng, 9).reshape(3, 3, 2)
+    stacked = cli._five_wire_fidelities(ws, qubits)
+    enc = realize(correlated.recursive_encoder(2))
+    zero = basis_state(1, "0")
+    for s, w in enumerate(ws):
+        psi1, psi2, v = (StateVector(q, 1) for q in qubits[s])
+        full = tensor(zero, psi1, v, psi2, zero)
+        out = StateVector(enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes, 5)
+        targets = (zero, psi1, StateVector(w @ v.amplitudes, 1), psi2, zero)
+        for wire, target in enumerate(targets):
+            assert abs(stacked[s, wire] - fidelity(partial_trace(out, [wire]), target)) <= 1e-12
+    assert cli._recovery_five() == f"worst fidelity deficit {1 - stacked.min():.2e}"
+    # one draw of nine qubits gives what nine `_rand_qubit` calls give
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(cli._rand_qubits(b, 9), [cli._rand_qubit(a).amplitudes for _ in range(9)])
 
 
 def test_dump_encoder_round_trips(capsys):

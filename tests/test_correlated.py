@@ -252,6 +252,8 @@ def test_channel_validation():
     make_channel(3, [(X, 0.5), (Z, 0.5)])
     with pytest.raises(ValueError):
         make_channel(3, [(X, 0.7), (Z, 0.2)])  # sums to 0.9
+    with pytest.raises(ValueError, match="probabilities sum to 0"):
+        make_channel(3, [])  # named before the empty stack of atoms is built
     with pytest.raises(ValueError):
         make_channel(3, [(X, 1.5), (Z, -0.5)])  # negative weight
     with pytest.raises(ValueError):
@@ -277,6 +279,13 @@ def test_channel_validation():
     w[:] = np.eye(2)
     assert np.array_equal(ch.support[0][0], X.matrix.array)
     assert not ch.support[0][0].flags.writeable
+    # one (k, 2, 2) stack of the atoms and a (k,) weight vector, both
+    # read-only, and `support` pairs views of the stack with the weights
+    ch = make_channel(3, [(X, 0.25), (H, 0.75)])
+    assert ch.atoms.shape == (2, 2, 2) and ch.weights.tolist() == [0.25, 0.75]
+    assert not ch.atoms.flags.writeable and not ch.weights.flags.writeable
+    assert all(np.shares_memory(w, ch.atoms) for w, _ in ch.support)
+    assert [p for _, p in ch.support] == [0.25, 0.75]
 
 
 def test_apply_channel_preserves_trace():

@@ -72,6 +72,9 @@ def test_noise_model_validation():
         with pytest.raises(ValueError, match=f"{key} must be a real number, got {value!r}"):
             NoiseModel(**{key: value})
     assert NoiseModel(p2=np.float32(0.5)).p2 == 0.5 and NoiseModel(p_readout=np.int64(0)).p_readout == 0.0
+    # a negative zero is held as +0.0, so no report can read -0.0
+    nm = NoiseModel(p1=-0.0, p2=np.float64(-0.0), p_readout=-0.0)
+    assert all(str(v) == "0.0" for v in (nm.p1, nm.p2, nm.p_readout))
 
 
 def test_zero_noise_is_plain_application():

@@ -46,6 +46,7 @@ from corrqec.circuit import (
     _permutation,
     apply,
     attack,
+    basis_state,
     born_distribution,
     contract,
     dagger_circuit,
@@ -53,6 +54,7 @@ from corrqec.circuit import (
     pauli_fault_distribution,
     realize,
     sample_counts,
+    tensor,
     to_density,
 )
 from corrqec.correlated import apply_channel, make_channel
@@ -68,6 +70,7 @@ from corrqec.noise_exp import (
 from test_noise_exp import initial_state
 
 _PAULIS = tuple(g.matrix.array for g in (X, Y, Z))
+_R = np.sqrt(0.5)
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -349,7 +352,9 @@ def producer_cases(draw):
 @given(producer_cases())
 def test_unchecked_producers_make_valid_states(case):
     # apply (noiseless and noisy), attack, partial_trace and apply_channel
-    # skip the DensityMatrix checks; their outputs must still be states
+    # skip the DensityMatrix checks; their outputs must still be states.
+    # So do basis_state, tensor, apply and attack on a vector skip the
+    # StateVector checks, and their amplitudes must be read-only.
     c, rho, nm, ch, keep = case
     n = c.n_wires
     dm = DensityMatrix(rho, n)
@@ -365,6 +370,31 @@ def test_unchecked_producers_make_valid_states(case):
         assert np.linalg.eigvalsh(a).min() >= -1e-12
         assert abs(np.trace(a) - 1.0) <= 1e-12
         assert np.abs(a - a.conj().T).max() <= 1e-13
+    v = StateVector(np.linalg.eigh(rho)[1][:, -1], n)
+    bits = format(keep[0], f"0{n}b")
+    vectors = (
+        basis_state(n, bits),
+        tensor(basis_state(1, bits[0]), *(StateVector(q, 1) for q in ([_R, _R], [_R, -1j * _R]))),
+        tensor(v, basis_state(1, 1)),
+        apply(c, v),
+        attack(v, ch.support[0][0]),
+    )
+    for s in vectors:
+        a = s.amplitudes
+        StateVector(a, s.n_wires)
+        assert a.shape == (2**s.n_wires,) and not a.flags.writeable
+
+
+@_SETTINGS
+@given(st.integers(1, 5), st.integers(1, 5), seeds)
+def test_a_channel_is_its_weighted_sum_of_attacks(n, k, seed):
+    # the one stacked product of `apply_channel` against the sum over its
+    # atoms of p times the per-wire `attack`, for k Haar-random U(2) atoms
+    rng = np.random.default_rng(seed)
+    ch = make_channel(n, zip([random_unitary(rng, 1) for _ in range(k)], rng.dirichlet(np.ones(k))))
+    rho = DensityMatrix(random_density(rng, n), n)
+    expect = sum(p * attack(rho, w).matrix for w, p in ch.support)
+    assert np.abs(apply_channel(ch, rho).matrix - expect).max() <= 1e-13
 
 
 @st.composite

@@ -4,8 +4,9 @@ Usage: python tools/check_times.py [BATTERIES]
 
 Runs the `cli.CHECKS` battery BATTERIES times (default 15) in this
 process and prints, for each check in battery order, its median process-CPU
-time in ms and its share of the median battery, then the median battery
-total. The first battery fills the package's caches; the median keeps it
+time in ms, its share of the median battery and its median count of minor
+page faults (`getrusage(RUSAGE_SELF).ru_minflt`), then the median battery
+totals. The first battery fills the package's caches; the median keeps it
 out of the result once there are three or more. A failing check stops the
 run with its error.
 
@@ -16,6 +17,7 @@ battery's CPU time on a 2-core host.
 from __future__ import annotations
 
 import os
+import resource
 import statistics
 import sys
 from pathlib import Path
@@ -28,21 +30,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from corrqec import cli  # noqa: E402
 
 
-def check_times(batteries: int) -> tuple[dict[str, float], float]:
-    """Each check's median process-CPU time in ms, in battery order, and
-    the median total of one battery in ms."""
-    times = {name: [] for name, _ in cli.CHECKS}
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def check_times(batteries: int) -> tuple[dict[str, tuple[float, float]], tuple[float, float]]:
+    """Each check's median process-CPU time in ms and median minor page
+    faults, in battery order, and the medians of one battery's totals."""
+    samples = {name: [] for name, _ in cli.CHECKS}
     totals = []
     for _ in range(batteries):
-        total = 0.0
+        total_ms = total_faults = 0
         for name, check in cli.CHECKS:
-            t0 = process_time()
+            f0, t0 = _minor_faults(), process_time()
             check()
-            dt = 1e3 * (process_time() - t0)
-            times[name].append(dt)
-            total += dt
-        totals.append(total)
-    return {name: statistics.median(ts) for name, ts in times.items()}, statistics.median(totals)
+            dt, df = 1e3 * (process_time() - t0), _minor_faults() - f0
+            samples[name].append((dt, df))
+            total_ms += dt
+            total_faults += df
+        totals.append((total_ms, total_faults))
+    return ({name: _medians(s) for name, s in samples.items()}, _medians(totals))
+
+
+def _medians(pairs) -> tuple[float, float]:
+    return tuple(statistics.median(column) for column in zip(*pairs))
 
 
 def main(argv) -> int:
@@ -51,13 +62,13 @@ def main(argv) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     batteries = int(batteries)
-    medians, total = check_times(batteries)
+    medians, (total, total_faults) = check_times(batteries)
     width = max(len(name) for name in medians)
     print(f"median process-CPU time over {batteries} batteries")
-    print(f"{'check':<{width}}  {'ms':>8}  {'share':>6}")
-    for name, ms in medians.items():
-        print(f"{name:<{width}}  {ms:8.2f}  {100 * ms / total:5.1f}%")
-    print(f"{'total':<{width}}  {total:8.2f}")
+    print(f"{'check':<{width}}  {'ms':>8}  {'share':>6}  {'faults':>7}")
+    for name, (ms, faults) in medians.items():
+        print(f"{name:<{width}}  {ms:8.2f}  {100 * ms / total:5.1f}%  {faults:7g}")
+    print(f"{'total':<{width}}  {total:8.2f}  {'':>6}  {total_faults:7g}")
     return 0
 
 
