@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import correlated, hybrid, noise_exp
-from .circuit import StateVector, _conjugated_pauli, basis_state, circuit_to_text, realize
+from .circuit import StateVector, _conjugated_pauli, circuit_to_text, realize
 from .gates import H
 from .linalg import _kron_stack, equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff, tensor_power
 
@@ -155,18 +155,41 @@ def _recovery_five() -> str:
     return f"worst fidelity deficit {1 - worst:.2e}"
 
 
+def _gate_words(c, shift: int = 0) -> list[tuple[str, tuple[int, ...]]]:
+    """c's gates as (gate name, wires), each wire moved up by shift."""
+    return [(pg.gate.name, tuple(w + shift for w in pg.wires)) for pg in c.gates]
+
+
+def _hybrid_shape() -> None:
+    # P_n is P2 on wires 0..1 then P_{n-1} on wires 1..n-1 (even n), or P3
+    # on wires 0..2 then P_{n-2} on wires 2..n-1 (odd n), as in
+    # `hybrid._matrix_rec`. Each built width n >= 4 must be the n = 2 or
+    # n = 3 encoder followed by the width n - step encoder shifted by step,
+    # so what holds for the n = 2 and n = 3 circuits holds at every width,
+    # by induction on n.
+    for n in range(4, hybrid.MAX_QUBITS + 1):
+        base, step = (2, 1) if n % 2 == 0 else (3, 2)
+        stacked = _gate_words(hybrid.encoder_circuit(base)) + _gate_words(hybrid.encoder_circuit(n - step), step)
+        _require(_gate_words(hybrid.encoder_circuit(n)) == stacked,
+                 f"n={n}: the encoder is not the n={base} encoder then the n={n - step} encoder "
+                 f"shifted by {step} wires")
+
+
 def _hybrid_circuits() -> str:
-    worst = 0.0
-    for n in range(hybrid.MIN_QUBITS, hybrid.MAX_QUBITS + 1):
-        enc = hybrid.hybrid_encoder(n)
-        worst = max(worst, max_abs_diff(realize(enc.circuit), enc.matrix))
-    _require(worst <= 1e-12, f"deviation {worst:.3e}")
-    return f"n=2..8 exact (max deviation {worst:.3e}, identity wire order)"
+    # By the shape, realize(c_n) = (I (x) realize(c_{n-step})) (realize(c_base)
+    # (x) I), which is P_n's recursion: exact bases make every width exact.
+    _hybrid_shape()
+    for n, p in ((2, hybrid.p2_matrix()), (3, hybrid.p3_matrix())):
+        d = max_abs_diff(realize(hybrid.encoder_circuit(n)), p)
+        _require(d == 0.0, f"n={n}: the circuit deviates from P{n} by {d:.3e}")
+    return ("every n >= 2 by induction: n=2, 3 realize P2, P3 exactly (max deviation 0.000e+00, "
+            "identity wire order), and n=4..8 stack as P_n does")
 
 
 _TAGS = ("X", "Y", "Z")
 _XYZ = np.stack([hybrid.attack_factor([tag]) for tag in _TAGS])
 _XYZ.setflags(write=False)
+_OWN_BITS = ((1, 0), (1, 1), (0, 1))  # the (x, z) bits of X, Y and Z
 
 
 def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,38 +198,39 @@ def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _conjugated_pauli(hybrid.encoder_circuit(n), _XYZ)
 
 
+def _odd_walk() -> None:
+    # Carried back, an attack meets the inner encoder first. At odd n, if
+    # the inner walk leaves P on its top wire (wire 2) and nothing below,
+    # what is left is P on wires 0..2 through the n = 3 stage: the n = 3
+    # walk. It must leave exactly P on wire 0 and nothing on wires 1..2, and
+    # then so does every odd n. At even n the odd inner walk leaves P on
+    # wire 1, and the n = 2 stage acts on the ancilla wires 0..1 only.
+    for tag, own, x, z in zip(_TAGS, _OWN_BITS, *_walk_attacks(3)):
+        touched = [w for w in (1, 2) if x[w] or z[w]]
+        _require(not touched, f"n=3 tag={tag}: the decoded attack acts on data wires {touched}")
+        _require((x[0], z[0]) == own, f"n=3 tag={tag}: the decoded attack on wire 0 is not {tag}")
+
+
 def _hybrid_conjugation() -> str:
     # Each attack is carried back through the encoder circuit on GF(2)
     # bits. A Pauli with no bit on a data wire is (ancilla Pauli) tensor
-    # identity-on-data up to phase, exactly, so the residual is 0; and the
-    # check before this one proves that the circuit realizes P_n exactly.
-    for n in range(hybrid.MIN_QUBITS, hybrid.MAX_QUBITS + 1):
-        dw = hybrid.data_wires(n)
-        for tag, x, z in zip(_TAGS, *_walk_attacks(n)):
-            touched = [w for w in dw if x[w] or z[w]]
-            _require(not touched, f"n={n} tag={tag}: the decoded attack acts on data wires {touched}")
-    return "all attacks factor off the data wires (residual 0.000e+00)"
+    # identity-on-data up to phase, exactly, so the residual is 0.
+    _hybrid_shape()
+    _odd_walk()
+    return "every n >= 2 by induction: the n=3 walk leaves each attack on wire 0 alone (residual 0.000e+00)"
 
 
 def _hybrid_readback() -> str:
-    # The decoded attack is X^x Z^z up to phase (`_conjugated_pauli`), so
-    # it sends the input |b, 0...0> to the basis state |b XOR x>: the bits
-    # b read back as b XOR (x_0 x_1) with certainty, and the data input
-    # |0...0> keeps fidelity 1 exactly when no x bit lands on a data wire.
-    # One dense `hybrid_protect` per width cross-checks the matrix path.
-    for n in (4, 6, 8):
-        dw = hybrid.data_wires(n)
-        data = basis_state(len(dw), "0" * len(dw))
-        for tag, x in zip(_TAGS, _walk_attacks(n)[0]):
-            flipped = [w for w in dw if x[w]]
-            for bits in ("00", "01", "10", "11"):
-                _require(not flipped, f"n={n} bits={bits} tag={tag} data fidelity 0 (flips data wires {flipped})")
-                readback = format(int(bits, 2) ^ (2 * int(x[0]) + int(x[1])), "02b")
-                _require(readback == bits, f"n={n} bits={bits} tag={tag} readback {readback}")
-        fid, rep = hybrid.hybrid_protect(n, data, "11", ["Y"])
-        _require(fid >= 1 - 1e-10, f"n={n} bits=11 tag=Y data fidelity {fid}")
-        _require(rep.preserved_with_certainty, f"n={n} bits=11 tag=Y readback {rep.readback_bits}")
-    return "n=4,6,8: all four bit pairs survive X, Y, Z"
+    # At even n the decoded attack is the n = 2 walk's Pauli X^x Z^z on
+    # wires 0..1, up to phase, and nothing on the data (`_odd_walk`). It
+    # sends |b, 0...0> to |b XOR x, 0...0>, so every bit pair b reads back
+    # with certainty exactly when x is 0, that is when 00 reads back as 00.
+    _hybrid_shape()
+    _odd_walk()
+    for tag, x in zip(_TAGS, _walk_attacks(2)[0]):
+        readback = f"{x[0]}{x[1]}"
+        _require(readback == "00", f"n=2 bits=00 tag={tag} readback {readback}")
+    return "every even n by induction: the n=2 walk has no x bit, so all four bit pairs survive X, Y, Z"
 
 
 def _noiseless_success() -> str:
@@ -326,7 +350,9 @@ def _dump_width(what: str, width: str) -> int:
 
 
 def _dump_text(what: str) -> str:
-    w = what.strip().lower()
+    # match the lowercased target, but read a width from what was typed
+    typed = what.strip()
+    w = typed.lower()
     if w == "u":
         return matrix_to_text(correlated.build_new_U())
     if w == "old-u":
@@ -336,13 +362,13 @@ def _dump_text(what: str) -> str:
     if w == "p3":
         return matrix_to_text(hybrid.p3_matrix())
     if w.startswith("pn:"):
-        return matrix_to_text(hybrid.hybrid_encoder(_dump_width(what, w[3:])).matrix)
+        return matrix_to_text(hybrid.hybrid_encoder(_dump_width(what, typed[3:])).matrix)
     if w.startswith("circuit:"):
         name = w[8:]
         if name in _DUMP_CIRCUITS:
             return circuit_to_text(noise_exp._CORRELATED[_DUMP_CIRCUITS[name]]())
         if name.startswith("hybrid"):
-            return circuit_to_text(hybrid.hybrid_encoder(_dump_width(what, name[6:])).circuit)
+            return circuit_to_text(hybrid.encoder_circuit(_dump_width(what, typed[14:])))
         raise ValueError(f"unknown circuit {name!r}")
     raise ValueError(f"unknown dump target {what!r}")
 

@@ -3,8 +3,10 @@ all-wire Pauli attacks (X, Y, or Z applied to every wire at once).
 
 The encoder family P_n (2 <= n <= 8) is built two independent ways: a
 matrix recursion seeded by the 4x4 and 8x8 bases, and a CNOT/H circuit
-recursion mirroring the diagrams. Both agree exactly (no global phase, no
-wire relabeling), which the `verify` battery checks for every width.
+recursion mirroring the diagrams. Both recursions have one shape: the
+width-n encoder is the two-wire stage on wires 0..1 then the width n-1
+encoder on wires 1..n-1 (even n), or the three-wire stage on wires 0..2
+then the width n-2 encoder on wires 2..n-1 (odd n).
 
 Wire split (wire 0 = top = most significant): the ancilla occupies wire 0
 for odd n and wires 0..1 for even n; all remaining wires are data. After
@@ -15,15 +17,20 @@ Pauli, so any pure ancilla state rides along predictably; for even n it is
 diagonal, so classical basis-state ancillas read back deterministically
 (superposed even-width ancillas are NOT preserved and are rejected).
 
-`verify` proves the factorization on GF(2) bits: the encoder circuit is
-CNOT/H, so `circuit._conjugated_pauli` carries X, Y and Z on every wire
-back through it gate by gate, all three in one walk per width, and no bit
-may land on a data wire. The even-width readback is read off the same
-bits: the x bits on the two ancilla wires are the bits the attack flips.
-The dense matrices stay as the reference: `conjugated_error` is
-P^T (W tensored n times) P, as every P_n is real, and `hybrid_protect`
-runs the attack through `circuit.attack` on the encoded vector, reduced
-to the data and ancilla wires by `partial_trace` without forming rho.
+`verify` proves these claims for every n >= 2 by induction on the shape,
+with no matrix wider than 8x8: it checks that each built width n >= 4 is
+the n = 2 or n = 3 circuit followed by the smaller encoder shifted up, and
+proves the claims at those two bases. The circuits of widths 2 and 3
+realize P2 and P3 exactly, so every width realizes P_n. The encoder
+circuit is CNOT/H, so `circuit._conjugated_pauli` carries X, Y and Z on
+every wire back through it on GF(2) bits: the width-3 walk leaves each
+attack on wire 0 alone, so no bit lands on a data wire at any width, and
+the width-2 walk has no x bit, so the even-width ancilla bits read back
+deterministically. The dense matrices stay as the tests' reference:
+`conjugated_error` is P^T (W tensored n times) P, as every P_n is real,
+and `hybrid_protect` runs the attack through `circuit.attack` on the
+encoded vector, reduced to the data and ancilla wires by `partial_trace`
+without forming rho.
 """
 from __future__ import annotations
 
@@ -83,9 +90,8 @@ def _check_width(n: int) -> int:
     return n
 
 
-@cache
 def _matrix_rec(n: int) -> np.ndarray:
-    """The encoder matrix P_n, built once per width and shared read-only."""
+    """The encoder matrix P_n, read-only."""
     if n == 2:
         m = p2_matrix()
     elif n == 3:
@@ -119,7 +125,7 @@ def _circuit_gates(n: int) -> list[PlacedGate]:
 @dataclass(frozen=True, eq=False)
 class HybridEncoder:
     n_qubits: int
-    matrix: np.ndarray  # read-only, shared by every encoder of this width
+    matrix: np.ndarray  # read-only
     circuit: Circuit
 
     def __post_init__(self):
@@ -139,11 +145,14 @@ def _encoder_circuit(n: int) -> Circuit:
 
 
 def hybrid_encoder(n: int) -> HybridEncoder:
-    """Encoder for an n-wire register, 2 <= n <= 8.
+    """Encoder for an n-wire register, 2 <= n <= 8, with its matrix built
+    on each call.
 
     The circuit realizes the matrix exactly, with the identity wire
-    permutation. The `verify` battery and the test suite prove this for
-    every width, so construction does not repeat the proof.
+    permutation. The `verify` battery proves this for every n >= 2 from the
+    widths 2 and 3 and the shared recursion, and the test suite compares
+    the two densely for every width, so construction does not repeat the
+    proof.
     """
     n = _check_width(n)
     return HybridEncoder(n_qubits=n, matrix=_matrix_rec(n), circuit=encoder_circuit(n))

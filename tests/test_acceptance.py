@@ -8,6 +8,7 @@ exactly.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import time
 
@@ -43,33 +44,61 @@ def test_check(name, check):
 
 def test_hybrid_proofs_report_exact_zeros():
     # the hybrid encoders and their conjugated attacks are exact: both
-    # details print a deviation of exactly zero, not a rounding residual
+    # details print a deviation of exactly zero, not a rounding residual,
+    # and all three state their claim for every width
     checks = dict(cli.CHECKS)
     assert checks["hybrid circuits realize their matrices"]() == (
-        "n=2..8 exact (max deviation 0.000e+00, identity wire order)"
+        "every n >= 2 by induction: n=2, 3 realize P2, P3 exactly (max deviation 0.000e+00, "
+        "identity wire order), and n=4..8 stack as P_n does"
     )
     assert checks["hybrid conjugated attacks are identity on data"]() == (
-        "all attacks factor off the data wires (residual 0.000e+00)"
+        "every n >= 2 by induction: the n=3 walk leaves each attack on wire 0 alone (residual 0.000e+00)"
     )
+    assert checks["even-width ancilla bits read back deterministically"]() == (
+        "every even n by induction: the n=2 walk has no x bit, so all four bit pairs survive X, Y, Z"
+    )
+
+
+_HYBRID_CHECKS = (
+    "hybrid circuits realize their matrices",
+    "hybrid conjugated attacks are identity on data",
+    "even-width ancilla bits read back deterministically",
+)
+
+
+def _rebuilt_encoders(monkeypatch) -> None:
+    """Build each encoder circuit afresh from `hybrid._circuit_gates`, so
+    a patched stage or gate list reaches every width, consistently."""
+    monkeypatch.setattr(hybrid, "encoder_circuit", lambda n: Circuit(n, tuple(hybrid._circuit_gates(n))))
+
+
+def _dense_attacks_factor(c: Circuit) -> bool:
+    """realize(c)-dagger (W on every wire) realize(c) is (ancilla block)
+    tensor identity-on-data for W = X, Y and Z."""
+    n, u = c.n_wires, realize(c)
+    try:
+        for tag in ("X", "Y", "Z"):
+            hybrid.ancilla_block(n, u.conj().T @ tensor_power(hybrid.attack_factor([tag]), n) @ u)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("dropped", range(12))
 def test_hybrid_conjugation_fails_on_a_broken_encoder(monkeypatch, dropped):
-    # the check proves the circuit it is given: without any one gate past
-    # the width-8 encoder's first stage, some attack reaches a data wire,
-    # and the failure names n and the tag. The first stage (gates 0-2)
-    # acts only on the ancilla wires, so without one of its gates the
-    # attacks still factor.
+    # the check proves the circuits it is given: without any one gate, the
+    # width-8 encoder is no longer the n=2 encoder followed by the width-7
+    # encoder, and the failure names n. That includes gates 0-2, the first
+    # stage, without one of which the attacks still factor: the induction
+    # covers only circuits of the recursion's shape.
     circuit8 = hybrid.encoder_circuit(8)
     broken = Circuit(8, circuit8.gates[:dropped] + circuit8.gates[dropped + 1:])
+    assert _dense_attacks_factor(broken) == (dropped < 3)
     real = hybrid.encoder_circuit
     monkeypatch.setattr(hybrid, "encoder_circuit", lambda n: broken if n == 8 else real(n))
     check = dict(cli.CHECKS)["hybrid conjugated attacks are identity on data"]
-    if dropped < 3:
+    with pytest.raises(AssertionError, match=r"^n=8: the encoder is not the n=2 encoder then the n=7 encoder"):
         check()
-    else:
-        with pytest.raises(AssertionError, match=r"n=8 tag=[XYZ]: .* data wires \[\d"):
-            check()
 
 
 def _dense_readback_holds(c: Circuit) -> bool:
@@ -92,32 +121,94 @@ _READBACK_DROPS = [(n, i) for n in (4, 6, 8) for i in range(len(hybrid.encoder_c
 
 @pytest.mark.parametrize("n, dropped", _READBACK_DROPS, ids=[f"n{n}-{i}" for n, i in _READBACK_DROPS])
 def test_hybrid_readback_fails_exactly_when_a_dense_readback_does(monkeypatch, n, dropped):
-    # the bit proof reads the encoder circuit it is given; the dense
-    # readback through the same broken circuit is the reference
+    # the check fails, naming n, whenever the dense readback through the
+    # broken circuit fails; it fails on the other drops too, because the
+    # broken circuit is not of the recursion's shape
     full = hybrid.encoder_circuit(n)
     broken = Circuit(n, full.gates[:dropped] + full.gates[dropped + 1:])
     real = hybrid.encoder_circuit
     monkeypatch.setattr(hybrid, "encoder_circuit", lambda m: broken if m == n else real(m))
     check = dict(cli.CHECKS)["even-width ancilla bits read back deterministically"]
-    if _dense_readback_holds(broken):
+    with pytest.raises(AssertionError, match=rf"^n={n}: the encoder is not the n=2 encoder"):
         check()
-    else:
-        with pytest.raises(AssertionError, match=rf"^n={n} bits=00 tag=[XYZ] "):
-            check()
 
 
 @pytest.mark.parametrize("control, readback", [(0, "10"), (1, "01")])
 def test_hybrid_readback_names_the_flipped_ancilla_bit(monkeypatch, control, readback):
     # CNOTs from one ancilla wire onto the three others turn X on every
     # wire into X on that ancilla wire alone: the data is untouched and
-    # exactly one read-back bit flips
+    # exactly one read-back bit flips. Put in as the width-4 circuit, it is
+    # not of the recursion's shape, and the check names n=4.
     fake = Circuit(4, tuple(PlacedGate(CNOT, (control, t)) for t in range(4) if t != control))
     assert not _dense_readback_holds(fake)
     real = hybrid.encoder_circuit
     monkeypatch.setattr(hybrid, "encoder_circuit", lambda m: fake if m == 4 else real(m))
     check = dict(cli.CHECKS)["even-width ancilla bits read back deterministically"]
-    with pytest.raises(AssertionError, match=f"^n=4 bits=00 tag=X readback {readback}$"):
+    with pytest.raises(AssertionError, match=r"^n=4: the encoder is not"):
         check()
+    # as the two-wire stage, one CNOT turns X on both wires into X on the
+    # control: every even width flips that bit, and the n=2 walk names it
+    monkeypatch.setattr(hybrid, "_TWO", ((CNOT, (control, 1 - control)),))
+    _rebuilt_encoders(monkeypatch)
+    assert not _dense_readback_holds(hybrid.encoder_circuit(4))
+    with pytest.raises(AssertionError, match=f"^n=2 bits=00 tag=X readback {readback}$"):
+        check()
+
+
+def _swap_gate(stage, i, wires):
+    """stage with its i-th gate moved onto other wires."""
+    return stage[:i] + ((stage[i][0], wires),) + stage[i + 1:]
+
+
+@pytest.mark.parametrize("stage, mutant, n", [
+    ("_TWO", _swap_gate(hybrid._TWO, 0, (0, 1)), 2),
+    ("_TWO", _swap_gate(hybrid._TWO, 1, (0,)), 2),
+    ("_THREE", _swap_gate(hybrid._THREE, 1, (0, 2)), 3),
+    ("_THREE", _swap_gate(hybrid._THREE, 2, (2, 1)), 3),
+], ids=["two-0", "two-1", "three-1", "three-2"])
+def test_hybrid_realize_check_kills_a_swapped_stage_gate(monkeypatch, stage, mutant, n):
+    # a stage gate on the wrong wires builds every width consistently, so
+    # the shape holds, and the base circuit no longer realizes its matrix
+    monkeypatch.setattr(hybrid, stage, mutant)
+    _rebuilt_encoders(monkeypatch)
+    check = dict(cli.CHECKS)["hybrid circuits realize their matrices"]
+    with pytest.raises(AssertionError, match=rf"^n={n}: the circuit deviates from P{n}"):
+        check()
+
+
+def test_every_hybrid_check_kills_an_off_by_one_shift(monkeypatch):
+    # `_circuit_gates` with the inner encoder shifted one wire too few: at
+    # n=4 it lands on wires 0..2, on top of the two-wire stage
+    source = inspect.getsource(hybrid._circuit_gates)
+    assert source.count("offset + step") == 1
+    namespace = dict(vars(hybrid))
+    exec(source.replace("offset + step", "offset + step - 1"), namespace)
+    monkeypatch.setattr(hybrid, "_circuit_gates", namespace["_circuit_gates"])
+    _rebuilt_encoders(monkeypatch)
+    checks = dict(cli.CHECKS)
+    for name in _HYBRID_CHECKS:
+        with pytest.raises(AssertionError, match=r"^n=4: the encoder is not the n=2 encoder then the n=3"):
+            checks[name]()
+
+
+@pytest.mark.parametrize("extra, first_broken, tag, message", [
+    ((CNOT, (0, 1)), 3, "X", r"acts on data wires \[1\]"),
+    ((H, (0,)), 5, "X", "on wire 0 is not X"),
+], ids=["cnot", "hadamard"])
+def test_hybrid_conjugation_kills_a_wrong_ancilla_pauli_at_n3(monkeypatch, extra, first_broken, tag, message):
+    # one more gate first in the three-wire stage, so last in the walk back:
+    # the CNOT copies the X left on wire 0 onto data wire 1; the H turns it
+    # into a Z, which is harmless at n=3 and reaches the data at n=5. The
+    # even widths inherit the odd walk, so the readback check fails too.
+    monkeypatch.setattr(hybrid, "_THREE", (extra, *hybrid._THREE))
+    _rebuilt_encoders(monkeypatch)
+    for n in (3, 5):
+        assert _dense_attacks_factor(hybrid.encoder_circuit(n)) == (n < first_broken)
+    assert not all(_dense_readback_holds(hybrid.encoder_circuit(n)) for n in (4, 6))
+    checks = dict(cli.CHECKS)
+    for name in _HYBRID_CHECKS[1:]:
+        with pytest.raises(AssertionError, match=rf"^n=3 tag={tag}: .*{message}"):
+            checks[name]()
 
 
 def _within(budget_s: float, body) -> None:

@@ -269,6 +269,10 @@ def _case(number, argv, message):
           "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [2, 1])"),
     _case(15, ["run", "--scheme", "corr3", "--w", "matrix:[]"],
           "matrix selector must be a JSON 2x2 of [re, im] pairs (got rows of lengths [])"),
+    # a target matches in any case, and its width is echoed as typed
+    _case(16, ["dump", "pn:True"], "dump target 'pn:True': width 'True' is not an integer"),
+    _case(17, ["dump", "Circuit:HYBRIDx"], "dump target 'Circuit:HYBRIDx': width 'x' is not an integer"),
+    _case(18, ["dump", "PN:Five"], "dump target 'PN:Five': width 'Five' is not an integer"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins

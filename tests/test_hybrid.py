@@ -123,11 +123,11 @@ def test_circuit_gate_counts_grow_by_three():
 
 
 def test_encoder_circuit_and_shared_encoder_matrix():
-    """encoder_circuit is the circuit of hybrid_encoder, and the memoized
-    encoder matrix that every caller shares cannot be written to."""
-    _matrix_rec.cache_clear()
+    """encoder_circuit is the shared circuit of hybrid_encoder, and the
+    encoder matrix cannot be written to, as built and as handed out."""
     for n in range(MIN_QUBITS, MAX_QUBITS + 1):
         assert not _matrix_rec(n).flags.writeable
+        assert not hybrid_encoder(n).matrix.flags.writeable
         assert encoder_circuit(n) is hybrid_encoder(n).circuit
 
 
@@ -323,7 +323,7 @@ def test_hybrid_protect_odd_superposed_ancilla():
 
 
 def test_hybrid_protect_even_basis_ancillas_certain():
-    for n in (4, 6):
+    for n in (4, 6, 8):
         dw = len(data_wires(n))
         data = basis_state(dw, "0" * dw)
         for bits in ("00", "01", "10", "11"):
