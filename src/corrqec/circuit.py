@@ -195,10 +195,15 @@ class Histogram:
     shots: int = 0
 
     def __post_init__(self):
+        n = _integer(self.n_measured, "n_measured", 0)
+        _integer(self.shots, "shots", 0)
         total = 0
         for key, c in self.counts.items():
-            if len(key) != self.n_measured or any(ch not in "01" for ch in key):
-                raise ValueError(f"bad bitstring key {key!r} for {self.n_measured} wires")
+            if not isinstance(key, str) or len(key) != n or key.strip("01"):
+                raise ValueError(f"bad bitstring key {key!r} in counts for {n} wires")
+            # one type test passes a Python int, the common case
+            if type(c) is not int and (isinstance(c, bool) or not isinstance(c, np.integer)):
+                raise ValueError(f"counts[{key!r}] must be an integer, got {c!r}")
             if c < 0:
                 raise ValueError(f"negative count for {key!r}")
             total += c

@@ -384,7 +384,7 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     p = argparse.ArgumentParser(
         prog="corrqec",
         description="Simulate and verify error-avoiding codes for fully-correlated noise.",
@@ -415,15 +415,28 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dump", help="print a matrix or circuit")
     d.add_argument("what", help="u | old-u | p2 | p3 | pn:<n> | circuit:<name>")
     d.add_argument("--out", default=None, help="output file (default: stdout)")
-    return p
+    return p, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, parsed once: when argv[0] names a
+    command, only that command's parser reads the rest, as the nested
+    parse would, and a leftover token is the same top-level error."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,6 +166,12 @@ def exact_success(spec: dict) -> float:
     return float(_exact_distribution(*_normalize_spec(spec))[0])
 
 
+@lru_cache(maxsize=None)  # one entry per measured width, at most a handful
+def _bitstrings(m: int) -> tuple[str, ...]:
+    """The 2^m m-bit outcome keys, in ascending outcome order."""
+    return tuple(format(i, f"0{m}b") for i in range(2**m))
+
+
 def run_named(spec: dict) -> ExperimentReport:
     """Run one named experiment: build, add noise, sample, report.
 
@@ -180,7 +187,8 @@ def run_named(spec: dict) -> ExperimentReport:
     rng = np.random.Generator(np.random.PCG64(seq))
     hits = sample_counts(probs, ns["shots"], rng)
     m = len(data)
-    counts = {format(i, f"0{m}b"): int(c) for i, c in enumerate(hits) if c > 0}
+    keys = _bitstrings(m)
+    counts = {keys[i]: c for i, c in enumerate(hits.tolist()) if c}
     hist = Histogram(n_measured=m, counts=counts, shots=ns["shots"])
 
     config = {k: v for k, v in ns.items() if k not in ("name", "shots", "seed")}

@@ -344,6 +344,17 @@ def test_histogram_validation():
         Histogram(n_measured=2, counts={"01": 1}, shots=5)
     with pytest.raises(ValueError):
         Histogram(n_measured=1, counts={"0": -1}, shots=-1)
+    # non-physical fields are rejected by name, not accepted or a TypeError
+    for build, field in [
+        (lambda: Histogram(1, {"0": 0.5, "1": 0.5}, 1), r"counts\['0'\]"),
+        (lambda: Histogram(1, {"0": True}, 1), r"counts\['0'\]"),
+        (lambda: Histogram(1, {"0": 2}, 2.0), "shots"),
+        (lambda: Histogram(-1, {}, 0), "n_measured"),
+        (lambda: Histogram(1, {1: 5}, 5), "key 1 in counts"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            build()
+    Histogram(np.int64(2), {"01": np.int64(3), "11": 1}, np.int32(4))
 
 
 def test_fidelity_examples():

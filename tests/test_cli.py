@@ -20,6 +20,10 @@ from corrqec import cli, correlated, hybrid, noise_exp
 from corrqec.circuit import StateVector, attack, basis_state, fidelity, partial_trace, realize, tensor
 from corrqec.linalg import max_abs_diff
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import oracle_grid  # noqa: E402
+
 
 def parse_matrix_text(text: str) -> np.ndarray:
     return np.loadtxt(io.StringIO(text), dtype=complex, ndmin=2)
@@ -483,3 +487,33 @@ def test_invalid_out_path_is_reported(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def _main_with_the_nested_parse(argv, monkeypatch):
+    """cli.main as it ran when `_PARSER.parse_args` parsed every argv."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_args", cli._PARSER.parse_args)
+        return cli.main(argv)
+
+
+# Command lines whose exit code and output the one parse must keep: every
+# usage error, help, and tokens no parser takes.
+PARSE_EDGES = USAGE_ERRORS + [
+    [], ["-h"], ["--help"], ["run", "-h"], ["verify", "extra"], ["run", "--scheme", "corr3", "stray"],
+    ["run"], ["dump"], ["dump", "u", "extra"], ["verify", "-h"], ["run", "--", "--scheme", "corr3"],
+    ["run", "--scheme", "corr3", "--bogus", "1", "stray"],
+]
+
+
+def test_one_parse_prints_and_exits_as_the_nested_parse(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
+    for argv in PARSE_EDGES:
+        nested = (_main_with_the_nested_parse(argv, monkeypatch), *capsys.readouterr())
+        assert run_cli(argv, capsys) == nested, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_parse_gives_the_nested_namespace_on_every_grid_argv():
+    for op in oracle_grid():
+        argv = op.command("r.out")
+        assert cli._parse_args(argv) == cli._PARSER.parse_args(argv), argv

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import corrqec
-from corrqec import circuit, correlated, hybrid
+from corrqec import circuit, correlated, hybrid, noise_exp
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
@@ -485,3 +485,26 @@ def test_hybrid_report_config():
     assert rep.config["ancilla"] == "10"
     assert rep.config["errors"] == ["x", "y"]
     assert abs(rep.success_probability - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [
+    {"scheme": "corr3"}, {"scheme": "corr5"},
+    *({"scheme": "hybrid", "n": n} for n in range(3, 9)),
+], ids=lambda spec: f"{spec['scheme']}{spec.get('n', '')}")
+def test_count_keys_are_the_nonzero_bins_in_ascending_order(spec, monkeypatch):
+    drawn = []
+
+    def recorded(*args):
+        drawn.append(circuit.sample_counts(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(noise_exp, "sample_counts", recorded)
+    for shots in (16, 8192):
+        rep = run_named({**spec, "noise": {"p1": 0.01, "p2": 0.05, "p_readout": 0.05}, "shots": shots})
+        hits = drawn[-1]
+        m = rep.histogram.n_measured
+        assert len(hits) == 2**m
+        nonzero = [i for i, c in enumerate(hits) if c > 0]
+        assert list(rep.histogram.counts) == [format(i, f"0{m}b") for i in nonzero]
+        assert [type(c) for c in rep.histogram.counts.values()] == [int] * len(nonzero)
+        assert list(rep.histogram.counts.values()) == [int(hits[i]) for i in nonzero]
