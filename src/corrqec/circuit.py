@@ -433,13 +433,16 @@ def attack(s: StateVector | DensityMatrix, w):
     return DensityMatrix._trusted(t.reshape(2**n, 2**n), n)
 
 
-def _measured_wires(c: Circuit, measured) -> tuple[int, ...]:
-    """The measured wires of c, sorted, each once; ValueError unless they
-    are a nonempty subset of its wires."""
-    measured = tuple(sorted(set(_integer(q, "measured wire") for q in measured)))
-    if not measured or measured[0] < 0 or measured[-1] >= c.n_wires:
-        raise ValueError(f"measured wires {list(measured)} must be a nonempty subset of 0..{c.n_wires - 1}")
-    return measured
+def _wire_subset(wires, n: int, label: str) -> tuple[int, ...]:
+    """The wires, sorted, each once; ValueError, naming each by label (such
+    as "measured wire"), unless they are integers and a nonempty subset of
+    the n wires 0..n-1."""
+    wires = tuple(sorted(set(_integer(w, label) for w in wires)))
+    if not wires:
+        raise ValueError(f"{label}s must be a nonempty set")
+    if wires[0] < 0 or wires[-1] >= n:
+        raise ValueError(f"{label}s {list(wires)} out of range for {n} wires")
+    return wires
 
 
 def _check_distribution(probs: np.ndarray, what: str) -> None:
@@ -497,7 +500,7 @@ def effect_distribution(c: Circuit, w, measured, noise: NoiseModel | None = None
     a nonempty subset of c's and p a distribution (finite, nowhere below
     -1e-12, sum 1 within 1e-10); p is then clamped at 0 and divided by its
     sum, as `born_distribution` does."""
-    measured = _measured_wires(c, measured)
+    measured = _wire_subset(measured, c.n_wires, "measured wire")
     w = _attack_factor(w)
     nm = noise or NoiseModel()
     rho, effects = _effects(c, measured, nm.p1, nm.p2)
@@ -676,7 +679,7 @@ def pauli_fault_distribution(c: Circuit, w, measured, noise: NoiseModel | None =
     arXiv:quant-ph/0406196). The transform is taken once per (circuit,
     measured wires, p1, p2) (`_fault_base`); a run validates its input and
     gathers the shift."""
-    measured = _measured_wires(c, measured)
+    measured = _wire_subset(measured, c.n_wires, "measured wire")
     w = np.asarray(w, dtype=complex)
     if w.shape != (2, 2):
         raise ValueError("attack factor must be a 2x2 matrix")
@@ -693,14 +696,10 @@ def partial_trace(d: StateVector | DensityMatrix, keep) -> DensityMatrix:
     """Reduced state over the kept wires, ascending wire order preserved.
     A state vector's is M M-dagger, for M its amplitudes with the kept
     wires as rows, so no density matrix of the whole state is formed."""
-    keep = sorted(set(_integer(w, "kept wire") for w in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(w < 0 or w >= d.n_wires for w in keep):
-        raise ValueError(f"keep set {keep} out of range for {d.n_wires} wires")
+    keep = _wire_subset(keep, d.n_wires, "kept wire")
     n, k = d.n_wires, len(keep)
     if isinstance(d, StateVector):
-        front, _ = _axis_orders(n, tuple(keep))  # the kept wires first, as np.moveaxis puts them
+        front, _ = _axis_orders(n, keep)  # the kept wires first, as np.moveaxis puts them
         m = d.amplitudes.reshape((2,) * n).transpose(front).reshape(2**k, -1)
         return DensityMatrix._trusted(m @ m.conj().T, k)
     drop = [w for w in range(n) if w not in keep]
@@ -716,11 +715,7 @@ def born_distribution(s: StateVector | DensityMatrix, wires) -> np.ndarray:
     Outcome index bit order follows the histogram key convention: the
     smallest measured wire is the most significant bit of the index.
     """
-    wires = sorted(set(_integer(w, "measured wire") for w in wires))
-    if not wires:
-        raise ValueError("measure at least one wire")
-    if any(w < 0 or w >= s.n_wires for w in wires):
-        raise ValueError(f"wires {wires} out of range for {s.n_wires}-wire state")
+    wires = _wire_subset(wires, s.n_wires, "measured wire")
     n = s.n_wires
     if isinstance(s, StateVector):
         probs = np.abs(s.amplitudes) ** 2

@@ -28,9 +28,12 @@ attack on wire 0 alone, so no bit lands on a data wire at any width, and
 the width-2 walk has no x bit, so the even-width ancilla bits read back
 deterministically. The dense matrices stay as the tests' reference:
 `conjugated_error` is P^T (W tensored n times) P, as every P_n is real,
-and `hybrid_protect` runs the attack through `circuit.attack` on the
-encoded vector, reduced to the data and ancilla wires by `partial_trace`
-without forming rho.
+and `hybrid_protect` encodes with P_n, runs the attack through
+`circuit.attack` on the encoded vector, decodes with P_n^T and reduces to
+the data and ancilla wires by `partial_trace`, without forming rho or W
+tensored n times. Its odd-width prediction comes from the other
+construction, the walk of the encoder circuit, so its check holds the
+matrix recursion against the circuit.
 """
 from __future__ import annotations
 
@@ -40,9 +43,12 @@ from functools import cache
 import numpy as np
 
 from .circuit import (
+    _PAULI_XZ,
+    _PAULIS,
     Circuit,
     DensityMatrix,
     StateVector,
+    _conjugated_pauli,
     attack,
     basis_state,
     fidelity,
@@ -191,38 +197,12 @@ def attack_factor(tags) -> np.ndarray:
     return w
 
 
-def _conjugate(n: int, w) -> np.ndarray:
-    """P-dagger (w on every wire) P. P is real, so P-dagger is its
-    transpose, a view."""
-    p = _matrix_rec(n)
-    return p.T @ (tensor_power(w, n) @ p)
-
-
 def conjugated_error(n: int, tag: str) -> np.ndarray:
-    """Decode-side view of an attack: P-dagger (W tensored n times) P."""
+    """Decode-side view of an attack: P-dagger (W tensored n times) P. P is
+    real, so P-dagger is its transpose, a view."""
     n = _check_width(n)
-    return _conjugate(n, _PAULI[normalize_tag(tag)])
-
-
-def ancilla_block(n: int, conjugated: np.ndarray) -> np.ndarray:
-    """Extract the ancilla-side factor A from a conjugated attack C: the
-    top-left entry of each data-sized block of C.
-
-    C must equal A tensor identity-on-data, compared block by block;
-    raises if the factorization fails (it never should for Pauli attacks,
-    and a failure here means the encoder construction is wrong).
-    """
-    n = _check_width(n)
-    k = 2 ** len(ancilla_wires(n))
-    d = 2**n // k
-    c = np.asarray(conjugated)
-    if c.shape != (2**n, 2**n):
-        raise ValueError(f"conjugated attack must be {2**n}x{2**n}, got shape {c.shape}")
-    blocks = c.reshape(k, d, k, d)
-    a = blocks[:, 0, :, 0].copy()
-    if np.abs(blocks - a[:, None, :, None] * np.eye(d)[None, :, None, :]).max() > 1e-10:
-        raise ValueError("conjugated attack does not factor as ancilla block tensor identity")
-    return a
+    p = _matrix_rec(n)
+    return p.T @ (tensor_power(_PAULI[normalize_tag(tag)], n) @ p)
 
 
 @dataclass(frozen=True)
@@ -232,8 +212,9 @@ class AncillaReport:
     Even-width registers carry two classical bits: input_bits,
     readback_bits, readback_probability, preserved_with_certainty.
     Odd-width registers carry one qubit: reduced_state, expected_state
-    (the predicted residual action applied to the input), and
-    fidelity_vs_expected.
+    (the input with the Pauli that `circuit._conjugated_pauli` leaves on
+    wire 0 of the encoder circuit applied, right up to a global phase),
+    and fidelity_vs_expected, which ignores that phase.
     """
 
     n_qubits: int
@@ -323,8 +304,9 @@ def hybrid_protect(
             preserved_with_certainty=bool(exact and readback == anc),
         )
     else:
-        block = ancilla_block(n, _conjugate(n, factor))
-        expected = StateVector(block @ anc_state.amplitudes, 1)
+        x, z = _conjugated_pauli(encoder_circuit(n), factor[None])
+        pauli = _PAULIS[_PAULI_XZ.index((x[0, 0], z[0, 0]))]
+        expected = StateVector(pauli @ anc_state.amplitudes, 1)
         red = partial_trace(out, [0])
         report = AncillaReport(
             n_qubits=n,

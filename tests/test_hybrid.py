@@ -5,15 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from corrqec.circuit import StateVector, _conjugated_pauli, _pauli_bits, basis_state, realize
-from corrqec.gates import ry
+from corrqec import hybrid
+from corrqec.circuit import Circuit, StateVector, _conjugated_pauli, _pauli_bits, basis_state, realize
+from corrqec.gates import H, PlacedGate, ry
 from corrqec.hybrid import (
     MAX_QUBITS,
     MIN_QUBITS,
     PAULI_TAGS,
     _encoder_circuit,
     _matrix_rec,
-    ancilla_block,
     ancilla_wires,
     attack_factor,
     conjugated_error,
@@ -177,26 +177,6 @@ def test_conjugated_error_is_the_dense_conjugation():
             assert np.abs(conjugated_error(n, tag) - dense).max() <= 1e-15
 
 
-def test_ancilla_block_is_the_kron_factor():
-    # A = C[::d, ::d] when |C - A (x) I| is at most 1e-10 everywhere, and a
-    # ValueError otherwise: for conjugated attacks, for matrices that do not
-    # factor, and for a factoring matrix moved by 1e-11 and by 1e-9
-    rng = np.random.default_rng(7)
-    for n in range(MIN_QUBITS, MAX_QUBITS + 1):
-        d = 2 ** (n - len(ancilla_wires(n)))
-        kron_a = np.kron(rng.normal(size=(2**n // d, 2**n // d)), np.eye(d))
-        cases = [conjugated_error(n, tag) for tag in PAULI_TAGS]
-        cases += [hybrid_encoder(n).matrix, rng.normal(size=(2**n, 2**n)), kron_a]
-        cases += [kron_a + eps * rng.choice([-1, 1], size=kron_a.shape) for eps in (1e-11, 1e-9)]
-        for c in cases:
-            a = c[::d, ::d]
-            if np.abs(c - np.kron(a, np.eye(d))).max() <= 1e-10:
-                assert np.array_equal(ancilla_block(n, c), a)
-            else:
-                with pytest.raises(ValueError, match="does not factor"):
-                    ancilla_block(n, c)
-
-
 def test_conjugated_identity_is_identity():
     for n in (2, 3, 4, 5):
         assert max_abs_diff(conjugated_error(n, "I"), np.eye(2**n)) < 1e-12
@@ -209,7 +189,7 @@ def test_conjugation_table():
         d = 2 ** (n - len(ancilla_wires(n)))
         for tag, (phase, word) in row.items():
             c = conjugated_error(n, tag)
-            a = ancilla_block(n, c)
+            a = c[::d, ::d]
             assert max_abs_diff(a, phase * pauli_word(word)) < 1e-10
             assert np.abs(c - np.kron(a, np.eye(d))).max() < 1e-10
 
@@ -222,15 +202,18 @@ def test_encoder_matrices_are_real():
 
 def test_conjugated_pauli_is_the_dense_ancilla_block():
     """The GF(2) proof of `verify` against the dense reference: the decoded
-    attack's ancilla bits are those of `ancilla_block`, its data bits are
+    attack's ancilla bits are those of its dense ancilla block, its data bits are
     zero, and at even n it has no x bit (it is Z-type), which is why the
     ancilla bits read back deterministically."""
     for n in range(MIN_QUBITS, MAX_QUBITS + 1):
         anc, dw = list(ancilla_wires(n)), list(data_wires(n))
+        d = 2 ** len(dw)
         walked = _conjugated_pauli(encoder_circuit(n), _XYZ)
         assert walked[0].shape == walked[1].shape == (3, n)
         for tag, x, z in zip("XYZ", *walked):
-            block = ancilla_block(n, conjugated_error(n, tag))
+            c = conjugated_error(n, tag)
+            block = c[::d, ::d]
+            assert np.abs(c - np.kron(block, np.eye(d))).max() <= 1e-10
             assert np.array_equal(np.concatenate([x[anc], z[anc]]), _pauli_bits(block[None])[0])
             assert not x[dw].any() and not z[dw].any()
             assert n % 2 or not x.any()
@@ -253,15 +236,6 @@ def test_conjugated_attacks_stay_off_the_data_up_to_256_wires():
             assert not x[k:].any() and not z[k:].any(), (n, tag)
     elapsed = time.process_time() - t0
     assert elapsed < 1.0, f"{elapsed:.2f} s of CPU time"
-
-
-def test_ancilla_block_rejects_entangling_input():
-    with pytest.raises(ValueError):
-        ancilla_block(3, hybrid_encoder(3).matrix)
-    with pytest.raises(ValueError):
-        ancilla_block(3, np.eye(4))
-    with pytest.raises(ValueError):
-        ancilla_block(3, np.ones(8))
 
 
 def test_parse_ancilla_even():
@@ -346,6 +320,37 @@ def test_hybrid_protect_folds_errors_in_order():
     z_on_zero = _P1["Z"] @ np.array([1, 0], dtype=complex)
     overlap = abs(np.vdot(rep.expected_state.amplitudes, z_on_zero))
     assert abs(overlap - 1.0) < 1e-10
+
+
+def test_odd_width_prediction_comes_from_the_circuit(monkeypatch):
+    # the expected ancilla is read off the encoder circuit's Pauli walk, not
+    # off P3 itself: an extra H first on wire 0 turns the walk's X into Z and
+    # Z into X while P3 is unchanged, so X and Z miss the prediction entirely
+    # (Y maps to -Y, the same state up to phase)
+    real = hybrid.encoder_circuit(3)
+    mutant = Circuit(3, (PlacedGate(H, (0,)), *real.gates))
+    monkeypatch.setattr(hybrid, "encoder_circuit", lambda n: mutant if n == 3 else real)
+    data = basis_state(2, "00")
+    for anc in ("0", "ry:0.7"):
+        for tag in ("X", "Z"):
+            _, rep = hybrid_protect(3, data, anc, [tag])
+            assert rep.fidelity_vs_expected < 1e-9, (anc, tag)
+        _, rep = hybrid_protect(3, data, anc, ["Y"])
+        assert abs(rep.fidelity_vs_expected - 1.0) < 1e-10, anc
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_hybrid_protect_builds_p_n_once(monkeypatch, n):
+    widths = []
+    real = hybrid._matrix_rec
+
+    def counted(k):
+        widths.append(k)
+        return real(k)
+
+    monkeypatch.setattr(hybrid, "_matrix_rec", counted)
+    hybrid_protect(n, basis_state(n - 1, "0" * (n - 1)), "ry:0.7", ["x", "y"])
+    assert widths.count(n) == 1
 
 
 def test_attack_factor_is_the_ordered_product():
