@@ -8,14 +8,8 @@ performs, then the transpose back that `np.moveaxis` would make, with both
 axis orders cached per (rank, axes): the same arrays reach the same `dot`,
 so the bytes are tensordot's, without its per-call bookkeeping.
 A gate, a placed gate and a circuit each hash once, when built, so the
-caches keyed by them (`_row_map`, `_sources`, `_effects`, `_fault_base`)
-cost one lookup; what is read only to build their entries is not cached.
-The one exception is `realize`, the full unitary of a circuit: a gate whose
-matrix is exactly a permutation (CNOT, X, a Toffoli) only moves rows, so its
-flat row map, built once per placed gate and width, composes into a pending
-row index in O(2^n), and the 2^n x 2^n matrix is gathered by that index once
-before the next dense gate; a dense gate on consecutive ascending wires is
-one `np.matmul` on a view of the matrix, with no transposed copy.
+caches keyed by them (`_sources`, `_effects`, `_fault_base`) cost one
+lookup; what is read only to build their entries is not cached.
 States are checked where they enter the package; the images of checked states
 under a unitary or CPTP map are trusted and built without checks.
 
@@ -259,7 +253,7 @@ def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[list[int], list[int]
 
 
 def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
-    """Gate g on the given axes of a (2,...,2) tensor; axes[0] gets its top bit.
+    """Gate g on the given length-2 axes of a tensor; axes[0] gets its top bit.
 
     Bit for bit `np.moveaxis(np.tensordot(g.reshape((2,) * 2k), t,
     (range(k, 2k), axes)), range(k), axes)`: tensordot transposes t to
@@ -272,65 +266,15 @@ def contract(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
     return np.dot(g.reshape(d, d), t.transpose(front).reshape(d, -1)).reshape(t.shape).transpose(back)
 
 
-def _permutation(gate: Gate) -> np.ndarray | None:
-    """For a gate whose matrix is a permutation matrix, every entry exactly
-    0 or 1 and one 1 in each row and column, the array src with
-    g[i, src[i]] = 1, so the gate sends basis state src[i] to i. None for
-    any other gate, however close to one it is."""
-    g = gate.matrix.array
-    ones = g == 1
-    if not (ones | (g == 0)).all() or not (ones.sum(axis=0) == 1).all() or not (ones.sum(axis=1) == 1).all():
-        return None
-    return ones.argmax(axis=1)
-
-
-@lru_cache(maxsize=256)  # the placed gates of a few circuits
-def _row_map(pg: PlacedGate, n: int) -> np.ndarray | None:
-    """For a permutation gate (`_permutation`) placed on n wires, the
-    read-only flat map m over the 2^n basis indices with which the placed
-    gate sends basis state m[i] to i, so it takes row m[i] of a matrix to
-    row i. None for any other gate."""
-    src = _permutation(pg.gate)
-    if src is None:
-        return None
-    k = len(pg.wires)
-    moved = np.moveaxis(np.arange(2**n).reshape((2,) * n), pg.wires, range(k))
-    m = np.moveaxis(moved.reshape(2**k, -1)[src].reshape(moved.shape), range(k), pg.wires).reshape(-1)
-    m.setflags(write=False)
-    return m
-
-
 def realize(c: Circuit) -> np.ndarray:
     """Full unitary of the circuit: later gates multiply from the left.
-
-    A permutation gate (`_permutation`: CNOT, X, an open-control X, a
-    Toffoli) moves rows, so it is not multiplied. Its flat row map m
-    (`_row_map`, built once per placed gate and width) composes into a
-    pending row index as rows[m], and the 2^n x 2^n matrix is gathered by
-    that index once, before the next dense gate and at the end. A dense
-    gate on consecutive ascending wires w..w+k-1 is one `np.matmul` of
-    its matrix with the (2^w, 2^k, rest) view of the matrix; any other
-    goes through `contract`. A gather moves entries without arithmetic,
-    and `contract` of a 0/1 matrix adds only products with zero to the
-    entry it selects, so every entry equals that of contracting every
-    gate bit for bit, except that such a sum can turn a -0.0 into +0.0
-    where the gather keeps it."""
+    Each gate is contracted, as in `apply`, into the identity's 2^n
+    columns held as a (2,)*n + (2^n,) tensor."""
     n, d = c.n_wires, 2**c.n_wires
-    t = np.eye(d, dtype=complex)
-    rows = None  # pending gather: row i of the result is row rows[i] of t
+    t = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
     for pg in c.gates:
-        m = _row_map(pg, n)
-        if m is not None:
-            rows = m if rows is None else rows[m]
-            continue
-        if rows is not None:
-            t, rows = t[rows], None
-        g, k, w = pg.gate.matrix.array, pg.gate.arity, pg.wires[0]
-        if pg.wires == tuple(range(w, w + k)):
-            t = np.matmul(g, t.reshape(2**w, 2**k, -1)).reshape(d, d)
-        else:
-            t = contract(t.reshape((2,) * (2 * n)), g, pg.wires).reshape(d, d)
-    return t if rows is None else t[rows]
+        t = contract(t, pg.gate.matrix.array, pg.wires)
+    return t.reshape(d, d)
 
 
 def dagger_circuit(c: Circuit) -> Circuit:
@@ -511,8 +455,8 @@ def effect_distribution(c: Circuit, w, measured, noise: NoiseModel | None = None
     return probs / probs.sum()
 
 
-# One wire's Paulis I, X, Y, Z, and their symplectic (x, z) bits.
-_PAULIS = tuple(g.matrix.array for g in (I, X, Y, Z))
+# One wire's Paulis I, X, Y, Z: their tags, matrices and symplectic (x, z) bits.
+_PAULI_TAGS, _PAULIS = zip(*((g.name, g.matrix.array) for g in (I, X, Y, Z)))
 _PAULI_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 

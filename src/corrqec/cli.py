@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import correlated, hybrid, noise_exp
-from .circuit import StateVector, _conjugated_pauli, circuit_to_text, realize
+from .circuit import _PAULI_TAGS, _PAULI_XZ, _PAULIS, StateVector, _conjugated_pauli, circuit_to_text, realize
 from .gates import H
 from .linalg import _kron_stack, equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff, tensor_power
 
@@ -186,10 +186,8 @@ def _hybrid_circuits() -> str:
             "identity wire order), and n=4..8 stack as P_n does")
 
 
-_TAGS = ("X", "Y", "Z")
-_XYZ = np.stack([hybrid.attack_factor([tag]) for tag in _TAGS])
+_XYZ = np.stack(_PAULIS[1:])  # the attacks X, Y and Z, as one stack for the walk
 _XYZ.setflags(write=False)
-_OWN_BITS = ((1, 0), (1, 1), (0, 1))  # the (x, z) bits of X, Y and Z
 
 
 def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +203,7 @@ def _odd_walk() -> None:
     # walk. It must leave exactly P on wire 0 and nothing on wires 1..2, and
     # then so does every odd n. At even n the odd inner walk leaves P on
     # wire 1, and the n = 2 stage acts on the ancilla wires 0..1 only.
-    for tag, own, x, z in zip(_TAGS, _OWN_BITS, *_walk_attacks(3)):
+    for tag, own, x, z in zip(_PAULI_TAGS[1:], _PAULI_XZ[1:], *_walk_attacks(3)):
         touched = [w for w in (1, 2) if x[w] or z[w]]
         _require(not touched, f"n=3 tag={tag}: the decoded attack acts on data wires {touched}")
         _require((x[0], z[0]) == own, f"n=3 tag={tag}: the decoded attack on wire 0 is not {tag}")
@@ -227,7 +225,7 @@ def _hybrid_readback() -> str:
     # with certainty exactly when x is 0, that is when 00 reads back as 00.
     _hybrid_shape()
     _odd_walk()
-    for tag, x in zip(_TAGS, _walk_attacks(2)[0]):
+    for tag, x in zip(_PAULI_TAGS[1:], _walk_attacks(2)[0]):
         readback = f"{x[0]}{x[1]}"
         _require(readback == "00", f"n=2 bits=00 tag={tag} readback {readback}")
     return "every even n by induction: the n=2 walk has no x bit, so all four bit pairs survive X, Y, Z"

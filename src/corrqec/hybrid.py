@@ -43,6 +43,7 @@ from functools import cache
 import numpy as np
 
 from .circuit import (
+    _PAULI_TAGS,
     _PAULI_XZ,
     _PAULIS,
     Circuit,
@@ -55,11 +56,10 @@ from .circuit import (
     partial_trace,
     tensor,
 )
-from .gates import CNOT, H, I, X, Y, Z, PlacedGate, ry_from_text
+from .gates import CNOT, H, PlacedGate, ry_from_text
 from .linalg import _integer, kron, tensor_power
 
-_PAULI = {g.name: g.matrix.array for g in (I, X, Y, Z)}
-PAULI_TAGS = tuple(_PAULI)
+PAULI_TAGS = _PAULI_TAGS
 
 MIN_QUBITS = 2
 MAX_QUBITS = 8
@@ -72,9 +72,14 @@ def normalize_tag(tag: str) -> str:
     return t
 
 
+def _pauli(tag: str) -> np.ndarray:
+    """The matrix of a tag, read from `circuit`'s Pauli table."""
+    return _PAULIS[PAULI_TAGS.index(normalize_tag(tag))]
+
+
 def p2_matrix() -> np.ndarray:
     """4x4 base encoder: (I tensor Z + X tensor X) / sqrt(2)."""
-    return (kron(_PAULI["I"], _PAULI["Z"]) + kron(_PAULI["X"], _PAULI["X"])) / np.sqrt(2.0)
+    return (kron(_pauli("I"), _pauli("Z")) + kron(_pauli("X"), _pauli("X"))) / np.sqrt(2.0)
 
 
 def p3_matrix() -> np.ndarray:
@@ -177,7 +182,7 @@ def data_wires(n: int) -> tuple[int, ...]:
 def error_unitary(n: int, tag: str) -> np.ndarray:
     """The attack: one Pauli applied to every wire simultaneously."""
     n = _check_width(n)
-    return tensor_power(_PAULI[normalize_tag(tag)], n)
+    return tensor_power(_pauli(tag), n)
 
 
 def attack_factor(tags) -> np.ndarray:
@@ -191,9 +196,9 @@ def attack_factor(tags) -> np.ndarray:
     """
     if isinstance(tags, str):
         raise ValueError(f"attack tags must be a list of tags, got the string {tags!r}")
-    w = _PAULI["I"]
+    w = _pauli("I")
     for t in tags:
-        w = _PAULI[normalize_tag(t)] @ w
+        w = _pauli(t) @ w
     return w
 
 
@@ -202,7 +207,7 @@ def conjugated_error(n: int, tag: str) -> np.ndarray:
     real, so P-dagger is its transpose, a view."""
     n = _check_width(n)
     p = _matrix_rec(n)
-    return p.T @ (tensor_power(_PAULI[normalize_tag(tag)], n) @ p)
+    return p.T @ (tensor_power(_pauli(tag), n) @ p)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,15 @@ def test_realize_bell():
     assert np.abs(m - expect).max() < 1e-15
 
 
+@pytest.mark.parametrize("n", (1, 3, 8))
+def test_a_circuit_with_no_gates_realizes_a_fresh_identity(n):
+    first, second = realize(Circuit(n, ())), realize(Circuit(n, ()))
+    for m in (first, second):
+        assert np.array_equal(m, np.eye(2**n))
+        assert m.flags.writeable and m.flags.c_contiguous
+    assert not np.shares_memory(first, second)
+
+
 def test_apply_vector_and_density_agree():
     rng = np.random.default_rng(23)
     c = Circuit(
@@ -297,18 +306,17 @@ def test_a_gate_cache_hit_hashes_no_matrix(monkeypatch):
     for pg in gates:
         assert hash(pg.gate) == hash((pg.gate.name, pg.gate.matrix, pg.gate.arity))
         assert hash(pg) == hash((pg.gate, pg.wires))
-        circuit._sources(pg.gate), circuit._row_map(pg, 8)
+        circuit._sources(pg.gate)
     rebuilt = Gate(CNOT.name, ComplexMatrix(CNOT.matrix.array), CNOT.arity)
     assert rebuilt == CNOT and hash(rebuilt) == hash(CNOT)
     calls = []
     real = ComplexMatrix.__hash__
     monkeypatch.setattr(ComplexMatrix, "__hash__", lambda m: calls.append(m) or real(m))
-    hits = circuit._sources.cache_info().hits, circuit._row_map.cache_info().hits
+    hits = circuit._sources.cache_info().hits
     for pg in gates:
-        circuit._sources(pg.gate), circuit._row_map(pg, 8)
+        circuit._sources(pg.gate)
     assert circuit._sources(rebuilt) is circuit._sources(CNOT)
-    assert circuit._sources.cache_info().hits == hits[0] + len(gates) + 2
-    assert circuit._row_map.cache_info().hits == hits[1] + len(gates)
+    assert circuit._sources.cache_info().hits == hits + len(gates) + 2
     assert calls == []
 
 

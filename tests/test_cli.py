@@ -121,6 +121,26 @@ def test_a_negative_zero_strength_is_reported_as_zero(tmp_path, capsys):
     assert '"p1": 0.0' in reports[0] and "-0.0" not in reports[0]
 
 
+@pytest.mark.parametrize("flags, padded", [
+    (["--scheme", "corr3", "--w", "h"], ["--scheme", "corr3", "--w", " h"]),
+    (["--scheme", "corr5", "--w", "ry:0.3"], ["--scheme", "corr5", "--w", "\try:0.3 "]),
+    (["--scheme", "corr3", "--w", "H"], ["--scheme", "corr3", "--w", " H "]),
+    (["--scheme", "hybrid", "--n", "5", "--ancilla", "1"], ["--scheme", "hybrid", "--n", "5", "--ancilla", " 1"]),
+    (["--scheme", "hybrid", "--n", "4", "--ancilla", "10"], ["--scheme", "hybrid", "--n", "4", "--ancilla", "10 "]),
+], ids=("w", "w-ry", "w-case", "odd-ancilla", "even-ancilla"))
+def test_a_padded_selector_writes_the_same_report(tmp_path, capsys, flags, padded):
+    # the resolver strips a selector before it reads it, so the report
+    # records it stripped, with its case as typed
+    reports = []
+    for argv in (flags, padded):
+        out = tmp_path / f"{len(reports)}.json"
+        code, _, _ = run_cli(["run", *argv, "--noise", "p1=0.001", "--out", str(out)], capsys)
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert flags[-1].encode() in reports[0]
+
+
 def test_run_hybrid_rotated_ancilla(tmp_path, capsys):
     out = tmp_path / "h.json"
     code, _, _ = run_cli(

@@ -23,7 +23,7 @@ from corrqec.circuit import (
     to_density,
 )
 from corrqec.gates import CNOT, H, X, PlacedGate
-from corrqec.hybrid import _PAULI, attack_factor, parse_ancilla
+from corrqec.hybrid import PAULI_TAGS, attack_factor, parse_ancilla
 from corrqec.noise_exp import (
     ExperimentReport,
     NoiseModel,
@@ -260,7 +260,7 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         dec = dagger_circuit(circ)
         folded = apply(dec, attack(rho, w), ns["noise"])
         for tag in ns["errors"]:
-            rho = attack(rho, _PAULI[tag])
+            rho = attack(rho, circuit._PAULIS[PAULI_TAGS.index(tag)])
         rho = apply(dec, rho, ns["noise"])
         expect = born_distribution(DensityMatrix(rho.matrix, n), data)
         assert np.array_equal(born_distribution(DensityMatrix(folded.matrix, n), data), expect)

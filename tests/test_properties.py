@@ -6,10 +6,10 @@ The oracles are the dense formulas: a gate is embedded as S-dagger
 (g tensor I) S with S the 2^n x 2^n wire permutation matrix, applied as
 u rho u-dagger, an attack is W tensored n times, and a depolarizing kick
 is the three-Pauli sum
-(1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s. `realize`, which applies
-permutation gates as row gathers and dense gates on consecutive wires as
-one matmul, is held to contracting every gate, and the one GF(2) walk of
-a stack of Paulis (`_conjugated_pauli`) to the dense c-dagger W c.
+(1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s. `realize` and `apply` are
+held to the dense product of the embedded gates, on circuits heavy in
+permutation gates too, and the one GF(2) walk of a stack of Paulis
+(`_conjugated_pauli`) to the dense c-dagger W c.
 
 The hybrid scheme's runs go through the Pauli-fault engine and the corr
 schemes' through the effect engine (`effect_distribution`), both checked
@@ -43,7 +43,6 @@ from corrqec.circuit import (
     _conjugated_pauli,
     _kick,
     _pauli_bits,
-    _permutation,
     apply,
     attack,
     basis_state,
@@ -171,40 +170,6 @@ def test_noisy_engine_matches_dense_oracle(case):
     assert np.abs(got - got.conj().T).max() <= 1e-13
 
 
-@_SETTINGS
-@given(noisy_cases())
-def test_realize_and_apply_match_the_dense_product(case):
-    c, rho, _ = case
-    n = c.n_wires
-    u = np.eye(2**n, dtype=complex)
-    for pg in c.gates:
-        u = dense_embed(pg.gate.matrix.array, pg.wires, n) @ u
-    assert np.abs(realize(c) - u).max() <= 1e-13
-    v = rho[:, 0] / np.linalg.norm(rho[:, 0])
-    assert np.abs(apply(c, StateVector(v, n)).amplitudes - u @ v).max() <= 1e-13
-    got = apply(c, DensityMatrix(rho, n)).matrix
-    assert np.abs(got - u @ rho @ u.conj().T).max() <= 1e-13
-
-
-def realize_by_contract(c):
-    """The per-gate `contract` loop: `realize` without its row gathers,
-    and the reference it must match bit for bit, up to the sign of a zero
-    (`bits`)."""
-    n = c.n_wires
-    t = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
-    for pg in c.gates:
-        t = contract(t, pg.gate.matrix.array, pg.wires)
-    return t.reshape(2**n, 2**n)
-
-
-def bits(a):
-    """The bytes of a with each -0.0 made +0.0 (x + 0.0 is x for any other
-    x). `contract` of a 0/1 matrix adds products with zero to the entry it
-    selects, which can turn a -0.0 into +0.0 where a gather keeps it, as
-    after ry(1e-200), whose -sin is -1e-200; every other bit must agree."""
-    return (a + 0.0).tobytes()
-
-
 _PERMUTATION_GATES = (X, CNOT, controlled(X, 0), controlled(CNOT, 1))
 
 
@@ -226,42 +191,25 @@ def permutation_and_dense_circuits(draw):
 
 
 @_SETTINGS
-@given(permutation_and_dense_circuits())
+@given(st.one_of(noisy_cases().map(lambda case: case[0]), permutation_and_dense_circuits()), seeds)
 @example(Circuit(4, (PlacedGate(CNOT, (2, 0)), PlacedGate(controlled(CNOT, 1), (3, 1, 0)),
                      PlacedGate(ry(2.5), (1,)), PlacedGate(X, (3,)), PlacedGate(controlled(X, 0), (0, 2)),
                      PlacedGate(H, (2,)), PlacedGate(controlled(ry(-4.0), 0), (1, 3)),
-                     PlacedGate(CNOT, (3, 1)), PlacedGate(X, (0,)))))
+                     PlacedGate(CNOT, (3, 1)), PlacedGate(X, (0,)))), 0)
+# ry(1e-200) has entries -1e-200 and 1e-200 next to exact zeros
 @example(Circuit(2, (PlacedGate(ry(1e-200), (0,)), PlacedGate(CNOT, (0, 1)),
-                     PlacedGate(ry(1e-200), (0,)), PlacedGate(X, (0,)), PlacedGate(ry(0.0), (1,)))))
-# dense gates on consecutive ascending wires take `realize`'s matmul path,
-# here on entries that are not 0/1, with a pending gather before the last
-@example(Circuit(6, (PlacedGate(H, (2,)), PlacedGate(controlled(ry(0.7), 0), (3, 4)),
-                     PlacedGate(ry(1.3), (0,)), PlacedGate(CNOT, (5, 1)),
-                     PlacedGate(controlled(ry(-2.1), 0), (1, 2)))))
-@example(Circuit(3, (PlacedGate(ry(0.4), (2,)), PlacedGate(controlled(ry(2.2), 1), (0, 1)),
-                     PlacedGate(controlled(CNOT, 0), (0, 1, 2)), PlacedGate(H, (0,)),
-                     PlacedGate(controlled(ry(-0.9), 1), (1, 2)))))
-def test_realize_is_bit_identical_to_contracting_every_gate(c):
-    assert bits(realize(c)) == bits(realize_by_contract(c))
-
-
-def test_permutation_gates_are_read_as_source_indices():
-    # g[i, src[i]] = 1: the gate sends basis state src[i] to i
-    expect = {X: [1, 0], CNOT: [0, 1, 3, 2], controlled(X, 0): [1, 0, 2, 3],
-              controlled(CNOT, 1): [0, 1, 2, 3, 4, 5, 7, 6]}
-    for gate, src in expect.items():
-        assert _permutation(gate).tolist() == src, gate.name
-
-
-@pytest.mark.parametrize("gate", (
-    Z, Y, Gate("-X", ComplexMatrix(-X.matrix.array), 1),
-    # a valid Gate within its 1e-12 unitarity tolerance, 1e-13 off a permutation
-    Gate("X~", ComplexMatrix([[0, 1 + 1e-13], [1, 0]]), 1),
-), ids=("Z", "Y", "-X", "X+1e-13"))
-def test_gates_that_are_not_exact_permutations_take_the_dense_path(gate):
-    assert _permutation(gate) is None
-    c = Circuit(2, (PlacedGate(CNOT, (0, 1)), PlacedGate(gate, (1,)), PlacedGate(X, (0,)), PlacedGate(gate, (0,))))
-    assert bits(realize(c)) == bits(realize_by_contract(c))
+                     PlacedGate(ry(1e-200), (0,)), PlacedGate(X, (0,)), PlacedGate(ry(0.0), (1,)))), 0)
+def test_realize_and_apply_match_the_dense_product(c, seed):
+    n = c.n_wires
+    rho = random_density(np.random.default_rng(seed), n)
+    u = np.eye(2**n, dtype=complex)
+    for pg in c.gates:
+        u = dense_embed(pg.gate.matrix.array, pg.wires, n) @ u
+    assert np.abs(realize(c) - u).max() <= 1e-13
+    v = rho[:, 0] / np.linalg.norm(rho[:, 0])
+    assert np.abs(apply(c, StateVector(v, n)).amplitudes - u @ v).max() <= 1e-13
+    got = apply(c, DensityMatrix(rho, n)).matrix
+    assert np.abs(got - u @ rho @ u.conj().T).max() <= 1e-13
 
 
 @_SETTINGS
