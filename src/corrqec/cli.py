@@ -7,6 +7,10 @@ Output files: `run` writes a JSON (default) or CSV report. An explicit
 back to the current directory) under a name derived from the experiment
 and seed. Reports are fully computed before anything is written, so a
 failed run never leaves a partial file behind.
+
+argparse defines every flag, help and error text. A plain `run` line is
+read in one pass over the `run` parser's own actions; argparse parses any
+other line, and every `verify` and `dump` line.
 """
 from __future__ import annotations
 
@@ -316,8 +320,7 @@ def _resolve_out(args, default_name: str) -> str:
 def cmd_run(args) -> int:
     # `run` flags default to absent, so the spec holds every default and
     # rejects the flags that belong to the other scheme.
-    keys = noise_exp._COMMON_KEYS | noise_exp._CORRELATED_KEYS | noise_exp._HYBRID_KEYS
-    spec = {k: v for k, v in vars(args).items() if k in keys}
+    spec = {k: v for k, v in vars(args).items() if k in noise_exp._SPEC_KEYS}
     if "noise" in spec:
         spec["noise"] = _parse_noise(spec["noise"])
     if "errors" in spec:
@@ -382,7 +385,8 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                             dict[str, argparse.Action]]:
     p = argparse.ArgumentParser(
         prog="corrqec",
         description="Simulate and verify error-avoiding codes for fully-correlated noise.",
@@ -393,36 +397,80 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     r = sub.add_parser("run", help="run a named experiment and write a report",
                        argument_default=argparse.SUPPRESS)
-    r.add_argument("--scheme", required=True, choices=noise_exp._SCHEMES)
+    run_flags = {}
+
+    def flag(*names, **kwargs) -> None:
+        action = r.add_argument(*names, **kwargs)
+        run_flags.update(dict.fromkeys(action.option_strings, action))
+
+    flag("--scheme", required=True, choices=noise_exp._SCHEMES)
     d = noise_exp._DEFAULTS
-    r.add_argument("--w", help=f"corr attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json> (default {d['w']})")
-    r.add_argument("--rounds", type=int,
-                   help=f"corr attack repetitions between encode/decode (default {d['rounds']})")
-    r.add_argument("--n", type=int, help=f"hybrid register width (default {d['n']})")
-    r.add_argument("--ancilla", help="hybrid ancilla: bits or ry:<alpha> (odd widths)")
-    r.add_argument("--errors",
-                   help=f"comma-separated hybrid attack tags i,x,y,z (default {','.join(d['errors'])})")
-    r.add_argument("--shots", type=int)
-    r.add_argument("--seed", type=int)
-    r.add_argument("--noise", help="0 or comma list: p1=..,p2=..,readout=..")
-    r.add_argument("--out", default=None, help="output file (default: derived, in $CORRQEC_OUTPUT_DIR)")
-    r.add_argument("--format", choices=["json", "csv"], default="json")
-    r.add_argument("--ibm-bit-order", action="store_true", default=False,
-                   help="reverse bitstring keys in output")
+    flag("--w", help=f"corr attack unitary: h|x|y|z|i|ry:<alpha>|matrix:<json> (default {d['w']})")
+    flag("--rounds", type=int, help=f"corr attack repetitions between encode/decode (default {d['rounds']})")
+    flag("--n", type=int, help=f"hybrid register width (default {d['n']})")
+    flag("--ancilla", help="hybrid ancilla: bits or ry:<alpha> (odd widths)")
+    flag("--errors", help=f"comma-separated hybrid attack tags i,x,y,z (default {','.join(d['errors'])})")
+    flag("--shots", type=int)
+    flag("--seed", type=int)
+    flag("--noise", help="0 or comma list: p1=..,p2=..,readout=..")
+    flag("--out", default=None, help="output file (default: derived, in $CORRQEC_OUTPUT_DIR)")
+    flag("--format", choices=["json", "csv"], default="json")
+    flag("--ibm-bit-order", action="store_true", default=False, help="reverse bitstring keys in output")
 
     d = sub.add_parser("dump", help="print a matrix or circuit")
     d.add_argument("what", help="u | old-u | p2 | p3 | pn:<n> | circuit:<name>")
     d.add_argument("--out", default=None, help="output file (default: stdout)")
-    return p, sub.choices
+    return p, sub.choices, run_flags
 
 
-_PARSER, _COMMANDS = _build_parser()
+# the top-level parser, each command's parser, and the `run` flags' actions
+# by option string (the help action left out)
+_PARSER, _COMMANDS, _RUN_FLAGS = _build_parser()
+# what the `run` parser puts in every namespace, and the flags it requires
+_RUN_DEFAULTS = {a.dest: a.default for a in _RUN_FLAGS.values() if a.default is not argparse.SUPPRESS}
+_RUN_REQUIRED = frozenset(a for a in _RUN_FLAGS.values() if a.required)
+
+
+def _read_run(tokens) -> argparse.Namespace | None:
+    """The namespace argparse reads from the tokens after `run`, in one
+    pass over `_RUN_FLAGS`; None unless every flag is an exact option
+    string given once, each value is there, does not start with "-" and
+    passes the flag's type and choices, and every required flag is given."""
+    args = argparse.Namespace(command="run")
+    values = vars(args)
+    values.update(_RUN_DEFAULTS)
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        action = _RUN_FLAGS.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            value = action.const
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+    return args if seen >= _RUN_REQUIRED else None
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """`_PARSER.parse_args(argv)`, parsed once: when argv[0] names a
-    command, only that command's parser reads the rest, as the nested
-    parse would, and a leftover token is the same top-level error."""
+    """`_PARSER.parse_args(argv)`. A plain `run` line takes `_read_run`;
+    argparse, which alone prints help and errors, parses any other line
+    once: only the command's parser reads the rest, as the nested parse
+    would, and a leftover token is the same top-level error."""
+    args = _read_run(argv[1:]) if argv and argv[0] == "run" else None
+    if args is not None:
+        return args
     sub = _COMMANDS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)

@@ -75,6 +75,7 @@ _SCHEMES = (*_CORRELATED, "hybrid")
 _COMMON_KEYS = {"scheme", "noise", "shots", "seed", "name"}
 _CORRELATED_KEYS = {"w", "rounds"}
 _HYBRID_KEYS = {"n", "ancilla", "errors"}
+_SPEC_KEYS = frozenset(_COMMON_KEYS | _CORRELATED_KEYS | _HYBRID_KEYS)  # every key a spec may hold
 # Every spec key with one fixed default, and that default; `run --help`
 # quotes them. `name` and `ancilla` default per scheme and width.
 _DEFAULTS = {"shots": 8192, "seed": 0, "rounds": 1, "w": "h", "n": 3, "errors": ("i",)}
@@ -93,7 +94,7 @@ def _normalize_spec(spec: dict) -> tuple[dict, Circuit, np.ndarray, list[int]]:
     scheme = s.get("scheme")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown experiment scheme {scheme!r}; expected one of {_SCHEMES}")
-    unknown = set(s) - _COMMON_KEYS - _CORRELATED_KEYS - _HYBRID_KEYS
+    unknown = set(s) - _SPEC_KEYS
     if unknown:
         raise ValueError(f"unknown experiment parameters {sorted(unknown)}")
     foreign = set(s) & (_CORRELATED_KEYS if scheme == "hybrid" else _HYBRID_KEYS)

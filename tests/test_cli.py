@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -509,10 +510,9 @@ def test_invalid_out_path_is_reported(tmp_path, capsys):
     assert "error:" in err
 
 
-def _main_with_the_nested_parse(argv, monkeypatch):
+def _main_with_the_nested_parse(argv):
     """cli.main as it ran when `_PARSER.parse_args` parsed every argv."""
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_parse_args", cli._PARSER.parse_args)
+    with mock.patch.object(cli, "_parse_args", cli._PARSER.parse_args):
         return cli.main(argv)
 
 
@@ -528,7 +528,7 @@ PARSE_EDGES = USAGE_ERRORS + [
 def test_one_parse_prints_and_exits_as_the_nested_parse(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
     for argv in PARSE_EDGES:
-        nested = (_main_with_the_nested_parse(argv, monkeypatch), *capsys.readouterr())
+        nested = (_main_with_the_nested_parse(argv), *capsys.readouterr())
         assert run_cli(argv, capsys) == nested, argv
     assert list(tmp_path.iterdir()) == []
 
@@ -537,3 +537,109 @@ def test_one_parse_gives_the_nested_namespace_on_every_grid_argv():
     for op in oracle_grid():
         argv = op.command("r.out")
         assert cli._parse_args(argv) == cli._PARSER.parse_args(argv), argv
+
+
+def _quiet(parse, argv):
+    """parse(argv) with its output swallowed; None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit:
+            return None
+
+
+def test_every_grid_argv_is_read_without_argparse():
+    argvs = [op.command("r.out") for op in oracle_grid()]
+    expected = [list(vars(cli._PARSER.parse_args(argv)).items()) for argv in argvs]
+    with mock.patch.object(cli._COMMANDS["run"], "parse_known_args",
+                           side_effect=AssertionError("argparse read a well-formed run line")):
+        assert [list(vars(cli._parse_args(argv)).items()) for argv in argvs] == expected
+
+
+def test_every_edge_argparse_rejects_still_reaches_argparse():
+    reached = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        reached.append(parser)
+        return parse_known_args(parser, *args, **kwargs)
+
+    rejected = 0
+    for argv in PARSE_EDGES:
+        expected = _quiet(cli._PARSER.parse_args, argv)
+        reached.clear()
+        with mock.patch.object(argparse.ArgumentParser, "parse_known_args", spy):
+            got = _quiet(cli._parse_args, argv)
+        if expected is None:
+            rejected += 1
+            assert got is None and reached, argv
+        else:  # argparse takes the line and the spec rejects it
+            assert got == expected, argv
+    assert 0 < rejected < len(PARSE_EDGES)  # both branches run
+
+
+# `run` tokens built from the real option strings: a flag with a value, a
+# flag alone, `--flag=value`, an abbreviation, help, `--` and strays.
+# Deferred, so tools/snapshot.py can import this module against a checkout
+# whose `cli` predates `_RUN_FLAGS`.
+_OPTIONS = st.deferred(lambda: st.sampled_from(sorted(cli._RUN_FLAGS)))
+_VALUES = st.sampled_from([
+    "3", "6", "0", "8192", "1_000", " 5", "-1", "-", "", "2.5", "five", "x,y", "h", "00", "ry:0.7",
+    "p1=1e-3,p2=1e-2", "r.out", *noise_exp._SCHEMES, "json", "csv", "bogus", "CSV",
+])
+_PAIRS = st.tuples(_OPTIONS, _VALUES).map(list)
+
+
+def _plain(option):
+    """`option` with a value its action takes, or alone if it takes none."""
+    action = cli._RUN_FLAGS[option]
+    if action.nargs == 0:
+        return st.just([option])
+    if action.choices is not None:
+        values = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        values = st.sampled_from(["0", "7", "1_000", " 5"])
+    else:
+        values = _VALUES.filter(lambda v: not v.startswith("-"))
+    return values.map(lambda v: [option, v])
+
+
+_ODD_TOKENS = st.one_of(
+    _OPTIONS.map(lambda o: [o]),
+    st.tuples(_OPTIONS, _VALUES).map(lambda t: ["=".join(t)]),
+    _OPTIONS.filter(lambda o: len(o) > 4).flatmap(lambda o: st.integers(3, len(o) - 1).map(lambda k: [o[:k]])),
+    st.sampled_from([["-h"], ["--help"], ["--"], ["stray"], ["-x"]]),
+    _VALUES.map(lambda v: [v]),
+)
+
+
+@st.composite
+def run_lines(draw):
+    """`run` and its tokens: plain flags, each once and `--scheme` mostly
+    among them, with up to two pairs or odd tokens put in anywhere."""
+    options = draw(st.lists(_OPTIONS, max_size=6, unique=True))
+    if "--scheme" not in options and draw(st.integers(0, 3)):
+        options.insert(draw(st.integers(0, len(options))), "--scheme")
+    pieces = [draw(_plain(option)) for option in options]
+    for odd in draw(st.lists(st.one_of(_PAIRS, _ODD_TOKENS), max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), odd)
+    return ["run", *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(argv=run_lines())
+@example(argv=["run", "--scheme", "hybrid", "--n", "6", "--ibm-bit-order", "--format", "csv", "--out", ""])
+@example(argv=["run", "--scheme", "corr3", "--seed", "-1"])
+@example(argv=["run", "--scheme", "corr3", "--w"])
+def test_a_run_line_reads_prints_and_exits_as_argparse(argv):
+    expected = _quiet(cli._PARSER.parse_args, argv)
+    if expected is not None:
+        assert list(vars(cli._parse_args(argv)).items()) == list(vars(expected).items())
+        return
+    outputs = []
+    for main in (_main_with_the_nested_parse, cli.main):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "cmd_run", side_effect=AssertionError("ran a line argparse rejects")), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            outputs.append((main(argv), out.getvalue(), err.getvalue()))
+    assert outputs[0] == outputs[1]

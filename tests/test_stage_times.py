@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_times.py"
-_STAGES = ["argparse", "_normalize_spec", "engine", "sample_counts",
+_STAGES = ["parse", "_normalize_spec", "engine", "sample_counts",
            "report", "write", "other"]
 
 

@@ -11,7 +11,7 @@ a temporary directory unless the flags give --out.
 The stages are timed by wrapping the module attributes the op looks up, so
 the op runs the same code as without the tool:
 
-  argparse         cli._parse_args, the one parse of the command line
+  parse            cli._parse_args, the one read of the command line
   _normalize_spec  noise_exp._normalize_spec, which also resolves the
                    spec into circuit, attack factor and data wires
   engine           noise_exp.effect_distribution and
@@ -52,7 +52,7 @@ _WRAPPED = {
     "sample_counts": (noise_exp, ("sample_counts",)),
     "report": (noise_exp, ("report_to_json", "report_to_csv")),
 }
-STAGES = ("argparse", *_WRAPPED, "write", "other")
+STAGES = ("parse", *_WRAPPED, "write", "other")
 
 
 class _TimedOpen:
@@ -89,7 +89,7 @@ def _stages_timed(spent: dict[str, float]):
 
         return wrapper
 
-    patched = [(cli, "_parse_args", timed("argparse", cli._parse_args)),
+    patched = [(cli, "_parse_args", timed("parse", cli._parse_args)),
                (cli, "open", lambda *a, **k: _TimedOpen(spent, *a, **k))]
     patched += [(mod, attr, timed(stage, getattr(mod, attr)))
                 for stage, (mod, attrs) in _WRAPPED.items() for attr in attrs]
