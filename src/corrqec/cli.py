@@ -15,17 +15,16 @@ other line, and every `verify` and `dump` line.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
 import numpy as np
 
 from . import correlated, hybrid, noise_exp
-from .circuit import _PAULI_TAGS, _PAULI_XZ, _PAULIS, StateVector, _conjugated_pauli, circuit_to_text, realize
+from .circuit import _PAULI_TAGS, _PAULI_XZ, _PAULIS, _conjugated_pauli, circuit_to_text, realize
 from .gates import H
-from .linalg import _kron_stack, equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff, tensor_power
-
-_BATTERY_SEED = 20240815
+from .linalg import equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff
 
 # Every check returns a detail string and raises on failure. A check looks
 # up the functions it runs when it is called, so a caller that rebinds a
@@ -36,19 +35,6 @@ def _require(cond, msg: str) -> None:
     """Fail a check; unlike `assert`, survives `python -O`."""
     if not cond:
         raise AssertionError(msg)
-
-
-def _rand_qubits(rng, k: int) -> np.ndarray:
-    """The (k, 2) amplitudes of k random qubits, four normals each: the
-    real parts, then the imaginary parts. So k single draws take the
-    normals of one draw of k, in the same order."""
-    x = rng.normal(size=(k, 2, 2))
-    v = x[:, 0] + 1j * x[:, 1]
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _rand_qubit(rng) -> StateVector:
-    return StateVector(_rand_qubits(rng, 1)[0], 1)
 
 
 def _unitary(u) -> str:
@@ -95,13 +81,19 @@ def _refutation_spots() -> str:
     return "published spot entries reproduced to 4 decimals"
 
 
-def _blocks_random() -> str:
-    ws = correlated.random_su2(np.random.default_rng(_BATTERY_SEED), 20)
-    rep = correlated.verify_block_structure(correlated.build_new_U(), ws)
-    worst_off, worst_tl = rep.off_diag_norm, max_abs_diff(rep.top_left, _kron_stack(np.eye(2), ws))
-    _require(worst_off <= 1e-10 and worst_tl <= 1e-10,
-             f"off-diag {worst_off:.3e}, top-left {worst_tl:.3e}")
-    return f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
+def _block_theorem() -> None:
+    # For U = NEW_U_ENTRIES, read exactly: U^T (W (x) 3) U = det(W) (I (x) W)
+    # on ancilla |0>, with both off-diagonal blocks 0, as polynomials in
+    # W's four entries, so for every W in GL(2) and with no tolerance.
+    off, top = correlated.block_theorem_defects(correlated.NEW_U_ENTRIES)
+    _require((off, top) == (0, 0), f"{off} off-diagonal entries are not identically 0 and {top} top-left "
+                                   "entries are not identically det(W) (I (x) W)")
+
+
+def _blocks_exact() -> str:
+    _block_theorem()
+    return ("exact for every W in GL(2): off-diagonal blocks 0, top-left det(W) (I (x) W), "
+            "sqrt6 U read over Z[sqrt2, sqrt3]")
 
 
 def _blocks_hadamard() -> str:
@@ -117,46 +109,13 @@ def _blocks_hadamard() -> str:
 
 
 def _recovery_three() -> str:
-    rng = np.random.default_rng(_BATTERY_SEED + 1)
-    ch = correlated.make_channel(3, [(H, 1.0)])
-    worst, _ = correlated.three_qubit_protect(_rand_qubit(rng), _rand_qubit(rng), ch, 1)
-    ch = correlated.make_channel(3, [(w, 0.2) for w in correlated.random_su2(rng, 5)])
-    fid, _ = correlated.three_qubit_protect(_rand_qubit(rng), _rand_qubit(rng), ch, 3)
-    worst = min(worst, fid)
-    _require(worst >= 1 - 1e-9, f"fidelity {worst}")
-    return f"worst data fidelity deficit {1 - worst:.2e}"
-
-
-def _five_wire_fidelities(ws, qubits) -> np.ndarray:
-    """For s samples, a (s, 2, 2) stack ws of attacks and a (s, 3, 2) stack
-    of the amplitudes of (psi1, psi2, v): the (s, 5) fidelities of wires
-    0..4 of |0, psi1, v, psi2, 0>, encoded by `recursive_encoder(2)`,
-    attacked by W on every wire and decoded, against |0>, psi1, W v, psi2
-    and |0>. All s samples run as one (s, 32) stack; a wire's fidelity
-    with target t, <t| rho_wire |t>, is the squared norm of the state
-    with <t| applied on that wire."""
-    enc = realize(correlated.recursive_encoder(2))
-    s = len(ws)
-    psi1, psi2, v = qubits[:, 0], qubits[:, 1], qubits[:, 2]
-    full = np.zeros((s, 2, 2, 2, 2, 2), dtype=complex)
-    full[:, 0, :, :, :, 0] = psi1[:, :, None, None] * v[:, None, :, None] * psi2[:, None, None, :]
-    out = enc.conj().T @ (tensor_power(ws, 5) @ (enc @ full.reshape(s, 32, 1)))
-    zero = np.broadcast_to(np.array([1.0, 0.0]), (s, 2))
-    targets = np.stack([zero, psi1, (ws @ v[:, :, None])[..., 0], psi2, zero], axis=1)
-    fids = np.empty((s, 5))
-    for wire in range(5):
-        # the wires above, this wire, the wires below: a view, not a copy
-        proj = np.einsum("sa,sbac->sbc", targets[:, wire].conj(), out.reshape(s, 2**wire, 2, -1))
-        fids[:, wire] = (np.abs(proj) ** 2).sum(axis=(1, 2))
-    return fids
-
-
-def _recovery_five() -> str:
-    rng = np.random.default_rng(_BATTERY_SEED + 2)
-    ws = correlated.random_su2(rng, 3)
-    worst = float(_five_wire_fidelities(ws, _rand_qubits(rng, 9).reshape(3, 3, 2)).min())
-    _require(worst >= 1 - 1e-9, f"fidelity {worst}")
-    return f"worst fidelity deficit {1 - worst:.2e}"
+    # With U orthogonal, U^T (W2 (x) 3)(W1 (x) 3) U is the product of the two
+    # block forms, so any number of rounds, and any mixture, leaves the
+    # data wire alone and ancilla |0>, and the sink carries the attacks.
+    bad = correlated.exact_gram_defects(correlated.NEW_U_ENTRIES)
+    _require(bad == 0, f"{bad} entries of 6 U^T U are not those of 6 I")
+    _block_theorem()
+    return "6 U^T U = 6 I exactly, and block forms det(W) (I (x) W) compose over rounds and mixtures"
 
 
 def _gate_words(c, shift: int = 0) -> list[tuple[str, tuple[int, ...]]]:
@@ -177,6 +136,42 @@ def _hybrid_shape() -> None:
         _require(_gate_words(hybrid.encoder_circuit(n)) == stacked,
                  f"n={n}: the encoder is not the n={base} encoder then the n={n - step} encoder "
                  f"shifted by {step} wires")
+
+
+def _corr_peel(k: int) -> None:
+    # recursive_encoder(k) is E = T_1 T_k ... T_2, the base circuit U on each
+    # triple (ancilla, data, sink) of recursive_triples(k), in time order,
+    # so E^T (W (x) 2k+1) E = T_2^T ... T_k^T (T_1^T (W (x) 2k+1) T_1) T_k ... T_2.
+    # Peel the innermost factor: no earlier triple touches its ancilla, so
+    # that is still |0>, and the block theorem turns W on its three wires
+    # into det(W) W on its sink. What is left has the same form with one
+    # triple fewer, if W now sits on exactly the wires the unpeeled triples
+    # cover. At the end, E^T (W (x) 2k+1) E = det(W)^k W on wire 2 alone.
+    triples = correlated.recursive_triples(k)
+    _require(triples[-1] == (0, 1, 2), f"k={k}: T_1 = (0, 1, 2) is not last in time")
+    covered = list(itertools.accumulate(map(set, triples), set.union))  # wires of triples[:t + 1]
+    touched = [t for t in range(1, len(triples)) if triples[t][0] in covered[t - 1]]
+    _require(not touched, f"k={k}: the ancillas of triples {touched} are touched before their triples")
+    _require(sorted(data for _, data, _ in triples) == correlated.recursive_data_wires(k),
+             f"k={k}: the triples' data wires are not recursive_data_wires({k})")
+    on = [set(range(2 * k + 1))]  # the wires W sits on before each peel, then after the last
+    for ancilla, data, _ in reversed(triples):
+        on.append(on[-1] - {ancilla, data})
+    _require(on[:-1] == covered[::-1], f"k={k}: W is not on exactly the unpeeled triples' wires at every peel")
+    _require(on[-1] == {correlated.SINK_WIRE}, f"k={k}: the peeled W does not end on the sink wire alone")
+    base, enc = correlated.standard_decomposition().gates, correlated.recursive_encoder(k).gates
+    base_wires = [w for pg in base for w in pg.wires]
+    _require([pg.gate for pg in enc] == [pg.gate for pg in base] * k
+             and [w for pg in enc for w in pg.wires] == [tri[w] for tri in triples for w in base_wires],
+             f"k={k}: the encoder is not the base circuit placed on each triple in turn")
+
+
+def _recovery_five() -> str:
+    for k in range(2, 9):
+        _corr_peel(k)
+    _block_theorem()
+    return ("every k >= 1 by induction: k=2..8 peel to det(W)^k W on the sink wire, "
+            "through the exact block theorem")
 
 
 def _hybrid_circuits() -> str:
@@ -261,7 +256,7 @@ CHECKS = (
     ("basic decomposition gate counts", _basic_counts),
     ("six-stage refutation product is far from the legacy encoder", _refutation_distance),
     ("refutation product matches its published entries", _refutation_spots),
-    ("block structure over random special unitaries", _blocks_random),
+    ("block structure over random special unitaries", _blocks_exact),
     ("block structure with the Hadamard atom", _blocks_hadamard),
     ("three-qubit recovery through repeated attacks", _recovery_three),
     ("five-wire recursive recovery", _recovery_five),

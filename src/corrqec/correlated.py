@@ -24,11 +24,20 @@ the 3-wire channels of this package (the tests go up to n = 5).
 
 NEW_U_ENTRIES / OLD_U_ENTRIES are deliberately plain mutable tables so a
 test harness can corrupt one entry and confirm the verification battery
-notices (see cli.cmd_verify).
+notices (see cli.cmd_verify). The battery's corr proofs read NEW_U_ENTRIES
+exactly (`block_theorem_defects`, `exact_gram_defects`): sqrt(6) times each
+entry must be 0, +-1, +-2, +-sqrt2, +-sqrt3 or +-sqrt6 within 1e-12. So an
+entry moved off that set (a column rotated by 1e-4) fails the read, which
+names the entry, and one moved to another value of the set (two columns
+swapped) fails the exact block theorem or the exact 6 U^T U = 6 I, with no
+tolerance. The float checks, unitarity and the decompositions within
+1e-12, see most corruptions too.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
@@ -132,6 +141,103 @@ def verify_block_structure(u, w) -> BlockReport:
     m = um.conj().T @ tensor_power(wm, 3) @ um
     off = max(float(np.abs(m[..., :4, 4:]).max()), float(np.abs(m[..., 4:, :4]).max()))
     return BlockReport(top_left=m[..., :4, :4], bottom_right=m[..., 4:, 4:], off_diag_norm=off)
+
+
+# The block theorem in exact arithmetic. sqrt(6) times an encoder entry is
+# 0, +-1, +-2, +-sqrt2, +-sqrt3 or +-sqrt6: an element of Z[sqrt2, sqrt3],
+# held as integer coordinates over the basis (1, sqrt2, sqrt3, sqrt6).
+# W = [[a, c], [b, d]] has four independent symbols (W[r, s] is symbol
+# r + 2s), and each entry of W (x) 3 is one of the 20 degree-3 monomials
+# in them. So 6 U^T (W (x) 3) U is an array of small integers over
+# (entry, monomial, basis element), which float64 holds exactly, and an
+# identity between two such arrays holds for every W in GL(2).
+_RADICANDS = (1, 2, 3, 6)
+# the values sqrt(6) u may take, as coordinates: 0, 1, 2, sqrt2, sqrt3,
+# sqrt6, then the negatives of the nonzero ones
+_RING_COORDS = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], float)
+_RING_COORDS = np.concatenate([_RING_COORDS, -_RING_COORDS[1:]])
+_RING_VALUES = _RING_COORDS @ np.sqrt(_RADICANDS)
+
+
+def _ring_product() -> np.ndarray:
+    """The (4, 4, 4) table of e_s e_t = gcd(s, t) e_(st / gcd^2) over the
+    basis e_s = sqrt(s), s in 1, 2, 3, 6."""
+    table = np.zeros((4, 4, 4))
+    for (i, s), (j, t) in itertools.product(enumerate(_RADICANDS), repeat=2):
+        g = math.gcd(s, t)
+        table[i, j, _RADICANDS.index(s * t // g**2)] = g
+    return table
+
+
+def _monomial_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The (8, 8, 20) 0/1 table of which monomial each entry of W (x) 3 is,
+    W(x)3[i, j] = prod over wires of W[i_wire, j_wire], and the block form
+    6 det(W) (I (x) W) in the top-left 4x4, 0 elsewhere, laid out as
+    (row, basis element, column, monomial). A monomial is a sorted triple
+    of symbols."""
+    keys = list(itertools.combinations_with_replacement(range(4), 3))
+    table = np.zeros((8, 8, len(keys)))
+    for i, j in itertools.product(range(8), repeat=2):
+        symbols = sorted(((i >> b) & 1) + 2 * ((j >> b) & 1) for b in range(3))
+        table[i, j, keys.index(tuple(symbols))] = 1
+    form = np.zeros((8, 4, 8, len(keys)))
+    for p, q in itertools.product(range(4), repeat=2):
+        if p >> 1 == q >> 1:  # I on the data wire; W[p_sink, q_sink] times ad - bc
+            s = (p & 1) + 2 * (q & 1)
+            form[p, 0, q, keys.index(tuple(sorted((s, 0, 3))))] += 6
+            form[p, 0, q, keys.index(tuple(sorted((s, 1, 2))))] -= 6
+    return table, form
+
+
+_PRODUCT = _ring_product()
+_MONOMIALS, _BLOCK_FORM = _monomial_tables()
+# the monomial table as (i, monomial) x j, for one product with the entries
+_MONOMIAL_ROWS = _MONOMIALS.transpose(0, 2, 1).reshape(-1, 8)
+
+
+def _exact_encoder(entries) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(6) times an 8x8 real table, read exactly: its (8, 8, 4)
+    coordinates v[i, p, basis] and the (32, 32) left factor
+    L[(p, g), (i, b)] = sum_a v[i, p, a] (e_a e_b)_g, so that L @ x, for
+    x over (i, b), holds the coordinates of sqrt(6) U^T x. ValueError
+    naming the first entry that sqrt(6) does not take to 0, +-1, +-2,
+    +-sqrt2, +-sqrt3 or +-sqrt6 within 1e-12."""
+    x = np.array(entries, dtype=float) * np.sqrt(6.0)
+    if x.shape != (8, 8):
+        raise ValueError(f"encoder table must be 8x8, got shape {x.shape}")
+    pick = np.abs(x[..., None] - _RING_VALUES).argmin(axis=-1)
+    off = np.abs(x - _RING_VALUES[pick]) > 1e-12
+    if off.any():
+        r, c = np.argwhere(off)[0]
+        raise ValueError(f"entry ({r}, {c}) = {entries[r][c]!r}: sqrt(6) times it is not 0, +-1, +-2, "
+                         f"+-sqrt2, +-sqrt3 or +-sqrt6 within 1e-12")
+    v = _RING_COORDS[pick]
+    left = (v.reshape(64, 4) @ _PRODUCT.reshape(4, 16)).reshape(8, 8, 4, 4)  # i, p, b, g
+    return v, left.transpose(1, 3, 0, 2).reshape(32, 32)
+
+
+def exact_gram_defects(entries) -> int:
+    """How many entries of 6 U^T U, computed exactly from the 8x8 real
+    table `entries`, are not those of 6 I. ValueError as `_exact_encoder`."""
+    v, left = _exact_encoder(entries)
+    gram = (left @ v.transpose(0, 2, 1).reshape(32, 8)).reshape(8, 4, 8)  # p, basis element, q
+    return int(((gram[:, 0] != 6 * np.eye(8)) | gram[:, 1:].any(axis=1)).sum())
+
+
+def block_theorem_defects(entries) -> tuple[int, int]:
+    """Expand 6 U^T (W (x) 3) U exactly, as polynomials in the four entries
+    of W, for the 8x8 real table `entries`, and count the entries that
+    break the block theorem: (those of the two off-diagonal 4x4 blocks
+    that are not identically 0, those of the top-left block that are not
+    identically 6 det(W) (I (x) W)). (0, 0) proves, with no tolerance,
+    that U^T (W (x) 3) U maps ancilla |0> to itself as det(W) (I (x) W)
+    for every W in GL(2). One (32, 32) @ (32, 160) product of small
+    integers. ValueError as `_exact_encoder`."""
+    v, left = _exact_encoder(entries)
+    # right[(i, b), (q, m)] = sum_j monomial m's count at (i, j) times v[j, q, b]
+    right = (_MONOMIAL_ROWS @ v.reshape(8, 32)).reshape(8, 20, 8, 4).transpose(0, 3, 2, 1).reshape(32, 160)
+    wrong = ((left @ right).reshape(8, 4, 8, 20) != _BLOCK_FORM).any(axis=(1, 3))
+    return int(wrong[:4, 4:].sum() + wrong[4:, :4].sum()), int(wrong[:4, :4].sum())
 
 
 @cache  # a fixed circuit: built and its gates checked once, then shared
@@ -315,7 +421,7 @@ def recursive_encoder(k: int) -> Circuit:
     return _recursive_encoder(_integer(k, "k", 1), standard_decomposition())
 
 
-@lru_cache(maxsize=8)  # k is 1 or 2 in the schemes and the battery
+@lru_cache(maxsize=8)  # k is 2 in the schemes, 2..8 in the battery
 def _recursive_encoder(k: int, base: Circuit) -> Circuit:
     triples = recursive_triples(k)
     placed = []

@@ -125,7 +125,7 @@ def _normalize_spec(spec: dict) -> tuple[dict, Circuit, np.ndarray, list[int]]:
             raise ValueError(f"{key} must be a string, got {v!r}")
     if scheme in _CORRELATED:
         w = _DEFAULTS["w"] if w is None else w
-        out["w"] = w.strip()  # as the resolver reads it: padding does not change the report
+        out["w"] = w.strip().lower()  # as the resolver reads it: padding and case do not change the report
         w = correlated.atom_from_selector(w)
         if out["rounds"] > 1:
             # rounding drifts a long power off unitarity (H^(2e9) by 4e-7):
@@ -146,7 +146,7 @@ def _normalize_spec(spec: dict) -> tuple[dict, Circuit, np.ndarray, list[int]]:
         if not errors:
             raise ValueError("hybrid errors list is empty; use ['i'] for a run without attack")
         out["n"] = n
-        out["ancilla"] = ancilla.strip()
+        out["ancilla"] = ancilla.strip().lower()
         out["errors"] = [hybrid.normalize_tag(t) for t in errors]
         out["name"] = name or f"hybrid{n}"
         w = hybrid.attack_factor(out["errors"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 import time
 
 import numpy as np
@@ -28,7 +29,7 @@ from corrqec.circuit import (
 )
 from corrqec.gates import CNOT, H, PlacedGate
 from corrqec.linalg import equal_up_to_global_phase, max_abs_diff, tensor_power
-from test_correlated import PRINTED_PRODUCT
+from test_correlated import PRINTED_PRODUCT, rand_qubit
 
 BUDGET_S = 5.0
 
@@ -218,6 +219,86 @@ def _within(budget_s: float, body) -> None:
     assert dt < budget_s, f"runtime {dt:.2f}s exceeds budget {budget_s}s"
 
 
+_CORR_CHECKS = (
+    "block structure over random special unitaries",
+    "three-qubit recovery through repeated attacks",
+    "five-wire recursive recovery",
+)
+
+
+def test_corr_proofs_state_their_claims_exactly():
+    checks = dict(cli.CHECKS)
+    assert checks[_CORR_CHECKS[0]]() == (
+        "exact for every W in GL(2): off-diagonal blocks 0, top-left det(W) (I (x) W), "
+        "sqrt6 U read over Z[sqrt2, sqrt3]"
+    )
+    assert checks[_CORR_CHECKS[1]]() == (
+        "6 U^T U = 6 I exactly, and block forms det(W) (I (x) W) compose over rounds and mixtures"
+    )
+    assert checks[_CORR_CHECKS[2]]() == (
+        "every k >= 1 by induction: k=2..8 peel to det(W)^k W on the sink wire, through the exact block theorem"
+    )
+
+
+def _failed_checks(capsys) -> set[str]:
+    """The names of the checks `verify` FAILs; it must exit 1."""
+    assert cli.cmd_verify() == 1
+    return {line[5:].split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")}
+
+
+def _swap_columns(u):
+    u[:, [3, 4]] = u[:, [4, 3]]
+
+
+def _rotate_column(u, t=1e-4):
+    u[:, 4], u[:, 5] = np.cos(t) * u[:, 4] + np.sin(t) * u[:, 5], np.cos(t) * u[:, 5] - np.sin(t) * u[:, 4]
+
+
+@pytest.mark.parametrize("mutate", [_swap_columns, _rotate_column], ids=["column-swap", "column-rotation"])
+def test_every_corr_proof_fails_a_corrupted_encoder_table(monkeypatch, capsys, mutate):
+    u = np.array(correlated.NEW_U_ENTRIES)
+    mutate(u)
+    monkeypatch.setattr(correlated, "NEW_U_ENTRIES", u.tolist())
+    failed = _failed_checks(capsys)
+    assert set(_CORR_CHECKS) <= failed
+    assert "corrected encoder is unitary" not in failed  # both mutants are still unitary
+
+
+def _swap_higher_triples(triples):
+    return [triples[1], triples[0], *triples[2:]] if len(triples) > 2 else triples
+
+
+def _flip_first_triple(triples):
+    (ancilla, data, sink), *rest = triples
+    return [(sink, data, ancilla), *rest]
+
+
+def _base_triple_first(triples):
+    return [triples[-1], *triples[:-1]]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_swap_higher_triples, "k=3: the ancillas of triples [1] are touched before their triples"),
+    (_flip_first_triple, "k=2: the peeled W does not end on the sink wire alone"),
+    (_base_triple_first, "k=2: T_1 = (0, 1, 2) is not last in time"),
+], ids=["swapped-triples", "ancilla-sink-swapped", "base-first"])
+def test_the_five_wire_proof_fails_a_broken_layout(monkeypatch, capsys, mutate, message):
+    # the encoder is built from the mutant too, so the two still agree:
+    # only the conditions of the peel see the break
+    real = correlated.recursive_triples
+    monkeypatch.setattr(correlated, "recursive_triples", lambda k: mutate(real(k)))
+    correlated._recursive_encoder.cache_clear()
+    try:
+        base, first = correlated.standard_decomposition().gates[0], mutate(real(3))[0]
+        assert correlated.recursive_encoder(3).gates[0].wires == tuple(first[w] for w in base.wires)
+        failed = _failed_checks(capsys)
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            dict(cli.CHECKS)["five-wire recursive recovery"]()
+    finally:
+        correlated._recursive_encoder.cache_clear()
+    assert failed == {"five-wire recursive recovery"}
+
+
 def test_criterion_1_decompositions():
     def body():
         u = correlated.build_new_U()
@@ -274,7 +355,7 @@ def test_criterion_4_three_qubit_recovery():
             atoms = [(correlated.random_su2(rng), 1.0 / 3.0) for _ in range(3)]
             ch = correlated.make_channel(3, atoms)
             fid, _ = correlated.three_qubit_protect(
-                cli._rand_qubit(rng), cli._rand_qubit(rng), ch, rounds=(1, 3, 7)[i % 3]
+                rand_qubit(rng), rand_qubit(rng), ch, rounds=(1, 3, 7)[i % 3]
             )
             worst = min(worst, fid)
         assert worst >= 1 - 1e-9, f"worst fidelity {worst}"
@@ -290,7 +371,7 @@ def test_criterion_5_five_qubit_recovery():
         worst = 1.0
         for _ in range(20):
             wn = tensor_power(correlated.random_su2(rng), 5)
-            psi1, psi2, v = cli._rand_qubit(rng), cli._rand_qubit(rng), cli._rand_qubit(rng)
+            psi1, psi2, v = rand_qubit(rng), rand_qubit(rng), rand_qubit(rng)
             state = tensor(zero, psi1, v, psi2, zero)
             rho = to_density(StateVector(enc.conj().T @ wn @ enc @ state.amplitudes, 5))
             for wire, target in ((1, psi1), (3, psi2), (0, zero), (4, zero)):

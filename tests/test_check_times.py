@@ -1,7 +1,8 @@
 """`tools/check_times.py` prints one timed row per `verify` check, with
-its minor page faults."""
+its minor page faults, at the probe's reference host speed."""
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,9 @@ def test_one_battery_prints_a_row_per_check():
     proc = subprocess.run([sys.executable, str(_TOOL), "1"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "median process-CPU time over 1 batteries"
+    head = re.fullmatch(r"median process-CPU time at reference host speed \(median slowdown (.+)\) over 1 batteries",
+                        lines[0])
+    assert head and float(head[1]) > 0
     assert lines[1].split()[-3:] == ["ms", "share", "faults"]
     rows = [line.rsplit(None, 3) for line in lines[2:-1]]
     assert [name for name, _, _, _ in rows] == [name for name, _ in cli.CHECKS]

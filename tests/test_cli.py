@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec import cli, correlated, hybrid, noise_exp
-from corrqec.circuit import StateVector, attack, basis_state, fidelity, partial_trace, realize, tensor
 from corrqec.linalg import max_abs_diff
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -128,10 +127,14 @@ def test_a_negative_zero_strength_is_reported_as_zero(tmp_path, capsys):
     (["--scheme", "corr3", "--w", "H"], ["--scheme", "corr3", "--w", " H "]),
     (["--scheme", "hybrid", "--n", "5", "--ancilla", "1"], ["--scheme", "hybrid", "--n", "5", "--ancilla", " 1"]),
     (["--scheme", "hybrid", "--n", "4", "--ancilla", "10"], ["--scheme", "hybrid", "--n", "4", "--ancilla", "10 "]),
-], ids=("w", "w-ry", "w-case", "odd-ancilla", "even-ancilla"))
+    (["--scheme", "corr3", "--w", "h"], ["--scheme", "corr3", "--w", "H"]),
+    (["--scheme", "corr5", "--w", "ry:1e-1"], ["--scheme", "corr5", "--w", "RY:1E-1"]),
+    (["--scheme", "hybrid", "--n", "5", "--ancilla", "ry:0.7"], ["--scheme", "hybrid", "--n", "5", "--ancilla", "Ry:0.7"]),
+], ids=("w", "w-ry", "w-case", "odd-ancilla", "even-ancilla", "w-capitals", "w-ry-capitals", "odd-ancilla-capitals"))
 def test_a_padded_selector_writes_the_same_report(tmp_path, capsys, flags, padded):
-    # the resolver strips a selector before it reads it, so the report
-    # records it stripped, with its case as typed
+    # the resolver strips a selector and ignores its case before it reads
+    # it, so the report records it stripped and lowercased, and a selector
+    # in capitals writes the same report as in lower case
     reports = []
     for argv in (flags, padded):
         out = tmp_path / f"{len(reports)}.json"
@@ -139,7 +142,7 @@ def test_a_padded_selector_writes_the_same_report(tmp_path, capsys, flags, padde
         assert code == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
-    assert flags[-1].encode() in reports[0]
+    assert f'": "{flags[-1].lower()}"'.encode() in reports[0]
 
 
 def test_run_hybrid_rotated_ancilla(tmp_path, capsys):
@@ -388,42 +391,6 @@ def test_readme_quick_start_runs(capsys):
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
-
-
-def test_the_block_check_reports_the_worst_of_its_samples_taken_one_at_a_time():
-    # the per-sample loop that the check runs as one stacked call: the
-    # same draws, and the same worst off-diagonal and top-left deviations
-    rng = np.random.default_rng(cli._BATTERY_SEED)
-    u = correlated.build_new_U()
-    worst_off = worst_tl = 0.0
-    for _ in range(20):
-        w = correlated.random_su2(rng)
-        rep = correlated.verify_block_structure(u, w)
-        worst_off = max(worst_off, rep.off_diag_norm)
-        worst_tl = max(worst_tl, max_abs_diff(rep.top_left, np.kron(np.eye(2), w)))
-    assert cli._blocks_random() == f"20 samples: off-diag <= {worst_off:.3e}, top-left <= {worst_tl:.3e}"
-
-
-def test_the_five_wire_check_reads_its_samples_as_one_at_a_time():
-    # the per-sample loop that the check runs as one (3, 32) stack: the
-    # same draws, each through `attack`, `partial_trace` and `fidelity`
-    rng = np.random.default_rng(cli._BATTERY_SEED + 2)
-    ws = correlated.random_su2(rng, 3)
-    qubits = cli._rand_qubits(rng, 9).reshape(3, 3, 2)
-    stacked = cli._five_wire_fidelities(ws, qubits)
-    enc = realize(correlated.recursive_encoder(2))
-    zero = basis_state(1, "0")
-    for s, w in enumerate(ws):
-        psi1, psi2, v = (StateVector(q, 1) for q in qubits[s])
-        full = tensor(zero, psi1, v, psi2, zero)
-        out = StateVector(enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes, 5)
-        targets = (zero, psi1, StateVector(w @ v.amplitudes, 1), psi2, zero)
-        for wire, target in enumerate(targets):
-            assert abs(stacked[s, wire] - fidelity(partial_trace(out, [wire]), target)) <= 1e-12
-    assert cli._recovery_five() == f"worst fidelity deficit {1 - stacked.min():.2e}"
-    # one draw of nine qubits gives what nine `_rand_qubit` calls give
-    a, b = np.random.default_rng(5), np.random.default_rng(5)
-    assert np.array_equal(cli._rand_qubits(b, 9), [cli._rand_qubit(a).amplitudes for _ in range(9)])
 
 
 def test_dump_encoder_round_trips(capsys):

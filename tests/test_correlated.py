@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from corrqec import correlated
 from corrqec.circuit import (
     StateVector,
+    attack,
     basis_state,
     fidelity,
     partial_trace,
@@ -15,6 +17,7 @@ from corrqec.circuit import (
 from corrqec.correlated import (
     DATA_WIRE,
     NEW_U_ENTRIES,
+    OLD_U_ENTRIES,
     SINK_WIRE,
     THIRD_ANGLE,
     CorrelatedChannel,
@@ -22,9 +25,11 @@ from corrqec.correlated import (
     apply_channel,
     atom_from_selector,
     basic_decomposition,
+    block_theorem_defects,
     build_new_U,
     build_old_U,
     erroneous_decomposition_product,
+    exact_gram_defects,
     make_channel,
     random_su2,
     recursive_data_wires,
@@ -35,7 +40,7 @@ from corrqec.correlated import (
     verify_block_structure,
 )
 from corrqec.gates import H, I, X, Y, Z, PlacedGate, embed
-from corrqec.linalg import ComplexMatrix, is_unitary, max_abs_diff
+from corrqec.linalg import ComplexMatrix, is_unitary, max_abs_diff, tensor_power
 
 S13 = np.sqrt(1.0 / 3.0)
 S23 = np.sqrt(2.0 / 3.0)
@@ -57,9 +62,17 @@ PRINTED_PRODUCT = np.array(
 )
 
 
+def rand_qubits(rng, k: int) -> np.ndarray:
+    """The (k, 2) amplitudes of k random qubits, four normals each: the
+    real parts, then the imaginary parts. So k single draws take the
+    normals of one draw of k, in the same order."""
+    x = rng.normal(size=(k, 2, 2))
+    v = x[:, 0] + 1j * x[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def rand_qubit(rng) -> StateVector:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return StateVector(v / np.linalg.norm(v), 1)
+    return StateVector(rand_qubits(rng, 1)[0], 1)
 
 
 def test_third_angle():
@@ -190,6 +203,72 @@ def test_block_structure_general_phase():
         det = np.linalg.det(w)
         assert rep.off_diag_norm < 1e-10
         assert max_abs_diff(rep.top_left, det * np.kron(np.eye(2), w)) < 1e-10
+
+
+def _symbols(w) -> np.ndarray:
+    """W = [[a, c], [b, d]]'s 20 degree-3 monomials, in the order of the
+    exact tables: each a sorted triple of symbols a, b, c, d = 0..3."""
+    a, c, b, d = np.asarray(w).reshape(4)
+    values = (a, b, c, d)
+    keys = sorted({tuple(sorted(t)) for t in np.ndindex(4, 4, 4)})
+    return np.array([values[i] * values[j] * values[k] for i, j, k in keys])
+
+
+def test_the_exact_tables_evaluate_to_their_float_meaning():
+    # the ring product is sqrt(s) sqrt(t), the monomial table is W (x) 3 and
+    # the block form is 6 det(W) (I (x) W), at random complex W
+    roots = np.sqrt(correlated._RADICANDS)
+    assert np.allclose(correlated._PRODUCT @ roots, np.outer(roots, roots), rtol=0, atol=1e-14)
+    assert not correlated._BLOCK_FORM[:, 1:].any()  # rational coefficients only
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mono = _symbols(w)
+        assert max_abs_diff(correlated._MONOMIALS @ mono, tensor_power(w, 3)) <= 1e-13
+        form = correlated._BLOCK_FORM[:, 0] @ mono  # (p, q)
+        want = np.zeros((8, 8), dtype=complex)
+        want[:4, :4] = 6 * np.linalg.det(w) * np.kron(np.eye(2), w)
+        assert max_abs_diff(form, want) <= 1e-12
+
+
+def test_the_exact_block_theorem_holds_for_both_encoder_tables():
+    # the published encoder's error was in its decomposition, not its table
+    for entries in (NEW_U_ENTRIES, OLD_U_ENTRIES):
+        assert block_theorem_defects(entries) == (0, 0)
+        assert exact_gram_defects(entries) == 0
+
+
+def test_a_column_swap_breaks_the_exact_block_theorem_but_not_orthogonality():
+    u = np.array(NEW_U_ENTRIES)
+    u[:, [3, 4]] = u[:, [4, 3]]
+    assert block_theorem_defects(u) == (8, 3)
+    assert exact_gram_defects(u) == 0
+    # a swap inside the bottom-right block leaves the theorem true
+    u = np.array(NEW_U_ENTRIES)
+    u[:, [4, 5]] = u[:, [5, 4]]
+    assert block_theorem_defects(u) == (0, 0)
+
+
+def test_a_zeroed_entry_breaks_the_exact_gram_matrix():
+    u = np.array(NEW_U_ENTRIES)
+    u[0, 7] = 0.0  # 0 is a ring value, so only the Gram matrix sees it
+    assert exact_gram_defects(u) == 1
+    assert block_theorem_defects(u) == (0, 0)
+
+
+def test_the_exact_reader_rejects_a_rotated_column_and_a_bad_shape():
+    u, t = np.array(NEW_U_ENTRIES), 1e-4
+    u[:, 4], u[:, 5] = np.cos(t) * u[:, 4] + np.sin(t) * u[:, 5], np.cos(t) * u[:, 5] - np.sin(t) * u[:, 4]
+    assert is_unitary(u, 1e-12)  # still an encoder, but not the corrected one
+    for fn in (block_theorem_defects, exact_gram_defects):
+        with pytest.raises(ValueError, match=r"entry \(1, 4\) = .*: sqrt\(6\) times it is not 0"):
+            fn(u)
+        with pytest.raises(ValueError, match="8x8"):
+            fn(np.eye(4))
+    # 1e-12 is the reading tolerance: a rounding residual reads exactly
+    u = np.array(NEW_U_ENTRIES)
+    u[1, 0] += 1e-14
+    assert block_theorem_defects(u) == (0, 0)
 
 
 def test_verify_block_structure_rejects_bad_input():
@@ -353,6 +432,63 @@ def test_three_qubit_protect_validation():
     psi = rand_qubit(rng)
     fid, _ = three_qubit_protect(psi, rand_qubit(rng), ch3, rounds=np.int64(2))
     assert abs(fid - 1.0) < 1e-12
+
+
+_RECOVERY_SEED = 20240815  # seeds the sampled recoveries below
+
+
+def test_sampled_three_qubit_recovery_under_h_and_a_mixture_over_three_rounds():
+    rng = np.random.default_rng(_RECOVERY_SEED + 1)
+    worst, _ = three_qubit_protect(rand_qubit(rng), rand_qubit(rng), make_channel(3, [(H, 1.0)]), 1)
+    ch = make_channel(3, [(w, 0.2) for w in random_su2(rng, 5)])
+    fid, _ = three_qubit_protect(rand_qubit(rng), rand_qubit(rng), ch, 3)
+    assert min(worst, fid) >= 1 - 1e-9
+
+
+def five_wire_fidelities(ws, qubits) -> np.ndarray:
+    """For s samples, a (s, 2, 2) stack ws of attacks and a (s, 3, 2) stack
+    of the amplitudes of (psi1, psi2, v): the (s, 5) fidelities of wires
+    0..4 of |0, psi1, v, psi2, 0>, encoded by `recursive_encoder(2)`,
+    attacked by W on every wire and decoded, against |0>, psi1, W v, psi2
+    and |0>. All s samples run as one (s, 32) stack; a wire's fidelity
+    with target t, <t| rho_wire |t>, is the squared norm of the state
+    with <t| applied on that wire."""
+    enc = realize(recursive_encoder(2))
+    s = len(ws)
+    psi1, psi2, v = qubits[:, 0], qubits[:, 1], qubits[:, 2]
+    full = np.zeros((s, 2, 2, 2, 2, 2), dtype=complex)
+    full[:, 0, :, :, :, 0] = psi1[:, :, None, None] * v[:, None, :, None] * psi2[:, None, None, :]
+    out = enc.conj().T @ (tensor_power(ws, 5) @ (enc @ full.reshape(s, 32, 1)))
+    zero = np.broadcast_to(np.array([1.0, 0.0]), (s, 2))
+    targets = np.stack([zero, psi1, (ws @ v[:, :, None])[..., 0], psi2, zero], axis=1)
+    fids = np.empty((s, 5))
+    for wire in range(5):
+        # the wires above, this wire, the wires below: a view, not a copy
+        proj = np.einsum("sa,sbac->sbc", targets[:, wire].conj(), out.reshape(s, 2**wire, 2, -1))
+        fids[:, wire] = (np.abs(proj) ** 2).sum(axis=(1, 2))
+    return fids
+
+
+def test_the_five_wire_recovery_reads_its_samples_as_one_at_a_time():
+    # the per-sample loop that the recovery runs as one (3, 32) stack: the
+    # same draws, each through `attack`, `partial_trace` and `fidelity`
+    rng = np.random.default_rng(_RECOVERY_SEED + 2)
+    ws = random_su2(rng, 3)
+    qubits = rand_qubits(rng, 9).reshape(3, 3, 2)
+    stacked = five_wire_fidelities(ws, qubits)
+    enc = realize(recursive_encoder(2))
+    zero = basis_state(1, "0")
+    for s, w in enumerate(ws):
+        psi1, psi2, v = (StateVector(q, 1) for q in qubits[s])
+        full = tensor(zero, psi1, v, psi2, zero)
+        out = StateVector(enc.conj().T @ attack(StateVector(enc @ full.amplitudes, 5), w).amplitudes, 5)
+        targets = (zero, psi1, StateVector(w @ v.amplitudes, 1), psi2, zero)
+        for wire, target in enumerate(targets):
+            assert abs(stacked[s, wire] - fidelity(partial_trace(out, [wire]), target)) <= 1e-12
+    assert stacked.min() >= 1 - 1e-9
+    # one draw of nine qubits gives what nine `rand_qubit` calls give
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(rand_qubits(b, 9), [rand_qubit(a).amplitudes for _ in range(9)])
 
 
 def test_recursive_layout():

@@ -56,7 +56,7 @@ from corrqec.circuit import (
     tensor,
     to_density,
 )
-from corrqec.correlated import apply_channel, make_channel
+from corrqec.correlated import apply_channel, build_new_U, make_channel, random_su2, verify_block_structure
 from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed, ry
 from corrqec.hybrid import encoder_circuit
 from corrqec.linalg import ComplexMatrix, kron, tensor_power
@@ -228,6 +228,29 @@ def test_closed_form_depolarizing_is_the_pauli_sum(case):
         got = contract(contract(t, _kick(p), (a, n + a)), _kick(p), (b, n + b)).reshape(rho.shape)
         expect = pauli_depolarize(pauli_depolarize(rho, a, n, p), b, n, p)
         assert np.abs(got - expect).max() <= 1e-15
+
+
+@_SETTINGS
+@given(seeds, angles)
+def test_the_float_block_structure_agrees_with_the_exact_theorem(seed, phase):
+    # the exact proof says U^T (W (x) 3) U = det(W) (I (x) W) on ancilla |0>,
+    # with no block off the diagonal, for every W; the float product agrees
+    # for a Haar-random special unitary times a global phase
+    w = random_su2(np.random.default_rng(seed)) * np.exp(1j * phase)
+    rep = verify_block_structure(build_new_U(), w)
+    assert rep.off_diag_norm <= 1e-12
+    assert np.abs(rep.top_left - np.linalg.det(w) * kron(np.eye(2), w)).max() <= 1e-12
+
+
+@_SETTINGS
+@given(st.sampled_from(("corr3", "corr3-basic", "corr5")), seeds, angles)
+def test_a_noiseless_corr_run_reads_its_data_back_for_every_attack(scheme, seed, phase):
+    # the conclusion of the exact proofs: with no noise, the data wires of
+    # the 3-wire and 2k+1-wire schemes read 0...0 with certainty for any W
+    w = random_su2(np.random.default_rng(seed)) * np.exp(1j * phase)
+    _, circ, _, data = _normalize_spec({"scheme": scheme})
+    probs = circuit.effect_distribution(circ, w, data, NoiseModel())
+    assert abs(probs[0] - 1.0) <= 1e-12
 
 
 @_SETTINGS

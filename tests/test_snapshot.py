@@ -14,7 +14,7 @@ _SPEC = importlib.util.spec_from_file_location("snapshot", _PATH)
 snapshot = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(snapshot)
 
-from test_cli import USAGE_ERRORS  # noqa: E402  (snapshot puts tests/ on the path)
+USAGE_ERRORS = snapshot.usage_errors()  # read from tests/test_cli.py's source, not imported
 
 
 def _files(root: Path) -> dict[str, bytes]:

@@ -10,6 +10,13 @@ totals. The first battery fills the package's caches; the median keeps it
 out of the result once there are three or more. A failing check stops the
 run with its error.
 
+Times are scaled to reference host speed as perfbench/run.py scales an op:
+the host-speed probe (perfbench/probe.py) runs before the first battery
+and after each one, and a battery's times are divided by its slowdown,
+the mean of the probes on either side of it over PROBE_REF_S.
+So rows taken at different times on a shared host compare; the first
+line gives the median slowdown.
+
 BLAS runs on one thread, as in perfbench: process CPU time sums over
 threads, and idle BLAS workers spinning on a small product doubled the
 battery's CPU time on a 2-core host.
@@ -25,7 +32,11 @@ from time import process_time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "perfbench"))
+
+from probe import PROBE_REF_S, probe_seconds  # noqa: E402
 
 from corrqec import cli  # noqa: E402
 
@@ -34,22 +45,28 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def check_times(batteries: int) -> tuple[dict[str, tuple[float, float]], tuple[float, float]]:
-    """Each check's median process-CPU time in ms and median minor page
-    faults, in battery order, and the medians of one battery's totals."""
+def check_times(batteries: int) -> tuple[dict[str, tuple[float, float]], tuple[float, float], float]:
+    """Each check's median probe-scaled process-CPU time in ms and median
+    minor page faults, in battery order, the medians of one battery's
+    totals, and the median slowdown."""
     samples = {name: [] for name, _ in cli.CHECKS}
-    totals = []
+    totals, slowdowns = [], []
+    probe_seconds()  # the first run pays for numpy's lazy set-up
+    before = probe_seconds()
     for _ in range(batteries):
-        total_ms = total_faults = 0
+        battery = []
         for name, check in cli.CHECKS:
             f0, t0 = _minor_faults(), process_time()
             check()
-            dt, df = 1e3 * (process_time() - t0), _minor_faults() - f0
-            samples[name].append((dt, df))
-            total_ms += dt
-            total_faults += df
-        totals.append((total_ms, total_faults))
-    return ({name: _medians(s) for name, s in samples.items()}, _medians(totals))
+            battery.append((name, 1e3 * (process_time() - t0), _minor_faults() - f0))
+        after = probe_seconds()
+        slowdown = (before + after) / (2 * PROBE_REF_S)
+        before = after
+        for name, ms, faults in battery:
+            samples[name].append((ms / slowdown, faults))
+        totals.append((sum(ms for _, ms, _ in battery) / slowdown, sum(f for _, _, f in battery)))
+        slowdowns.append(slowdown)
+    return ({name: _medians(s) for name, s in samples.items()}, _medians(totals), statistics.median(slowdowns))
 
 
 def _medians(pairs) -> tuple[float, float]:
@@ -62,9 +79,10 @@ def main(argv) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     batteries = int(batteries)
-    medians, (total, total_faults) = check_times(batteries)
+    medians, (total, total_faults), slowdown = check_times(batteries)
     width = max(len(name) for name in medians)
-    print(f"median process-CPU time over {batteries} batteries")
+    print(f"median process-CPU time at reference host speed (median slowdown {slowdown:.2f}) "
+          f"over {batteries} batteries")
     print(f"{'check':<{width}}  {'ms':>8}  {'share':>6}  {'faults':>7}")
     for name, (ms, faults) in medians.items():
         print(f"{name:<{width}}  {ms:8.2f}  {100 * ms / total:5.1f}%  {faults:7g}")

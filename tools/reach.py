@@ -47,8 +47,19 @@ ALLOWED = frozenset({
     "hybrid.error_unitary",
     "hybrid.conjugated_error",
     "hybrid.hybrid_protect",
+    "correlated.three_qubit_protect",
+    "circuit.partial_trace",
     # the dense all-wire attack, used by hybrid_protect and the tests
     "circuit.attack",
+    # dense references the tests run the sampled recoveries on, since
+    # `verify` proves the corr claims exactly; they move to a test helper
+    # with the other dense references
+    "correlated.apply_channel",
+    "correlated.make_channel",
+    "correlated.CorrelatedChannel.__post_init__",
+    "correlated.random_su2",
+    "circuit.tensor",
+    "circuit.fidelity",
     # guards against mutation and debugging output; nothing in a command
     # assigns to a state or prints one
     "circuit.StateVector.__setattr__",
@@ -64,7 +75,7 @@ _MATRIX = "matrix:[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]"
 _HYBRID = (("3", "--ancilla", "ry:0.7", "--errors", "x,y"), ("4", "--ancilla", "10"), ("8",))
 
 
-def _usage_errors() -> list[list[str]]:
+def usage_errors() -> list[list[str]]:
     """tests/test_cli.py's USAGE_ERRORS, evaluated from its expression alone."""
     tree = ast.parse((_ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
     for node in tree.body:
@@ -85,7 +96,7 @@ def command_lines() -> list[tuple[list[str], int]]:
         for fmt in ("json", "csv"):
             lines.append(["run", "--scheme", "hybrid", "--n", n, *rest, "--noise", _NOISE,
                           "--format", fmt, "--ibm-bit-order"])
-    return [(argv, 0) for argv in lines] + [(argv, 2) for argv in _usage_errors()]
+    return [(argv, 0) for argv in lines] + [(argv, 2) for argv in usage_errors()]
 
 
 def _defined() -> dict[tuple[str, int, str], str]:

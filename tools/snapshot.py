@@ -11,7 +11,9 @@ this repo's `perfbench/workloads.oracle_grid()` and writes into <outdir>:
   verify.txt   `verify` stdout and exit code
   cli.txt      exit code, stdout and stderr of `run --scheme <s>` with no
                other flag, for each scheme, and of each command line in
-               tests/test_cli.py's USAGE_ERRORS
+               tests/test_cli.py's USAGE_ERRORS, read from its source with
+               `ast` (as tools/reach.py reads it), so the test module and
+               its imports are never loaded against either checkout
   cli/         the reports those default runs write under their default names
   realize.txt  per fixed package circuit (both corr decompositions, the
                refutation, recursive_encoder(2..3), the hybrid encoders
@@ -35,9 +37,9 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_ROOT / "perfbench"))
-# test_cli imports corrqec, so it is imported only after the checkout's is
-sys.path.insert(0, str(_ROOT / "tests"))
+sys.path.insert(0, str(_ROOT / "tools"))
 
+from reach import usage_errors  # noqa: E402
 from workloads import oracle_grid  # noqa: E402
 
 DUMP_TARGETS = (
@@ -58,10 +60,9 @@ def _cli_lines(main) -> list[str]:
     """Each scheme's run with every default, then each usage error; run
     from inside the directory the default reports should land in."""
     from corrqec.noise_exp import _SCHEMES
-    from test_cli import USAGE_ERRORS
 
     lines = []
-    for argv in [["run", "--scheme", s] for s in _SCHEMES] + USAGE_ERRORS:
+    for argv in [["run", "--scheme", s] for s in _SCHEMES] + usage_errors():
         code, out, err = _run(main, argv)
         lines.append(f"== {' '.join(argv)} exit={code}\n{out}{err}")
     return lines

@@ -24,6 +24,13 @@ the op runs the same code as without the tool:
 No stage calls another. The first run fills the package's caches; the
 median keeps it out of the result once there are three or more repeats.
 BLAS runs on one thread, as in perfbench and tools/check_times.py.
+
+Times are scaled to reference host speed as perfbench/run.py scales an op:
+the host-speed probe (perfbench/probe.py) runs before the first run and
+after each one, and a run's stage times are divided by its slowdown, the
+mean of the probes on either side of it over PROBE_REF_S.
+So rows taken at different times on a shared host compare; the first
+line gives the median slowdown.
 """
 from __future__ import annotations
 
@@ -38,7 +45,11 @@ from time import process_time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "perfbench"))
+
+from probe import PROBE_REF_S, probe_seconds  # noqa: E402
 
 from corrqec import cli, noise_exp  # noqa: E402
 
@@ -106,14 +117,17 @@ def _stages_timed(spent: dict[str, float]):
                 setattr(obj, attr, old)
 
 
-def stage_times(flags, repeats: int) -> tuple[dict[str, float], float]:
-    """Each stage's median process-CPU time in ms over `repeats` runs of
-    `corrqec run *flags`, in STAGES order, and the median op total in ms.
-    ValueError naming the exit code and stderr if a run fails."""
+def stage_times(flags, repeats: int) -> tuple[dict[str, float], float, float]:
+    """Each stage's median probe-scaled process-CPU time in ms over
+    `repeats` runs of `corrqec run *flags`, in STAGES order, the median op
+    total in ms and the median slowdown. ValueError naming the exit code
+    and stderr if a run fails."""
     argv = ["run", *flags]
     times = {stage: [] for stage in STAGES}
-    totals = []
+    totals, slowdowns = [], []
     spent = dict.fromkeys(STAGES, 0.0)
+    probe_seconds()  # the first run pays for numpy's lazy set-up
+    before = probe_seconds()
     with tempfile.TemporaryDirectory() as tmp, _stages_timed(spent):
         os.environ["CORRQEC_OUTPUT_DIR"] = tmp
         for _ in range(repeats):
@@ -126,10 +140,15 @@ def stage_times(flags, repeats: int) -> tuple[dict[str, float], float]:
             if code != 0:
                 raise ValueError(f"`corrqec {' '.join(argv)}` exited {code}: {err.getvalue().strip()}")
             spent["other"] = total - sum(spent.values())
+            after = probe_seconds()
+            slowdown = (before + after) / (2 * PROBE_REF_S)
+            before = after
             for stage, s in spent.items():
-                times[stage].append(1e3 * s)
-            totals.append(1e3 * total)
-    return {stage: statistics.median(ts) for stage, ts in times.items()}, statistics.median(totals)
+                times[stage].append(1e3 * s / slowdown)
+            totals.append(1e3 * total / slowdown)
+            slowdowns.append(slowdown)
+    medians = {stage: statistics.median(ts) for stage, ts in times.items()}
+    return medians, statistics.median(totals), statistics.median(slowdowns)
 
 
 def main(argv) -> int:
@@ -139,12 +158,13 @@ def main(argv) -> int:
         return 2
     flags = argv[1:] or DEFAULT_FLAGS
     try:
-        medians, total = stage_times(flags, int(repeats))
+        medians, total, slowdown = stage_times(flags, int(repeats))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     width = max(len(stage) for stage in STAGES)
-    print(f"median process-CPU time over {repeats} runs of: corrqec run {' '.join(flags)}")
+    print(f"median process-CPU time at reference host speed (median slowdown {slowdown:.2f}) "
+          f"over {repeats} runs of: corrqec run {' '.join(flags)}")
     print(f"{'stage':<{width}}  {'ms':>8}  {'share':>6}")
     for stage, ms in medians.items():
         print(f"{stage:<{width}}  {ms:8.3f}  {100 * ms / total:5.1f}%")
