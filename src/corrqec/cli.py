@@ -15,6 +15,8 @@ other line, and every `verify` and `dump` line.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import os
 import sys
@@ -29,6 +31,41 @@ from .linalg import equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff
 # Every check returns a detail string and raises on failure. A check looks
 # up the functions it runs when it is called, so a caller that rebinds a
 # module attribute (a tracer, a test) sees every call.
+
+# While a battery runs: each lemma's outcome, by lemma, once proved.
+_proved: dict | None = None
+
+
+@contextlib.contextmanager
+def _battery():
+    """One battery's scope: inside it a `_lemma` is proved once, and every
+    later call replays its outcome. Nothing outlives the scope."""
+    global _proved
+    _proved = {}
+    try:
+        yield
+    finally:
+        _proved = None
+
+
+def _lemma(fn):
+    """A proof step that several checks share. Inside `_battery` its first
+    call runs it, and later calls return the same value or raise the same
+    exception, so a FAIL line keeps its text; outside, every call proves."""
+    @functools.wraps(fn)
+    def lemma():
+        if _proved is None:
+            return fn()
+        if fn not in _proved:
+            try:
+                _proved[fn] = (fn(), None)
+            except Exception as exc:  # noqa: BLE001 - replayed to every check that shares it
+                _proved[fn] = (None, exc)
+        value, exc = _proved[fn]
+        if exc is not None:
+            raise exc
+        return value
+    return lemma
 
 
 def _require(cond, msg: str) -> None:
@@ -68,19 +105,25 @@ def _basic_counts() -> str:
     return "6 two-wire + 8 one-wire"
 
 
+@_lemma
+def _refuted() -> np.ndarray:
+    return correlated.erroneous_decomposition_product()
+
+
 def _refutation_distance() -> str:
-    d = max_abs_diff(correlated.erroneous_decomposition_product(), correlated.build_old_U())
+    d = max_abs_diff(_refuted(), correlated.build_old_U())
     _require(d >= 0.5, f"distance only {d:.4f}")
     return f"max difference from the legacy encoder = {d:.4f} (>= 0.5)"
 
 
 def _refutation_spots() -> str:
-    m = correlated.erroneous_decomposition_product()
+    m = _refuted()
     d = max(abs(m[1, 0] - 0.7071), abs(m[3, 3] - 0.8165))
     _require(d < 5e-5, f"spot entries off by {d:.2e}")
     return "published spot entries reproduced to 4 decimals"
 
 
+@_lemma
 def _block_theorem() -> None:
     # For U = NEW_U_ENTRIES, read exactly: U^T (W (x) 3) U = det(W) (I (x) W)
     # on ancilla |0>, with both off-diagonal blocks 0, as polynomials in
@@ -118,11 +161,12 @@ def _recovery_three() -> str:
     return "6 U^T U = 6 I exactly, and block forms det(W) (I (x) W) compose over rounds and mixtures"
 
 
-def _gate_words(c, shift: int = 0) -> list[tuple[str, tuple[int, ...]]]:
-    """c's gates as (gate name, wires), each wire moved up by shift."""
-    return [(pg.gate.name, tuple(w + shift for w in pg.wires)) for pg in c.gates]
+def _gate_words(c) -> list[tuple[str, tuple[int, ...]]]:
+    """c's gates as (gate name, wires)."""
+    return [(pg.gate.name, pg.wires) for pg in c.gates]
 
 
+@_lemma
 def _hybrid_shape() -> None:
     # P_n is P2 on wires 0..1 then P_{n-1} on wires 1..n-1 (even n), or P3
     # on wires 0..2 then P_{n-2} on wires 2..n-1 (odd n), as in
@@ -130,10 +174,11 @@ def _hybrid_shape() -> None:
     # n = 3 encoder followed by the width n - step encoder shifted by step,
     # so what holds for the n = 2 and n = 3 circuits holds at every width,
     # by induction on n.
+    words = {n: _gate_words(hybrid.encoder_circuit(n)) for n in range(2, hybrid.MAX_QUBITS + 1)}
     for n in range(4, hybrid.MAX_QUBITS + 1):
         base, step = (2, 1) if n % 2 == 0 else (3, 2)
-        stacked = _gate_words(hybrid.encoder_circuit(base)) + _gate_words(hybrid.encoder_circuit(n - step), step)
-        _require(_gate_words(hybrid.encoder_circuit(n)) == stacked,
+        stacked = words[base] + [(name, tuple(w + step for w in wires)) for name, wires in words[n - step]]
+        _require(words[n] == stacked,
                  f"n={n}: the encoder is not the n={base} encoder then the n={n - step} encoder "
                  f"shifted by {step} wires")
 
@@ -195,6 +240,7 @@ def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _conjugated_pauli(hybrid.encoder_circuit(n), _XYZ)
 
 
+@_lemma
 def _odd_walk() -> None:
     # Carried back, an attack meets the inner encoder first. At odd n, if
     # the inner walk leaves P on its top wire (wire 2) and nothing below,
@@ -271,13 +317,14 @@ CHECKS = (
 def cmd_verify(out=None) -> int:
     out = sys.stdout if out is None else out
     failures = 0
-    for name, fn in CHECKS:
-        try:
-            detail = fn()
-            print(f"PASS {name}: {detail}", file=out)
-        except Exception as exc:  # noqa: BLE001 - battery must keep going
-            failures += 1
-            print(f"FAIL {name}: {exc}", file=out)
+    with _battery():
+        for name, fn in CHECKS:
+            try:
+                detail = fn()
+                print(f"PASS {name}: {detail}", file=out)
+            except Exception as exc:  # noqa: BLE001 - battery must keep going
+                failures += 1
+                print(f"FAIL {name}: {exc}", file=out)
     total = len(CHECKS)
     print(f"{total - failures}/{total} checks passed", file=out)
     return 0 if failures == 0 else 1

@@ -177,15 +177,19 @@ def test_hybrid_realize_check_kills_a_swapped_stage_gate(monkeypatch, stage, mut
         check()
 
 
-def test_every_hybrid_check_kills_an_off_by_one_shift(monkeypatch):
-    # `_circuit_gates` with the inner encoder shifted one wire too few: at
-    # n=4 it lands on wires 0..2, on top of the two-wire stage
+def _shift_inner_encoders_short(monkeypatch) -> None:
+    """`_circuit_gates` with the inner encoder shifted one wire too few: at
+    n=4 it lands on wires 0..2, on top of the two-wire stage."""
     source = inspect.getsource(hybrid._circuit_gates)
     assert source.count("offset + step") == 1
     namespace = dict(vars(hybrid))
     exec(source.replace("offset + step", "offset + step - 1"), namespace)
     monkeypatch.setattr(hybrid, "_circuit_gates", namespace["_circuit_gates"])
     _rebuilt_encoders(monkeypatch)
+
+
+def test_every_hybrid_check_kills_an_off_by_one_shift(monkeypatch):
+    _shift_inner_encoders_short(monkeypatch)
     checks = dict(cli.CHECKS)
     for name in _HYBRID_CHECKS:
         with pytest.raises(AssertionError, match=r"^n=4: the encoder is not the n=2 encoder then the n=3"):
@@ -240,10 +244,15 @@ def test_corr_proofs_state_their_claims_exactly():
     )
 
 
+def _fail_lines(capsys) -> dict[str, str]:
+    """The message of each check `verify` FAILs, by name; it must exit 1."""
+    assert cli.cmd_verify() == 1
+    return dict(line[5:].split(": ", 1) for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL "))
+
+
 def _failed_checks(capsys) -> set[str]:
     """The names of the checks `verify` FAILs; it must exit 1."""
-    assert cli.cmd_verify() == 1
-    return {line[5:].split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")}
+    return set(_fail_lines(capsys))
 
 
 def _swap_columns(u):
@@ -297,6 +306,80 @@ def test_the_five_wire_proof_fails_a_broken_layout(monkeypatch, capsys, mutate, 
     finally:
         correlated._recursive_encoder.cache_clear()
     assert failed == {"five-wire recursive recovery"}
+
+
+def _passes(capsys) -> bool:
+    """`verify` exits 0 and passes all 18 checks."""
+    return cli.cmd_verify() == 0 and capsys.readouterr().out.endswith("18/18 checks passed\n")
+
+
+def _count_calls(monkeypatch, module, name) -> list[tuple]:
+    """Rebind module.name to a wrapper that records the arguments of each call."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_battery_proves_each_shared_lemma_once(monkeypatch, capsys):
+    theorem = _count_calls(monkeypatch, correlated, "block_theorem_defects")
+    refuted = _count_calls(monkeypatch, correlated, "erroneous_decomposition_product")
+    walks = _count_calls(monkeypatch, cli, "_walk_attacks")
+    words = _count_calls(monkeypatch, cli, "_gate_words")
+    assert _passes(capsys)
+    assert (len(theorem), len(refuted), walks.count((3,))) == (1, 1, 1)
+    assert len(words) == 7  # the shape reads each width n=2..8 once
+    # outside a battery, every check proves for itself
+    theorem.clear()
+    checks = dict(cli.CHECKS)
+    for name in _CORR_CHECKS:
+        checks[name]()
+    assert len(theorem) == 3
+
+
+def test_no_proof_outlives_its_battery(monkeypatch, capsys):
+    assert _passes(capsys)
+    u = np.array(correlated.NEW_U_ENTRIES)
+    _swap_columns(u)
+    monkeypatch.setattr(correlated, "NEW_U_ENTRIES", u.tolist())
+    failed = _fail_lines(capsys)
+    assert {failed.get(name) for name in _CORR_CHECKS} == {
+        "8 off-diagonal entries are not identically 0 and 3 top-left entries are not identically det(W) (I (x) W)"
+    }
+    monkeypatch.undo()
+    assert _passes(capsys)
+
+
+def test_a_battery_replays_a_failed_lemma_to_every_check_that_shares_it(monkeypatch, capsys):
+    _shift_inner_encoders_short(monkeypatch)
+    failed = _fail_lines(capsys)
+    messages = {failed.get(name) for name in _HYBRID_CHECKS}
+    assert len(messages) == 1
+    assert re.match(r"n=4: the encoder is not the n=2 encoder then the n=3", messages.pop())
+
+
+def test_an_interrupted_battery_leaves_no_proof_behind(monkeypatch, capsys):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    # interrupted after the block theorem is proved, and before its second use
+    checks = list(cli.CHECKS)
+    at = [name for name, _ in checks].index(_CORR_CHECKS[1])
+    monkeypatch.setattr(cli, "CHECKS", (*checks[:at], ("interrupt", interrupt), *checks[at:]))
+    with pytest.raises(KeyboardInterrupt):
+        cli.cmd_verify()
+    monkeypatch.undo()
+    assert cli._proved is None
+    theorem = _count_calls(monkeypatch, correlated, "block_theorem_defects")
+    cli._block_theorem()
+    cli._block_theorem()
+    assert len(theorem) == 2
+    assert _passes(capsys)
+    assert len(theorem) == 3
 
 
 def test_criterion_1_decompositions():

@@ -6,9 +6,12 @@ Runs the `cli.CHECKS` battery BATTERIES times (default 15) in this
 process and prints, for each check in battery order, its median process-CPU
 time in ms, its share of the median battery and its median count of minor
 page faults (`getrusage(RUSAGE_SELF).ru_minflt`), then the median battery
-totals. The first battery fills the package's caches; the median keeps it
-out of the result once there are three or more. A failing check stops the
-run with its error.
+totals. Each battery runs in the scope `corrqec verify` runs it in
+(`cli._battery`), so the rows add up to what a real battery costs: a
+lemma that several checks share is proved once per battery, and its time
+is charged to the first check that uses it. The first battery fills the
+package's caches; the median keeps it out of the result once there are
+three or more. A failing check stops the run with its error.
 
 Times are scaled to reference host speed as perfbench/run.py scales an op:
 the host-speed probe (perfbench/probe.py) runs before the first battery
@@ -55,10 +58,11 @@ def check_times(batteries: int) -> tuple[dict[str, tuple[float, float]], tuple[f
     before = probe_seconds()
     for _ in range(batteries):
         battery = []
-        for name, check in cli.CHECKS:
-            f0, t0 = _minor_faults(), process_time()
-            check()
-            battery.append((name, 1e3 * (process_time() - t0), _minor_faults() - f0))
+        with cli._battery():
+            for name, check in cli.CHECKS:
+                f0, t0 = _minor_faults(), process_time()
+                check()
+                battery.append((name, 1e3 * (process_time() - t0), _minor_faults() - f0))
         after = probe_seconds()
         slowdown = (before + after) / (2 * PROBE_REF_S)
         before = after
