@@ -9,8 +9,11 @@ and seed. Reports are fully computed before anything is written, so a
 failed run never leaves a partial file behind.
 
 argparse defines every flag, help and error text. A plain `run` line is
-read in one pass over the `run` parser's own actions; argparse parses any
-other line, and every `verify` and `dump` line.
+read in one pass over the `run` parser's own actions; `_PARSER.parse_args`
+parses any other line, and every `verify` and `dump` line.
+
+The four corr checks of `verify` stand on the exact block theorem
+(`correlated.block_theorem_defects`) and sample no attack.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from . import correlated, hybrid, noise_exp
 from .circuit import _PAULI_TAGS, _PAULI_XZ, _PAULIS, _conjugated_pauli, circuit_to_text, realize
 from .gates import H
-from .linalg import equal_up_to_global_phase, kron, matrix_to_text, max_abs_diff
+from .linalg import matrix_to_text, max_abs_diff
 
 # Every check returns a detail string and raises on failure. A check looks
 # up the functions it runs when it is called, so a caller that rebinds a
@@ -140,14 +143,11 @@ def _blocks_exact() -> str:
 
 
 def _blocks_hadamard() -> str:
-    rep = correlated.verify_block_structure(correlated.build_new_U(), H.matrix)
-    i2h = kron(np.eye(2), H.matrix.array)
-    _require(rep.off_diag_norm <= 1e-12, f"off-diag {rep.off_diag_norm:.3e}")
-    _require(equal_up_to_global_phase(rep.top_left, i2h, 1e-10), "top-left not I (x) H up to phase")
-    # H has determinant -1, and the construction pins the block to det(W) * W.
-    pivot = np.unravel_index(np.argmax(np.abs(rep.top_left)), (4, 4))
-    phase = rep.top_left[pivot] / i2h[pivot]
-    _require(abs(phase + 1.0) <= 1e-10, f"alignment phase {phase:.6f}, expected -1")
+    # By the block theorem the top-left block is det(W) (I (x) W) for every
+    # W, so for H it is -(I (x) H) exactly once det(H) = -1.
+    _block_theorem()
+    det = np.linalg.det(H.matrix.array)
+    _require(abs(det + 1.0) <= 1e-12, f"det(H) = {det:.6f}, expected -1")
     return "top-left = -(I (x) H) exactly; phase matches the determinant"
 
 
@@ -427,8 +427,7 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
-                             dict[str, argparse.Action]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
     p = argparse.ArgumentParser(
         prog="corrqec",
         description="Simulate and verify error-avoiding codes for fully-correlated noise.",
@@ -462,12 +461,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     d = sub.add_parser("dump", help="print a matrix or circuit")
     d.add_argument("what", help="u | old-u | p2 | p3 | pn:<n> | circuit:<name>")
     d.add_argument("--out", default=None, help="output file (default: stdout)")
-    return p, sub.choices, run_flags
+    return p, run_flags
 
 
-# the top-level parser, each command's parser, and the `run` flags' actions
-# by option string (the help action left out)
-_PARSER, _COMMANDS, _RUN_FLAGS = _build_parser()
+# the top-level parser, and the `run` flags' actions by option string (the
+# help action left out)
+_PARSER, _RUN_FLAGS = _build_parser()
 # what the `run` parser puts in every namespace, and the flags it requires
 _RUN_DEFAULTS = {a.dest: a.default for a in _RUN_FLAGS.values() if a.default is not argparse.SUPPRESS}
 _RUN_REQUIRED = frozenset(a for a in _RUN_FLAGS.values() if a.required)
@@ -507,19 +506,9 @@ def _read_run(tokens) -> argparse.Namespace | None:
 
 def _parse_args(argv) -> argparse.Namespace:
     """`_PARSER.parse_args(argv)`. A plain `run` line takes `_read_run`;
-    argparse, which alone prints help and errors, parses any other line
-    once: only the command's parser reads the rest, as the nested parse
-    would, and a leftover token is the same top-level error."""
+    argparse, which alone prints help and errors, parses any other line."""
     args = _read_run(argv[1:]) if argv and argv[0] == "run" else None
-    if args is not None:
-        return args
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    if sub is None:
-        return _PARSER.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -15,12 +15,8 @@ The recursive scheme chains the same encoder over 2k+1 wires to protect k
 data qubits (odd wires), with the sink still on wire 2 and every remaining
 even wire returning to |0>.
 
-A `CorrelatedChannel` keeps its atoms as one (k, 2, 2) stack, and
-`apply_channel` applies the whole mixture as one stacked conjugation by
-the k tensor powers W_i^(tensor n), the dense form the effect engine
-(`circuit.effect_distribution`) takes per run: O(k 8^n), against
-O(k n 4^n) for the per-wire `attack` once per atom, and the cheaper for
-the 3-wire channels of this package (the tests go up to n = 5).
+`apply_channel` sums a channel's atoms' images under `circuit.attack`, the
+one all-wire attack. Every function here takes one attack W, not a stack.
 
 NEW_U_ENTRIES / OLD_U_ENTRIES are deliberately plain mutable tables so a
 test harness can corrupt one entry and confirm the verification battery
@@ -38,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -47,6 +43,7 @@ from .circuit import (
     Circuit,
     DensityMatrix,
     StateVector,
+    attack,
     basis_state,
     fidelity,
     partial_trace,
@@ -108,9 +105,8 @@ def build_new_U() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlockReport:
-    """4x4 diagonal blocks of a conjugated three-wire attack, or (k, 4, 4)
-    stacks of them for k attacks, plus the largest off-diagonal entry
-    magnitude."""
+    """4x4 diagonal blocks of a conjugated three-wire attack plus the
+    largest off-diagonal entry magnitude."""
 
     top_left: np.ndarray
     bottom_right: np.ndarray
@@ -122,25 +118,21 @@ class BlockReport:
 
 
 def verify_block_structure(u, w) -> BlockReport:
-    """Report the block structure of U-dagger (W tensor W tensor W) U, for
-    one 2x2 W or a non-empty (k, 2, 2) stack of them.
-
-    For a stack the blocks are (k, 4, 4) stacks in the order of the Ws,
-    each bit for bit the block that W gets alone, and off_diag_norm is the
-    largest over the whole stack. ValueError unless u is an 8x8 unitary and
-    every W a 2x2 unitary, within 1e-10; one check covers the whole stack."""
+    """Report the block structure of U-dagger (W tensor W tensor W) U for
+    one 2x2 W. ValueError unless u is an 8x8 unitary and w a 2x2 unitary,
+    within 1e-10."""
     um, wm = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
     if um.shape != (8, 8):
         raise ValueError("encoder must be 8x8")
-    if wm.ndim not in (2, 3) or wm.shape[-2:] != (2, 2) or not wm.size:
-        raise ValueError("attack unitary must be 2x2, or a non-empty (k, 2, 2) stack of them")
+    if wm.shape != (2, 2):
+        raise ValueError("attack unitary must be 2x2")
     if not is_unitary(um, 1e-10):
         raise ValueError("encoder input is not unitary")
     if not is_unitary(wm, 1e-10):
         raise ValueError("attack input is not unitary")
     m = um.conj().T @ tensor_power(wm, 3) @ um
-    off = max(float(np.abs(m[..., :4, 4:]).max()), float(np.abs(m[..., 4:, :4]).max()))
-    return BlockReport(top_left=m[..., :4, :4], bottom_right=m[..., 4:, 4:], off_diag_norm=off)
+    off = max(float(np.abs(m[:4, 4:]).max()), float(np.abs(m[4:, :4]).max()))
+    return BlockReport(top_left=m[:4, :4], bottom_right=m[4:, 4:], off_diag_norm=off)
 
 
 # The block theorem in exact arithmetic. sqrt(6) times an encoder entry is
@@ -311,40 +303,32 @@ class CorrelatedChannel:
     """Finitely supported mixture of all-wire tensor-power attacks,
     rho -> sum_k p_k W_k^(tensor n) rho W_k^(tensor n)-dagger.
 
-    The atoms are copied once, into the read-only (k, 2, 2) stack `atoms`
-    that `apply_channel` conjugates by, beside the read-only (k,) weight
-    vector `weights`; `support` pairs each atom, a view into the stack,
-    with its weight. The weights are checked first, so an empty support
-    fails on its sum, then one unitarity check covers the whole stack."""
+    `support` holds one read-only copy of each atom with its weight. The
+    weights are checked first, so an empty support fails on its sum, then
+    each atom is checked for unitarity on its own."""
 
     n_qubits: int
     support: tuple[tuple[np.ndarray, float], ...]
-    atoms: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "n_qubits", 1))
         ws, ps = [], []
         for w, p in self.support:
-            wm = np.asarray(w, dtype=complex)
+            wm = np.array(w, dtype=complex)  # the one copy of the atom
             if wm.shape != (2, 2):
                 raise ValueError("channel atoms must be 2x2")
             pf = float(p)
             if not np.isfinite(pf) or pf < 0:  # NaN passes every comparison
                 raise ValueError(f"probability {pf} is negative or not finite")
+            wm.setflags(write=False)
             ws.append(wm)
             ps.append(pf)
         total = sum(ps)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        atoms, weights = np.array(ws), np.array(ps)  # the one copy of the atoms
-        if not is_unitary(atoms, 1e-12):
+        if not all(is_unitary(w, 1e-12) for w in ws):
             raise ValueError("channel atom is not unitary within 1e-12")
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "support", tuple(zip(atoms, ps)))
+        object.__setattr__(self, "support", tuple(zip(ws, ps)))
 
 
 def make_channel(n: int, support) -> CorrelatedChannel:
@@ -355,19 +339,13 @@ def make_channel(n: int, support) -> CorrelatedChannel:
 
 
 def apply_channel(ch: CorrelatedChannel, rho: DensityMatrix) -> DensityMatrix:
-    """The channel on rho as one stacked product: the (k, 2^n, 2^n) stack
-    of tensor powers W_k^(tensor n) (`tensor_power` on `ch.atoms`, as
-    `circuit.effect_distribution` forms its one) conjugates rho, and the
-    k images are summed with the weights. That costs O(k 8^n), against
-    O(k n 4^n) for k calls of `attack`, one contraction per wire each;
-    the channels in this package act on 3 wires, where the one batched
-    product is the cheaper, and the tests take it up to n = 5."""
+    """The channel on rho: the weighted sum, over the atoms W_k, of the
+    per-wire all-wire `attack` by W_k."""
     n = rho.n_wires
     if n != ch.n_qubits:
         raise ValueError(f"channel acts on {ch.n_qubits} wires, state has {n}")
-    wn = tensor_power(ch.atoms, n)
-    out = ch.weights @ (wn @ rho.matrix @ wn.conj().swapaxes(-1, -2)).reshape(len(wn), -1)
-    return DensityMatrix._trusted(out.reshape(2**n, 2**n), n)
+    out = sum(p * attack(rho, w).matrix for w, p in ch.support)
+    return DensityMatrix._trusted(out, n)
 
 
 def three_qubit_protect(
@@ -463,22 +441,12 @@ def atom_from_selector(sel: str) -> np.ndarray:
     raise ValueError(f"unknown attack selector {sel!r}")
 
 
-def random_su2(rng: np.random.Generator, k: int | None = None) -> np.ndarray:
-    """Haar-random 2x2 special unitary (QR of a Ginibre sample, then
-    phase-fixed so the determinant is 1 up to rounding); with k, a
-    (k, 2, 2) stack of them.
-
-    Each sample takes 8 normals from rng, the real parts then the
-    imaginary parts of its 2x2 Ginibre matrix, so the stack draws what k
-    calls without k would, in the same order, and its members are those
-    calls' results bit for bit: the stacked QR, matmul and determinant run
-    the same kernel on each member."""
-    x = rng.normal(size=(1 if k is None else _integer(k, "k", 1), 2, 2, 2))
-    g = x[:, 0] + 1j * x[:, 1]
-    q, r = np.linalg.qr(g)
-    phases = np.zeros_like(r)  # diag(r_ii / |r_ii|), one per member
-    d = np.diagonal(r, axis1=1, axis2=2)
-    phases[:, [0, 1], [0, 1]] = d / np.abs(d)
-    q = q @ phases
-    q = q / np.sqrt(np.linalg.det(q))[:, None, None]
-    return q[0] if k is None else q
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 special unitary: the QR of a Ginibre sample, whose 8
+    normals rng gives as the real parts then the imaginary parts,
+    phase-fixed so the determinant is 1 up to rounding."""
+    x = rng.normal(size=(2, 2, 2))
+    q, r = np.linalg.qr(x[0] + 1j * x[1])
+    d = np.diagonal(r)
+    q = q @ np.diag(d / np.abs(d))
+    return q / np.sqrt(np.linalg.det(q))

@@ -11,9 +11,7 @@ most significant one (top wire of a circuit diagram, wire index 0).
 `kron` is the package's one Kronecker product, of two vectors or two
 matrices: the same single products as `np.kron`, so the same bytes, by one
 broadcast multiply, without np.kron's general-rank bookkeeping.
-`tensor_power` and `is_unitary` take a (k, r, c) stack of matrices as well
-as one, and give each member the bytes it gets alone, so a batch of
-samples costs one call.
+`tensor_power` and `is_unitary` take one matrix; a stack is rejected.
 """
 from __future__ import annotations
 
@@ -70,13 +68,10 @@ class ComplexMatrix:
         return f"ComplexMatrix({self._a.shape[0]}x{self._a.shape[1]})"
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron of two matrices, either of which may be a (k, r, c) stack: the
-    leading axes broadcast, and each member of the result is the product
-    of its two members, entry for entry the products `kron` forms."""
-    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], ra * rb, ca * cb)
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron of two 2-D arrays: each entry the one product a[i, k] * b[j, l]."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def kron(a, b) -> np.ndarray:
@@ -87,30 +82,28 @@ def kron(a, b) -> np.ndarray:
     if a.ndim == b.ndim == 1:
         return (a[:, None] * b[None, :]).reshape(-1)
     if a.ndim == b.ndim == 2:
-        return _kron_stack(a, b)
+        return _kron2(a, b)
     raise ValueError(f"kron needs two 1-D or two 2-D arrays, got shapes {a.shape} and {b.shape}")
 
 
 def tensor_power(w, n: int) -> np.ndarray:
-    """w tensored with itself n times, the same factor on every wire; for
-    a (k, r, c) stack and n >= 1, the stack of each member's power, bit
-    for bit the power of that member alone."""
+    """w tensored with itself n times, the same factor on every wire."""
     w = np.asarray(w)
-    if w.ndim not in (2, 3):
-        raise ValueError(f"tensor_power needs a matrix or a (k, r, c) stack of them, got shape {w.shape}")
+    if w.ndim != 2:
+        raise ValueError(f"tensor_power needs a matrix, got shape {w.shape}")
     m = np.ones((1, 1), dtype=complex)
     for _ in range(n):
-        m = _kron_stack(m, w)
+        m = _kron2(m, w)
     return m
 
 
 def is_unitary(a, tol) -> bool:
-    """Whether a, one square matrix or a non-empty (k, d, d) stack, is
-    unitary: every entry of every a-dagger a within tol of the identity's."""
+    """Whether the square matrix a is unitary: every entry of a-dagger a
+    within tol of the identity's."""
     aa = np.asarray(a)
-    if aa.ndim not in (2, 3) or aa.shape[-1] != aa.shape[-2] or not aa.size:
-        raise ValueError(f"is_unitary needs a square matrix or a non-empty stack of them, got {aa.shape}")
-    dev = np.abs(aa.conj().swapaxes(-1, -2) @ aa - np.eye(aa.shape[-1])).max()
+    if aa.ndim != 2 or aa.shape[0] != aa.shape[1] or not aa.size:
+        raise ValueError(f"is_unitary needs a non-empty square matrix, got {aa.shape}")
+    dev = np.abs(aa.conj().T @ aa - np.eye(len(aa))).max()
     return bool(dev <= float(tol))
 
 

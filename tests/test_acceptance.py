@@ -27,7 +27,7 @@ from corrqec.circuit import (
     tensor,
     to_density,
 )
-from corrqec.gates import CNOT, H, PlacedGate
+from corrqec.gates import CNOT, H, I, PlacedGate
 from corrqec.linalg import equal_up_to_global_phase, max_abs_diff, tensor_power
 from test_correlated import PRINTED_PRODUCT, rand_qubit
 
@@ -339,6 +339,26 @@ def test_a_battery_proves_each_shared_lemma_once(monkeypatch, capsys):
     for name in _CORR_CHECKS:
         checks[name]()
     assert len(theorem) == 3
+
+
+def test_the_hadamard_check_reads_the_exact_theorem(monkeypatch, capsys):
+    # no float block product: the check proves the theorem (or, in a
+    # battery, reuses its outcome), fails with its message on a corrupted
+    # table, and then requires the determinant -1 that fixes the sign
+    theorem = _count_calls(monkeypatch, correlated, "block_theorem_defects")
+    product = _count_calls(monkeypatch, correlated, "verify_block_structure")
+    check = dict(cli.CHECKS)["block structure with the Hadamard atom"]
+    assert check() == "top-left = -(I (x) H) exactly; phase matches the determinant"
+    assert (len(theorem), len(product)) == (1, 0)
+    monkeypatch.setattr(cli, "H", I)  # determinant 1: the block would be +(I (x) W)
+    with pytest.raises(AssertionError, match=r"^det\(H\) = 1\.000000\+0\.000000j, expected -1$"):
+        check()
+    monkeypatch.setattr(cli, "H", H)
+    u = np.array(correlated.NEW_U_ENTRIES)
+    _swap_columns(u)
+    monkeypatch.setattr(correlated, "NEW_U_ENTRIES", u.tolist())
+    failed = _fail_lines(capsys)
+    assert failed["block structure with the Hadamard atom"] == failed[_CORR_CHECKS[0]]
 
 
 def test_no_proof_outlives_its_battery(monkeypatch, capsys):

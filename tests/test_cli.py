@@ -518,7 +518,7 @@ def _quiet(parse, argv):
 def test_every_grid_argv_is_read_without_argparse():
     argvs = [op.command("r.out") for op in oracle_grid()]
     expected = [list(vars(cli._PARSER.parse_args(argv)).items()) for argv in argvs]
-    with mock.patch.object(cli._COMMANDS["run"], "parse_known_args",
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args",
                            side_effect=AssertionError("argparse read a well-formed run line")):
         assert [list(vars(cli._parse_args(argv)).items()) for argv in argvs] == expected
 

@@ -359,12 +359,13 @@ def test_unchecked_producers_make_valid_states(case):
 @_SETTINGS
 @given(st.integers(1, 5), st.integers(1, 5), seeds)
 def test_a_channel_is_its_weighted_sum_of_attacks(n, k, seed):
-    # the one stacked product of `apply_channel` against the sum over its
-    # atoms of p times the per-wire `attack`, for k Haar-random U(2) atoms
+    # `apply_channel`, atom by atom through the per-wire `attack`, against
+    # the dense sum over its atoms of p W^(tensor n) rho W^(tensor n)-dagger,
+    # for k Haar-random U(2) atoms
     rng = np.random.default_rng(seed)
     ch = make_channel(n, zip([random_unitary(rng, 1) for _ in range(k)], rng.dirichlet(np.ones(k))))
     rho = DensityMatrix(random_density(rng, n), n)
-    expect = sum(p * attack(rho, w).matrix for w, p in ch.support)
+    expect = sum(p * tensor_power(w, n) @ rho.matrix @ tensor_power(w, n).conj().T for w, p in ch.support)
     assert np.abs(apply_channel(ch, rho).matrix - expect).max() <= 1e-13
 
 
