@@ -38,11 +38,11 @@ kick is then a Pauli fault, pushed to the output on GF(2) bits
 (`_faults`), its distribution without the attack is cached
 (`_fault_base`), and a run only shifts it by the attack's flips. The dense
 pass `apply`, `attack`, `born_distribution` is the tests' reference for
-both. `_conjugated_pauli` carries a stack of all-wire Paulis back through a
-Clifford circuit in one walk by the same step as `_faults` (`_carry_back`),
-which is how `verify` proves the hybrid factorization. Both hold their
-Paulis packed: one Python int per x or z bit row of a wire, one bit per
-Pauli, so a gate costs a few XORs of ints.
+both. `_conjugated_pauli` carries several all-wire Paulis, given as their
+(x, z) bit pairs, back through a Clifford circuit in one walk by the same
+step as `_faults` (`_carry_back`), which is how `verify` proves the hybrid
+factorization. Both hold their Paulis packed: one Python int per x or z
+bit row of a wire, one bit per Pauli, so a gate costs a few XORs of ints.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -567,18 +567,24 @@ def _faults(c: Circuit, measured: tuple[int, ...]):
     return tuple(arities), sums, walsh, attack_flips
 
 
-def _conjugated_pauli(c: Circuit, ws) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z bits, (k, n) each, of c-dagger (w on every wire) c for
-    each w in a (k, 2, 2) stack of Paulis up to phase. One backward walk,
-    last gate first, carries all k packed as `_carry_back` packs them, w_j
-    as bit j of each row, as `_faults` carries its m. Phases are dropped.
-    ValueError if ws is not a non-empty stack of Paulis up to phase or a
-    gate of c is not Clifford."""
-    ws = np.asarray(ws, dtype=complex)
-    if ws.ndim != 3 or not len(ws) or ws.shape[1:] != (2, 2):
-        raise ValueError(f"ws must be a non-empty (k, 2, 2) stack of 2x2 matrices, got shape {ws.shape}")
-    n, k = c.n_wires, len(ws)
-    x, z = (sum(int(v) << j for j, v in enumerate(col)) for col in _pauli_bits(ws).T)
+def _conjugated_pauli(c: Circuit, xz) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bits, (k, n) each, of c-dagger (P_j on every wire) c for
+    each one-wire Pauli P_j of a non-empty sequence of k (x, z) bit pairs,
+    as in `_PAULI_XZ`. One backward walk, last gate first, carries all k
+    packed as `_carry_back` packs them, P_j as bit j of each row, as
+    `_faults` carries its m. Phases are dropped. ValueError if xz is empty,
+    a pair is not two integers in {0, 1} or a gate of c is not Clifford.
+    A matrix enters as its bits, `_pauli_bits`, so a 2x2 one is not read
+    as two pairs."""
+    try:
+        pairs = [tuple(p) for p in xz]
+    except TypeError:  # not a sequence of sequences
+        pairs = []
+    if not pairs or not all(all(isinstance(v, (int, np.integer)) for v in p) and p in _PAULI_XZ for p in pairs):
+        raise ValueError("xz must be a non-empty sequence of (x, z) integer bit pairs in {0, 1}^2")
+    n, k = c.n_wires, len(pairs)
+    x = sum(1 << j for j, (v, _) in enumerate(pairs) if v)
+    z = sum(1 << j for j, (_, v) in enumerate(pairs) if v)
     b = [x] * n + [z] * n
     for pg in reversed(c.gates):
         _carry_back(b, pg, n)

@@ -13,7 +13,10 @@ read in one pass over the `run` parser's own actions; `_PARSER.parse_args`
 parses any other line, and every `verify` and `dump` line.
 
 The four corr checks of `verify` stand on the exact block theorem
-(`correlated.block_theorem_defects`) and sample no attack.
+(`correlated.block_theorem_defects`) and sample no attack. Within one
+battery each encoder table is read once: both as floats, and the corrected
+one exactly, for the block theorem and the Gram check. The hybrid walks
+start from the attacks' own (x, z) bits (`circuit._PAULI_XZ`).
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import sys
 import numpy as np
 
 from . import correlated, hybrid, noise_exp
-from .circuit import _PAULI_TAGS, _PAULI_XZ, _PAULIS, _conjugated_pauli, circuit_to_text, realize
+from .circuit import _PAULI_TAGS, _PAULI_XZ, _conjugated_pauli, circuit_to_text, realize
 from .gates import H
 from .linalg import matrix_to_text, max_abs_diff
 
@@ -77,6 +80,27 @@ def _require(cond, msg: str) -> None:
         raise AssertionError(msg)
 
 
+# Each encoder table is read once per battery: both as floats, read-only,
+# and the corrected one exactly, for the block theorem and the Gram check.
+@_lemma
+def _corrected() -> np.ndarray:
+    u = correlated.build_new_U()
+    u.setflags(write=False)
+    return u
+
+
+@_lemma
+def _legacy() -> np.ndarray:
+    u = correlated.build_old_U()
+    u.setflags(write=False)
+    return u
+
+
+@_lemma
+def _corrected_exactly():
+    return correlated._exact_encoder(correlated.NEW_U_ENTRIES)
+
+
 def _unitary(u) -> str:
     dev = max_abs_diff(u.conj().T @ u, np.eye(8))
     _require(dev <= 1e-12, f"deviation {dev:.3e}")
@@ -84,13 +108,13 @@ def _unitary(u) -> str:
 
 
 def _shared_columns() -> str:
-    d = max_abs_diff(correlated.build_new_U()[:, :4], correlated.build_old_U()[:, :4])
+    d = max_abs_diff(_corrected()[:, :4], _legacy()[:, :4])
     _require(d <= 1e-15, f"first four columns differ by {d:.3e}")
     return "first four columns identical"
 
 
 def _realizes_corrected(c) -> str:
-    d = max_abs_diff(realize(c), correlated.build_new_U())
+    d = max_abs_diff(realize(c), _corrected())
     _require(d <= 1e-12, f"deviation {d:.3e}")
     return f"max deviation {d:.3e}"
 
@@ -114,7 +138,7 @@ def _refuted() -> np.ndarray:
 
 
 def _refutation_distance() -> str:
-    d = max_abs_diff(_refuted(), correlated.build_old_U())
+    d = max_abs_diff(_refuted(), _legacy())
     _require(d >= 0.5, f"distance only {d:.4f}")
     return f"max difference from the legacy encoder = {d:.4f} (>= 0.5)"
 
@@ -131,7 +155,7 @@ def _block_theorem() -> None:
     # For U = NEW_U_ENTRIES, read exactly: U^T (W (x) 3) U = det(W) (I (x) W)
     # on ancilla |0>, with both off-diagonal blocks 0, as polynomials in
     # W's four entries, so for every W in GL(2) and with no tolerance.
-    off, top = correlated.block_theorem_defects(correlated.NEW_U_ENTRIES)
+    off, top = correlated.block_theorem_defects(_corrected_exactly())
     _require((off, top) == (0, 0), f"{off} off-diagonal entries are not identically 0 and {top} top-left "
                                    "entries are not identically det(W) (I (x) W)")
 
@@ -155,7 +179,7 @@ def _recovery_three() -> str:
     # With U orthogonal, U^T (W2 (x) 3)(W1 (x) 3) U is the product of the two
     # block forms, so any number of rounds, and any mixture, leaves the
     # data wire alone and ancilla |0>, and the sink carries the attacks.
-    bad = correlated.exact_gram_defects(correlated.NEW_U_ENTRIES)
+    bad = correlated.exact_gram_defects(_corrected_exactly())
     _require(bad == 0, f"{bad} entries of 6 U^T U are not those of 6 I")
     _block_theorem()
     return "6 U^T U = 6 I exactly, and block forms det(W) (I (x) W) compose over rounds and mixtures"
@@ -183,7 +207,7 @@ def _hybrid_shape() -> None:
                  f"shifted by {step} wires")
 
 
-def _corr_peel(k: int) -> None:
+def _corr_peel(k: int, base_gates: list, base_wires: list[int]) -> None:
     # recursive_encoder(k) is E = T_1 T_k ... T_2, the base circuit U on each
     # triple (ancilla, data, sink) of recursive_triples(k), in time order,
     # so E^T (W (x) 2k+1) E = T_2^T ... T_k^T (T_1^T (W (x) 2k+1) T_1) T_k ... T_2.
@@ -192,28 +216,32 @@ def _corr_peel(k: int) -> None:
     # into det(W) W on its sink. What is left has the same form with one
     # triple fewer, if W now sits on exactly the wires the unpeeled triples
     # cover. At the end, E^T (W (x) 2k+1) E = det(W)^k W on wire 2 alone.
+    # A set of wires is an int, bit w for wire w. The base circuit U comes
+    # as its gates and its gates' wires in order.
     triples = correlated.recursive_triples(k)
     _require(triples[-1] == (0, 1, 2), f"k={k}: T_1 = (0, 1, 2) is not last in time")
-    covered = list(itertools.accumulate(map(set, triples), set.union))  # wires of triples[:t + 1]
-    touched = [t for t in range(1, len(triples)) if triples[t][0] in covered[t - 1]]
+    masks = [1 << a | 1 << d | 1 << s for a, d, s in triples]
+    covered = list(itertools.accumulate(masks, int.__or__))  # wires of triples[:t + 1]
+    touched = [t for t in range(1, len(triples)) if covered[t - 1] >> triples[t][0] & 1]
     _require(not touched, f"k={k}: the ancillas of triples {touched} are touched before their triples")
     _require(sorted(data for _, data, _ in triples) == correlated.recursive_data_wires(k),
              f"k={k}: the triples' data wires are not recursive_data_wires({k})")
-    on = [set(range(2 * k + 1))]  # the wires W sits on before each peel, then after the last
+    on = [(1 << 2 * k + 1) - 1]  # the wires W sits on before each peel, then after the last
     for ancilla, data, _ in reversed(triples):
-        on.append(on[-1] - {ancilla, data})
+        on.append(on[-1] & ~(1 << ancilla | 1 << data))
     _require(on[:-1] == covered[::-1], f"k={k}: W is not on exactly the unpeeled triples' wires at every peel")
-    _require(on[-1] == {correlated.SINK_WIRE}, f"k={k}: the peeled W does not end on the sink wire alone")
-    base, enc = correlated.standard_decomposition().gates, correlated.recursive_encoder(k).gates
-    base_wires = [w for pg in base for w in pg.wires]
-    _require([pg.gate for pg in enc] == [pg.gate for pg in base] * k
+    _require(on[-1] == 1 << correlated.SINK_WIRE, f"k={k}: the peeled W does not end on the sink wire alone")
+    enc = correlated.recursive_encoder(k).gates
+    _require([pg.gate for pg in enc] == base_gates * k
              and [w for pg in enc for w in pg.wires] == [tri[w] for tri in triples for w in base_wires],
              f"k={k}: the encoder is not the base circuit placed on each triple in turn")
 
 
 def _recovery_five() -> str:
+    base = correlated.standard_decomposition().gates
+    gates, wires = [pg.gate for pg in base], [w for pg in base for w in pg.wires]
     for k in range(2, 9):
-        _corr_peel(k)
+        _corr_peel(k, gates, wires)
     _block_theorem()
     return ("every k >= 1 by induction: k=2..8 peel to det(W)^k W on the sink wire, "
             "through the exact block theorem")
@@ -230,14 +258,10 @@ def _hybrid_circuits() -> str:
             "identity wire order), and n=4..8 stack as P_n does")
 
 
-_XYZ = np.stack(_PAULIS[1:])  # the attacks X, Y and Z, as one stack for the walk
-_XYZ.setflags(write=False)
-
-
 def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (3, n) x and z bits of X, Y and Z on every wire, carried back
-    through the width-n encoder circuit in one walk."""
-    return _conjugated_pauli(hybrid.encoder_circuit(n), _XYZ)
+    through the width-n encoder circuit in one walk from their own bits."""
+    return _conjugated_pauli(hybrid.encoder_circuit(n), _PAULI_XZ[1:])
 
 
 @_lemma
@@ -291,8 +315,8 @@ def _preset_success() -> str:
 # The acceptance battery: `corrqec verify` runs it in this order, and the
 # test suite runs each check as its own test.
 CHECKS = (
-    ("corrected encoder is unitary", lambda: _unitary(correlated.build_new_U())),
-    ("legacy encoder is unitary", lambda: _unitary(correlated.build_old_U())),
+    ("corrected encoder is unitary", lambda: _unitary(_corrected())),
+    ("legacy encoder is unitary", lambda: _unitary(_legacy())),
     ("encoders share their first four columns", _shared_columns),
     ("standard decomposition realizes the corrected encoder",
      lambda: _realizes_corrected(correlated.standard_decomposition())),

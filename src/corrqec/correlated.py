@@ -21,13 +21,14 @@ one all-wire attack. Every function here takes one attack W, not a stack.
 NEW_U_ENTRIES / OLD_U_ENTRIES are deliberately plain mutable tables so a
 test harness can corrupt one entry and confirm the verification battery
 notices (see cli.cmd_verify). The battery's corr proofs read NEW_U_ENTRIES
-exactly (`block_theorem_defects`, `exact_gram_defects`): sqrt(6) times each
-entry must be 0, +-1, +-2, +-sqrt2, +-sqrt3 or +-sqrt6 within 1e-12. So an
-entry moved off that set (a column rotated by 1e-4) fails the read, which
-names the entry, and one moved to another value of the set (two columns
-swapped) fails the exact block theorem or the exact 6 U^T U = 6 I, with no
-tolerance. The float checks, unitarity and the decompositions within
-1e-12, see most corruptions too.
+exactly, once per battery (`_exact_encoder`), and run both exact checks,
+`block_theorem_defects` and `exact_gram_defects`, on that one read:
+sqrt(6) times each entry must be 0, +-1, +-2, +-sqrt2, +-sqrt3 or +-sqrt6
+within 1e-12. So an entry moved off that set (a column rotated by 1e-4)
+fails the read, which names the entry, and one moved to another value of
+the set (two columns swapped) fails the exact block theorem or the exact
+6 U^T U = 6 I, with no tolerance. The float checks, unitarity and the
+decompositions within 1e-12, see most corruptions too.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,7 +189,14 @@ _MONOMIALS, _BLOCK_FORM = _monomial_tables()
 _MONOMIAL_ROWS = _MONOMIALS.transpose(0, 2, 1).reshape(-1, 8)
 
 
-def _exact_encoder(entries) -> tuple[np.ndarray, np.ndarray]:
+class _ExactEncoder(NamedTuple):
+    """An encoder table as `_exact_encoder` reads it, both arrays read-only."""
+
+    v: np.ndarray
+    left: np.ndarray
+
+
+def _exact_encoder(entries) -> _ExactEncoder:
     """sqrt(6) times an 8x8 real table, read exactly: its (8, 8, 4)
     coordinates v[i, p, basis] and the (32, 32) left factor
     L[(p, g), (i, b)] = sum_a v[i, p, a] (e_a e_b)_g, so that L @ x, for
@@ -205,27 +214,37 @@ def _exact_encoder(entries) -> tuple[np.ndarray, np.ndarray]:
                          f"+-sqrt2, +-sqrt3 or +-sqrt6 within 1e-12")
     v = _RING_COORDS[pick]
     left = (v.reshape(64, 4) @ _PRODUCT.reshape(4, 16)).reshape(8, 8, 4, 4)  # i, p, b, g
-    return v, left.transpose(1, 3, 0, 2).reshape(32, 32)
+    left = left.transpose(1, 3, 0, 2).reshape(32, 32)
+    v.setflags(write=False)
+    left.setflags(write=False)
+    return _ExactEncoder(v, left)
+
+
+def _read_exactly(entries) -> _ExactEncoder:
+    """An 8x8 real table read by `_exact_encoder`, or such a read as it is:
+    a caller that runs both exact checks on one table reads it once."""
+    return entries if isinstance(entries, _ExactEncoder) else _exact_encoder(entries)
 
 
 def exact_gram_defects(entries) -> int:
     """How many entries of 6 U^T U, computed exactly from the 8x8 real
-    table `entries`, are not those of 6 I. ValueError as `_exact_encoder`."""
-    v, left = _exact_encoder(entries)
+    table `entries` (or its `_exact_encoder` read), are not those of 6 I.
+    ValueError as `_exact_encoder`."""
+    v, left = _read_exactly(entries)
     gram = (left @ v.transpose(0, 2, 1).reshape(32, 8)).reshape(8, 4, 8)  # p, basis element, q
     return int(((gram[:, 0] != 6 * np.eye(8)) | gram[:, 1:].any(axis=1)).sum())
 
 
 def block_theorem_defects(entries) -> tuple[int, int]:
     """Expand 6 U^T (W (x) 3) U exactly, as polynomials in the four entries
-    of W, for the 8x8 real table `entries`, and count the entries that
-    break the block theorem: (those of the two off-diagonal 4x4 blocks
-    that are not identically 0, those of the top-left block that are not
-    identically 6 det(W) (I (x) W)). (0, 0) proves, with no tolerance,
+    of W, for the 8x8 real table `entries` (or its `_exact_encoder` read),
+    and count the entries that break the block theorem: (those of the two
+    off-diagonal 4x4 blocks that are not identically 0, those of the
+    top-left block that are not identically 6 det(W) (I (x) W)). (0, 0) proves, with no tolerance,
     that U^T (W (x) 3) U maps ancilla |0> to itself as det(W) (I (x) W)
     for every W in GL(2). One (32, 32) @ (32, 160) product of small
     integers. ValueError as `_exact_encoder`."""
-    v, left = _exact_encoder(entries)
+    v, left = _read_exactly(entries)
     # right[(i, b), (q, m)] = sum_j monomial m's count at (i, j) times v[j, q, b]
     right = (_MONOMIAL_ROWS @ v.reshape(8, 32)).reshape(8, 20, 8, 4).transpose(0, 3, 2, 1).reshape(32, 160)
     wrong = ((left @ right).reshape(8, 4, 8, 20) != _BLOCK_FORM).any(axis=(1, 3))

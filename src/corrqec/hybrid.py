@@ -23,17 +23,18 @@ the n = 2 or n = 3 circuit followed by the smaller encoder shifted up, and
 proves the claims at those two bases. The circuits of widths 2 and 3
 realize P2 and P3 exactly, so every width realizes P_n. The encoder
 circuit is CNOT/H, so `circuit._conjugated_pauli` carries X, Y and Z on
-every wire back through it on GF(2) bits: the width-3 walk leaves each
-attack on wire 0 alone, so no bit lands on a data wire at any width, and
-the width-2 walk has no x bit, so the even-width ancilla bits read back
-deterministically. The dense matrices stay as the tests' reference:
-`conjugated_error` is P^T (W tensored n times) P, as every P_n is real,
-and `hybrid_protect` encodes with P_n, runs the attack through
+every wire back through it in one walk, on GF(2) bits from their (x, z)
+pairs on: the width-3 walk leaves each attack on wire 0 alone, so no bit
+lands on a data wire at any width, and the width-2 walk has no x bit, so
+the even-width ancilla bits read back deterministically. The dense
+matrices stay as the tests' reference: `conjugated_error` is
+P^T (W tensored n times) P, as every P_n is real, and `hybrid_protect` encodes with P_n, runs the attack through
 `circuit.attack` on the encoded vector, decodes with P_n^T and reduces to
 the data and ancilla wires by `partial_trace`, without forming rho or W
 tensored n times. Its odd-width prediction comes from the other
-construction, the walk of the encoder circuit, so its check holds the
-matrix recursion against the circuit.
+construction, the walk of the encoder circuit from the attack factor's
+bits (`circuit._pauli_bits`), so its check holds the matrix recursion
+against the circuit.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ from .circuit import (
     DensityMatrix,
     StateVector,
     _conjugated_pauli,
+    _pauli_bits,
     attack,
     basis_state,
     fidelity,
@@ -309,7 +311,7 @@ def hybrid_protect(
             preserved_with_certainty=bool(exact and readback == anc),
         )
     else:
-        x, z = _conjugated_pauli(encoder_circuit(n), factor[None])
+        x, z = _conjugated_pauli(encoder_circuit(n), _pauli_bits(factor[None]))
         pauli = _PAULIS[_PAULI_XZ.index((x[0, 0], z[0, 0]))]
         expected = StateVector(pauli @ anc_state.amplitudes, 1)
         red = partial_trace(out, [0])

@@ -8,8 +8,8 @@ u rho u-dagger, an attack is W tensored n times, and a depolarizing kick
 is the three-Pauli sum
 (1 - 3p/4) rho + (p/4) sum_{X,Y,Z} s rho s. `realize` and `apply` are
 held to the dense product of the embedded gates, on circuits heavy in
-permutation gates too, and the one GF(2) walk of a stack of Paulis
-(`_conjugated_pauli`) to the dense c-dagger W c.
+permutation gates too, and the one GF(2) walk of several Paulis, from
+their `_pauli_bits` (`_conjugated_pauli`), to the dense c-dagger W c.
 
 The hybrid scheme's runs go through the Pauli-fault engine and the corr
 schemes' through the effect engine (`effect_distribution`), both checked
@@ -530,13 +530,31 @@ def test_pauli_fault_engine_rejects_what_it_cannot_run():
         with pytest.raises(ValueError, match="Pauli"):
             pauli_fault_distribution(enc, w, [1, 2])
         with pytest.raises(ValueError, match="finite"):
-            _conjugated_pauli(enc, w[None])
-    for ws in (X.matrix.array, np.zeros((0, 2, 2)), np.zeros((1, 4, 4))):
-        with pytest.raises(ValueError, match="stack"):
-            _conjugated_pauli(enc, ws)
+            _pauli_bits(w[None])
+    # the walk takes (x, z) bit pairs: a matrix, or a stack of them, enters
+    # through `_pauli_bits`, and is not read as pairs of its entries
+    for xz in (X.matrix.array, np.eye(2, dtype=int) + 0j, np.zeros((0, 2, 2)), np.zeros((1, 4, 4)),
+               _PAULIS, [], (), np.zeros((0, 2), dtype=int), [(2, 0)], [(0, -1)], [(1,)], [(0, 1, 0)],
+               [(1.0, 0)], [(1, 0j)], [(1, 0), (0, 2)], [None], 3, "10"):
+        with pytest.raises(ValueError, match="bit pairs"):
+            _conjugated_pauli(enc, xz)
     # the accepted inputs, for contrast: a phase on the Pauli is allowed
     probs = pauli_fault_distribution(enc, 1j * Y.matrix.array, [1, 2], NoiseModel(p1=0.1, p2=0.2))
     assert abs(probs.sum() - 1.0) <= 1e-15 and probs.min() >= 0.0
+    # and any integer bits, as Python ints, bools, numpy ints or `_pauli_bits`' rows
+    walked = _conjugated_pauli(enc, circuit._PAULI_XZ[1:])
+    for xz in ([(True, False), (True, True), (False, True)], np.array(circuit._PAULI_XZ[1:]),
+               _pauli_bits(np.stack(_PAULIS))):
+        got = _conjugated_pauli(enc, xz)
+        assert np.array_equal(got[0], walked[0]) and np.array_equal(got[1], walked[1])
+
+
+def test_the_walks_bit_table_is_each_paulis_own():
+    # the proofs walk I, X, Y and Z from `_PAULI_XZ` and never read their
+    # matrices, so each row must be what `_pauli_bits` reads off its matrix
+    bits = _pauli_bits(np.stack(circuit._PAULIS))
+    assert [tuple(row) for row in bits.tolist()] == list(circuit._PAULI_XZ)
+    assert circuit._PAULI_TAGS == ("I", "X", "Y", "Z")
 
 
 @st.composite
@@ -575,14 +593,14 @@ def test_one_walk_carries_a_stack_of_paulis_as_the_dense_conjugation_does(case):
     c, ws = case
     n = c.n_wires
     u = reduce(lambda m, pg: embed(pg, n) @ m, c.gates, np.eye(2**n))
-    x, z = _conjugated_pauli(c, ws)
+    x, z = _conjugated_pauli(c, _pauli_bits(ws))
     assert x.shape == z.shape == (len(ws), n)
     for w, xs, zs in zip(ws, x, z):
         dense = u.conj().T @ tensor_power(w, n) @ u
         assert abs(abs(np.vdot(xz_word(xs, zs), dense)) / 2**n - 1.0) <= 1e-12
         if n <= 4:  # and `_pauli_bits` itself, whose basis is 1 MB at n = 4
             assert np.array_equal(np.concatenate([xs, zs]), _pauli_bits(dense[None])[0])
-        alone = _conjugated_pauli(c, w[None])
+        alone = _conjugated_pauli(c, _pauli_bits(w[None]))
         assert np.array_equal(alone[0], xs[None]) and np.array_equal(alone[1], zs[None])
 
 
