@@ -88,19 +88,21 @@ class Circuit:
         return self._hash
 
 
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state on n_wires qubits; `amplitudes` is read-only.
     `_trusted` builds states derived from checked ones without checks: a
     basis state, a tensor product, and the image under a circuit or an
     attack."""
 
-    __slots__ = ("_amps", "n_wires")
+    amplitudes: np.ndarray
+    n_wires: int | None = None
 
-    def __init__(self, amplitudes, n_wires: int | None = None):
-        a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    def __post_init__(self):
+        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("a state needs at least one amplitude")
-        n = int(np.log2(a.size)) if n_wires is None else _integer(n_wires, "n_wires", 0)
+        n = int(np.log2(a.size)) if self.n_wires is None else _integer(self.n_wires, "n_wires", 0)
         if a.size != 2**n:
             raise ValueError(f"amplitude length {a.size} is not 2^{n}")
         if not np.isfinite(a).all():
@@ -110,43 +112,35 @@ class StateVector:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {_STATE_NORM_TOL}")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
-        object.__setattr__(self, "_amps", a)
+        object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "n_wires", n)
 
     @classmethod
     def _trusted(cls, a: np.ndarray, n: int) -> StateVector:
         a.setflags(write=False)
         s = object.__new__(cls)
-        object.__setattr__(s, "_amps", a)
+        object.__setattr__(s, "amplitudes", a)
         object.__setattr__(s, "n_wires", n)
         return s
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amps
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
-
-    def __repr__(self):
-        return f"StateVector({self.n_wires} wires)"
-
-
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state on n_wires qubits: Hermitian, unit trace and PSD, with
     positivity checked exactly (a Cholesky factor of rho + 1e-9 I exists).
     The constructor copies its input; `matrix` is read-only. `_trusted`
     builds states derived from checked ones, without checks."""
 
-    __slots__ = ("_m", "n_wires")
+    matrix: np.ndarray
+    n_wires: int | None = None
 
-    def __init__(self, matrix, n_wires: int | None = None):
-        a = np.array(matrix, dtype=complex)
+    def __post_init__(self):
+        a = np.array(self.matrix, dtype=complex)
         if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
             raise ValueError(f"density matrix must be square and non-empty, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("density matrix entries must be finite (no NaN/Inf)")
-        n = int(np.log2(a.shape[0])) if n_wires is None else _integer(n_wires, "n_wires", 0)
+        n = int(np.log2(a.shape[0])) if self.n_wires is None else _integer(self.n_wires, "n_wires", 0)
         d = 2**n
         if a.shape != (d, d):
             raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, expected {d}x{d}")
@@ -160,26 +154,16 @@ class DensityMatrix:
         except np.linalg.LinAlgError:
             raise ValueError(f"density matrix has an eigenvalue below {_DM_PSD_FLOOR}") from None
         a.setflags(write=False)
-        object.__setattr__(self, "_m", a)
+        object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "n_wires", n)
 
     @classmethod
     def _trusted(cls, a: np.ndarray, n: int) -> DensityMatrix:
         a.setflags(write=False)
         d = object.__new__(cls)
-        object.__setattr__(d, "_m", a)
+        object.__setattr__(d, "matrix", a)
         object.__setattr__(d, "n_wires", n)
         return d
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
-    def __repr__(self):
-        return f"DensityMatrix({self.n_wires} wires)"
 
 
 @dataclass(frozen=True)

@@ -338,19 +338,18 @@ CHECKS = (
 )
 
 
-def cmd_verify(out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_verify() -> int:
     failures = 0
     with _battery():
         for name, fn in CHECKS:
             try:
                 detail = fn()
-                print(f"PASS {name}: {detail}", file=out)
+                print(f"PASS {name}: {detail}")
             except Exception as exc:  # noqa: BLE001 - battery must keep going
                 failures += 1
-                print(f"FAIL {name}: {exc}", file=out)
+                print(f"FAIL {name}: {exc}")
     total = len(CHECKS)
-    print(f"{total - failures}/{total} checks passed", file=out)
+    print(f"{total - failures}/{total} checks passed")
     return 0 if failures == 0 else 1
 
 

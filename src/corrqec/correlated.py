@@ -415,15 +415,16 @@ def recursive_encoder(k: int) -> Circuit:
     wires, |0> ancillas on even wires except wire 2, which is the sink.
     Built once per k and shared (a Circuit is immutable).
     """
-    return _recursive_encoder(_integer(k, "k", 1), standard_decomposition())
+    return _recursive_encoder(_integer(k, "k", 1))
 
 
 @lru_cache(maxsize=8)  # k is 2 in the schemes, 2..8 in the battery
-def _recursive_encoder(k: int, base: Circuit) -> Circuit:
+def _recursive_encoder(k: int) -> Circuit:
+    base = standard_decomposition().gates
     triples = recursive_triples(k)
     placed = []
     for tri in triples:
-        for pg in base.gates:
+        for pg in base:
             placed.append(PlacedGate(pg.gate, tuple(tri[w] for w in pg.wires)))
     return Circuit(2 * len(triples) + 1, tuple(placed))
 

@@ -15,6 +15,8 @@ broadcast multiply, without np.kron's general-rank bookkeeping.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -27,45 +29,36 @@ def _integer(v, name: str, least: int | None = None) -> int:
     return int(v)
 
 
+@dataclass(frozen=True, eq=False)
 class ComplexMatrix:
     """A gate's matrix: immutable, dense, complex, compared by value.
 
-    Construct from a 2-D array-like. Entries must all be finite.
+    Construct from a 2-D array-like. Entries must all be finite. `array` is
+    the matrix as a read-only 2-D ndarray.
     """
 
-    __slots__ = ("_a",)
+    array: np.ndarray
 
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
+    def __post_init__(self):
+        a = np.asarray(self.array, dtype=complex)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only 2-D ndarray view of the matrix."""
-        return self._a
+        object.__setattr__(self, "array", a)
 
     def __array__(self, dtype=None, copy=None):  # numpy 1.x passes no `copy`
-        return np.array(self._a, dtype=dtype) if copy else np.asarray(self._a, dtype=dtype)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMatrix is immutable")
+        return np.array(self.array, dtype=dtype) if copy else np.asarray(self.array, dtype=dtype)
 
     def __eq__(self, other):
         if not isinstance(other, ComplexMatrix):
             return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
+        return self.array.shape == other.array.shape and bool(np.array_equal(self.array, other.array))
 
     def __hash__(self):
-        return hash((self._a.shape, self._a.tobytes()))
-
-    def __repr__(self):
-        return f"ComplexMatrix({self._a.shape[0]}x{self._a.shape[1]})"
+        return hash((self.array.shape, self.array.tobytes()))
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -97,6 +97,27 @@ def test_density_matrix_validation():
     assert not apply(bell_circuit(), to_density(basis_state(2, 0))).matrix.flags.writeable
 
 
+@pytest.mark.parametrize("make", [
+    lambda: StateVector([0.6, 0.8j]),
+    lambda: basis_state(2, "01"),
+    lambda: DensityMatrix(np.diag([0.25, 0.75])),
+    lambda: to_density(basis_state(1, "1")),
+], ids=["state-checked", "state-trusted", "density-checked", "density-trusted"])
+def test_a_state_is_frozen_and_compares_by_identity(make):
+    s, twin = make(), make()
+    array = s.amplitudes if isinstance(s, StateVector) else s.matrix
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 0.0
+    for name in ("amplitudes" if isinstance(s, StateVector) else "matrix", "n_wires", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, array.copy())
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    # equal contents, two values: == and hash read no array
+    assert s == s and s != twin and len({s, twin}) == 2
+
+
 def test_circuit_validation():
     bell_circuit()
     with pytest.raises(ValueError):

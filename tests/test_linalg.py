@@ -67,6 +67,24 @@ def test_complex_matrix_is_immutable():
     m = ComplexMatrix(np.eye(2))
     with pytest.raises((ValueError, AttributeError)):
         m.array[0, 0] = 5.0
+    for m in (ComplexMatrix(np.eye(2)), X.matrix, ry(0.3).matrix):
+        assert not m.array.flags.writeable
+        for name in ("array", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, np.eye(2))
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+
+
+def test_complex_matrix_compares_and_hashes_by_value():
+    a, b = ComplexMatrix(np.eye(2)), ComplexMatrix([[1, 0], [0, 1.0 + 0j]])
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert X.matrix == ComplexMatrix([[0, 1], [1, 0]])
+    # same bytes, other shape; same shape, other entry
+    flat = ComplexMatrix(np.eye(2).reshape(1, 4))
+    assert a != flat and hash(a) != hash(flat)
+    assert a != ComplexMatrix(np.diag([1, -1]))
+    assert a.__eq__(np.eye(2)) is NotImplemented  # a value, not an array
 
 
 def test_kron_first_argument_is_most_significant():
