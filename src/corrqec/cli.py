@@ -2,6 +2,9 @@
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error.
 
+`verify` runs `proofs.CHECKS` in one `proofs.Battery` and prints a PASS or
+FAIL line per check.
+
 Output files: `run` writes a JSON (default) or CSV report. An explicit
 --out path wins; otherwise the file lands in $CORRQEC_OUTPUT_DIR (falling
 back to the current directory) under a name derived from the experiment
@@ -11,344 +14,28 @@ failed run never leaves a partial file behind.
 argparse defines every flag, help and error text. A plain `run` line is
 read in one pass over the `run` parser's own actions; `_PARSER.parse_args`
 parses any other line, and every `verify` and `dump` line.
-
-The four corr checks of `verify` stand on the exact block theorem
-(`correlated.block_theorem_defects`) and sample no attack. Within one
-battery each encoder table is read once: both as floats, and the corrected
-one exactly, for the block theorem and the Gram check. The hybrid walks
-start from the attacks' own (x, z) bits (`circuit._PAULI_XZ`).
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
-import functools
-import itertools
 import os
 import sys
 
-import numpy as np
-
-from . import correlated, hybrid, noise_exp
-from .circuit import _PAULI_TAGS, _PAULI_XZ, _conjugated_pauli, circuit_to_text, realize
-from .gates import H
-from .linalg import matrix_to_text, max_abs_diff
-
-# Every check returns a detail string and raises on failure. A check looks
-# up the functions it runs when it is called, so a caller that rebinds a
-# module attribute (a tracer, a test) sees every call.
-
-# While a battery runs: each lemma's outcome, by lemma, once proved.
-_proved: dict | None = None
-
-
-@contextlib.contextmanager
-def _battery():
-    """One battery's scope: inside it a `_lemma` is proved once, and every
-    later call replays its outcome. Nothing outlives the scope."""
-    global _proved
-    _proved = {}
-    try:
-        yield
-    finally:
-        _proved = None
-
-
-def _lemma(fn):
-    """A proof step that several checks share. Inside `_battery` its first
-    call runs it, and later calls return the same value or raise the same
-    exception, so a FAIL line keeps its text; outside, every call proves."""
-    @functools.wraps(fn)
-    def lemma():
-        if _proved is None:
-            return fn()
-        if fn not in _proved:
-            try:
-                _proved[fn] = (fn(), None)
-            except Exception as exc:  # noqa: BLE001 - replayed to every check that shares it
-                _proved[fn] = (None, exc)
-        value, exc = _proved[fn]
-        if exc is not None:
-            raise exc
-        return value
-    return lemma
-
-
-def _require(cond, msg: str) -> None:
-    """Fail a check; unlike `assert`, survives `python -O`."""
-    if not cond:
-        raise AssertionError(msg)
-
-
-# Each encoder table is read once per battery: both as floats, read-only,
-# and the corrected one exactly, for the block theorem and the Gram check.
-@_lemma
-def _corrected() -> np.ndarray:
-    u = correlated.build_new_U()
-    u.setflags(write=False)
-    return u
-
-
-@_lemma
-def _legacy() -> np.ndarray:
-    u = correlated.build_old_U()
-    u.setflags(write=False)
-    return u
-
-
-@_lemma
-def _corrected_exactly():
-    return correlated._exact_encoder(correlated.NEW_U_ENTRIES)
-
-
-def _unitary(u) -> str:
-    dev = max_abs_diff(u.conj().T @ u, np.eye(8))
-    _require(dev <= 1e-12, f"deviation {dev:.3e}")
-    return f"max deviation {dev:.3e}"
-
-
-def _shared_columns() -> str:
-    d = max_abs_diff(_corrected()[:, :4], _legacy()[:, :4])
-    _require(d <= 1e-15, f"first four columns differ by {d:.3e}")
-    return "first four columns identical"
-
-
-def _realizes_corrected(c) -> str:
-    d = max_abs_diff(realize(c), _corrected())
-    _require(d <= 1e-12, f"deviation {d:.3e}")
-    return f"max deviation {d:.3e}"
-
-
-def _standard_count() -> str:
-    count = len(correlated.standard_decomposition().gates)
-    _require(count == 6, f"expected 6 gates, got {count}")
-    return "6 gates"
-
-
-def _basic_counts() -> str:
-    arities = [pg.gate.arity for pg in correlated.basic_decomposition().gates]
-    two, one = arities.count(2), arities.count(1)
-    _require((two, one) == (6, 8), f"got {two} two-wire, {one} one-wire")
-    return "6 two-wire + 8 one-wire"
-
-
-@_lemma
-def _refuted() -> np.ndarray:
-    return correlated.erroneous_decomposition_product()
-
-
-def _refutation_distance() -> str:
-    d = max_abs_diff(_refuted(), _legacy())
-    _require(d >= 0.5, f"distance only {d:.4f}")
-    return f"max difference from the legacy encoder = {d:.4f} (>= 0.5)"
-
-
-def _refutation_spots() -> str:
-    m = _refuted()
-    d = max(abs(m[1, 0] - 0.7071), abs(m[3, 3] - 0.8165))
-    _require(d < 5e-5, f"spot entries off by {d:.2e}")
-    return "published spot entries reproduced to 4 decimals"
-
-
-@_lemma
-def _block_theorem() -> None:
-    # For U = NEW_U_ENTRIES, read exactly: U^T (W (x) 3) U = det(W) (I (x) W)
-    # on ancilla |0>, with both off-diagonal blocks 0, as polynomials in
-    # W's four entries, so for every W in GL(2) and with no tolerance.
-    off, top = correlated.block_theorem_defects(_corrected_exactly())
-    _require((off, top) == (0, 0), f"{off} off-diagonal entries are not identically 0 and {top} top-left "
-                                   "entries are not identically det(W) (I (x) W)")
-
-
-def _blocks_exact() -> str:
-    _block_theorem()
-    return ("exact for every W in GL(2): off-diagonal blocks 0, top-left det(W) (I (x) W), "
-            "sqrt6 U read over Z[sqrt2, sqrt3]")
-
-
-def _blocks_hadamard() -> str:
-    # By the block theorem the top-left block is det(W) (I (x) W) for every
-    # W, so for H it is -(I (x) H) exactly once det(H) = -1.
-    _block_theorem()
-    det = np.linalg.det(H.matrix.array)
-    _require(abs(det + 1.0) <= 1e-12, f"det(H) = {det:.6f}, expected -1")
-    return "top-left = -(I (x) H) exactly; phase matches the determinant"
-
-
-def _recovery_three() -> str:
-    # With U orthogonal, U^T (W2 (x) 3)(W1 (x) 3) U is the product of the two
-    # block forms, so any number of rounds, and any mixture, leaves the
-    # data wire alone and ancilla |0>, and the sink carries the attacks.
-    bad = correlated.exact_gram_defects(_corrected_exactly())
-    _require(bad == 0, f"{bad} entries of 6 U^T U are not those of 6 I")
-    _block_theorem()
-    return "6 U^T U = 6 I exactly, and block forms det(W) (I (x) W) compose over rounds and mixtures"
-
-
-def _gate_words(c) -> list[tuple[str, tuple[int, ...]]]:
-    """c's gates as (gate name, wires)."""
-    return [(pg.gate.name, pg.wires) for pg in c.gates]
-
-
-@_lemma
-def _hybrid_shape() -> None:
-    # P_n is P2 on wires 0..1 then P_{n-1} on wires 1..n-1 (even n), or P3
-    # on wires 0..2 then P_{n-2} on wires 2..n-1 (odd n), as in
-    # `hybrid._matrix_rec`. Each built width n >= 4 must be the n = 2 or
-    # n = 3 encoder followed by the width n - step encoder shifted by step,
-    # so what holds for the n = 2 and n = 3 circuits holds at every width,
-    # by induction on n.
-    words = {n: _gate_words(hybrid.encoder_circuit(n)) for n in range(2, hybrid.MAX_QUBITS + 1)}
-    for n in range(4, hybrid.MAX_QUBITS + 1):
-        base, step = (2, 1) if n % 2 == 0 else (3, 2)
-        stacked = words[base] + [(name, tuple(w + step for w in wires)) for name, wires in words[n - step]]
-        _require(words[n] == stacked,
-                 f"n={n}: the encoder is not the n={base} encoder then the n={n - step} encoder "
-                 f"shifted by {step} wires")
-
-
-def _corr_peel(k: int, base_gates: list, base_wires: list[int]) -> None:
-    # recursive_encoder(k) is E = T_1 T_k ... T_2, the base circuit U on each
-    # triple (ancilla, data, sink) of recursive_triples(k), in time order,
-    # so E^T (W (x) 2k+1) E = T_2^T ... T_k^T (T_1^T (W (x) 2k+1) T_1) T_k ... T_2.
-    # Peel the innermost factor: no earlier triple touches its ancilla, so
-    # that is still |0>, and the block theorem turns W on its three wires
-    # into det(W) W on its sink. What is left has the same form with one
-    # triple fewer, if W now sits on exactly the wires the unpeeled triples
-    # cover. At the end, E^T (W (x) 2k+1) E = det(W)^k W on wire 2 alone.
-    # A set of wires is an int, bit w for wire w. The base circuit U comes
-    # as its gates and its gates' wires in order.
-    triples = correlated.recursive_triples(k)
-    _require(triples[-1] == (0, 1, 2), f"k={k}: T_1 = (0, 1, 2) is not last in time")
-    masks = [1 << a | 1 << d | 1 << s for a, d, s in triples]
-    covered = list(itertools.accumulate(masks, int.__or__))  # wires of triples[:t + 1]
-    touched = [t for t in range(1, len(triples)) if covered[t - 1] >> triples[t][0] & 1]
-    _require(not touched, f"k={k}: the ancillas of triples {touched} are touched before their triples")
-    _require(sorted(data for _, data, _ in triples) == correlated.recursive_data_wires(k),
-             f"k={k}: the triples' data wires are not recursive_data_wires({k})")
-    on = [(1 << 2 * k + 1) - 1]  # the wires W sits on before each peel, then after the last
-    for ancilla, data, _ in reversed(triples):
-        on.append(on[-1] & ~(1 << ancilla | 1 << data))
-    _require(on[:-1] == covered[::-1], f"k={k}: W is not on exactly the unpeeled triples' wires at every peel")
-    _require(on[-1] == 1 << correlated.SINK_WIRE, f"k={k}: the peeled W does not end on the sink wire alone")
-    enc = correlated.recursive_encoder(k).gates
-    _require([pg.gate for pg in enc] == base_gates * k
-             and [w for pg in enc for w in pg.wires] == [tri[w] for tri in triples for w in base_wires],
-             f"k={k}: the encoder is not the base circuit placed on each triple in turn")
-
-
-def _recovery_five() -> str:
-    base = correlated.standard_decomposition().gates
-    gates, wires = [pg.gate for pg in base], [w for pg in base for w in pg.wires]
-    for k in range(2, 9):
-        _corr_peel(k, gates, wires)
-    _block_theorem()
-    return ("every k >= 1 by induction: k=2..8 peel to det(W)^k W on the sink wire, "
-            "through the exact block theorem")
-
-
-def _hybrid_circuits() -> str:
-    # By the shape, realize(c_n) = (I (x) realize(c_{n-step})) (realize(c_base)
-    # (x) I), which is P_n's recursion: exact bases make every width exact.
-    _hybrid_shape()
-    for n, p in ((2, hybrid.p2_matrix()), (3, hybrid.p3_matrix())):
-        d = max_abs_diff(realize(hybrid.encoder_circuit(n)), p)
-        _require(d == 0.0, f"n={n}: the circuit deviates from P{n} by {d:.3e}")
-    return ("every n >= 2 by induction: n=2, 3 realize P2, P3 exactly (max deviation 0.000e+00, "
-            "identity wire order), and n=4..8 stack as P_n does")
-
-
-def _walk_attacks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (3, n) x and z bits of X, Y and Z on every wire, carried back
-    through the width-n encoder circuit in one walk from their own bits."""
-    return _conjugated_pauli(hybrid.encoder_circuit(n), _PAULI_XZ[1:])
-
-
-@_lemma
-def _odd_walk() -> None:
-    # Carried back, an attack meets the inner encoder first. At odd n, if
-    # the inner walk leaves P on its top wire (wire 2) and nothing below,
-    # what is left is P on wires 0..2 through the n = 3 stage: the n = 3
-    # walk. It must leave exactly P on wire 0 and nothing on wires 1..2, and
-    # then so does every odd n. At even n the odd inner walk leaves P on
-    # wire 1, and the n = 2 stage acts on the ancilla wires 0..1 only.
-    for tag, own, x, z in zip(_PAULI_TAGS[1:], _PAULI_XZ[1:], *_walk_attacks(3)):
-        touched = [w for w in (1, 2) if x[w] or z[w]]
-        _require(not touched, f"n=3 tag={tag}: the decoded attack acts on data wires {touched}")
-        _require((x[0], z[0]) == own, f"n=3 tag={tag}: the decoded attack on wire 0 is not {tag}")
-
-
-def _hybrid_conjugation() -> str:
-    # Each attack is carried back through the encoder circuit on GF(2)
-    # bits. A Pauli with no bit on a data wire is (ancilla Pauli) tensor
-    # identity-on-data up to phase, exactly, so the residual is 0.
-    _hybrid_shape()
-    _odd_walk()
-    return "every n >= 2 by induction: the n=3 walk leaves each attack on wire 0 alone (residual 0.000e+00)"
-
-
-def _hybrid_readback() -> str:
-    # At even n the decoded attack is the n = 2 walk's Pauli X^x Z^z on
-    # wires 0..1, up to phase, and nothing on the data (`_odd_walk`). It
-    # sends |b, 0...0> to |b XOR x, 0...0>, so every bit pair b reads back
-    # with certainty exactly when x is 0, that is when 00 reads back as 00.
-    _hybrid_shape()
-    _odd_walk()
-    for tag, x in zip(_PAULI_TAGS[1:], _walk_attacks(2)[0]):
-        readback = f"{x[0]}{x[1]}"
-        _require(readback == "00", f"n=2 bits=00 tag={tag} readback {readback}")
-    return "every even n by induction: the n=2 walk has no x bit, so all four bit pairs survive X, Y, Z"
-
-
-def _noiseless_success() -> str:
-    s = noise_exp.exact_success({"scheme": "corr3", "w": "h", "noise": {}})
-    _require(abs(s - 1.0) <= 1e-10, f"success {s}")
-    return "success probability 1.0"
-
-
-def _preset_success() -> str:
-    s = noise_exp.exact_success({"scheme": "corr3", "w": "h", "noise": {"p1": 0.001, "p2": 0.01}})
-    _require(s > 0.8, f"success {s:.4f}")
-    return f"success probability {s:.4f} > 0.8"
-
-
-# The acceptance battery: `corrqec verify` runs it in this order, and the
-# test suite runs each check as its own test.
-CHECKS = (
-    ("corrected encoder is unitary", lambda: _unitary(_corrected())),
-    ("legacy encoder is unitary", lambda: _unitary(_legacy())),
-    ("encoders share their first four columns", _shared_columns),
-    ("standard decomposition realizes the corrected encoder",
-     lambda: _realizes_corrected(correlated.standard_decomposition())),
-    ("basic decomposition realizes the corrected encoder",
-     lambda: _realizes_corrected(correlated.basic_decomposition())),
-    ("standard decomposition gate count", _standard_count),
-    ("basic decomposition gate counts", _basic_counts),
-    ("six-stage refutation product is far from the legacy encoder", _refutation_distance),
-    ("refutation product matches its published entries", _refutation_spots),
-    ("block structure over random special unitaries", _blocks_exact),
-    ("block structure with the Hadamard atom", _blocks_hadamard),
-    ("three-qubit recovery through repeated attacks", _recovery_three),
-    ("five-wire recursive recovery", _recovery_five),
-    ("hybrid circuits realize their matrices", _hybrid_circuits),
-    ("hybrid conjugated attacks are identity on data", _hybrid_conjugation),
-    ("even-width ancilla bits read back deterministically", _hybrid_readback),
-    ("noiseless experiment succeeds with certainty", _noiseless_success),
-    ("noisy preset stays above the 0.8 success threshold", _preset_success),
-)
+from . import correlated, hybrid, noise_exp, proofs
+from .circuit import circuit_to_text
+from .linalg import matrix_to_text
 
 
 def cmd_verify() -> int:
-    failures = 0
-    with _battery():
-        for name, fn in CHECKS:
-            try:
-                detail = fn()
-                print(f"PASS {name}: {detail}")
-            except Exception as exc:  # noqa: BLE001 - battery must keep going
-                failures += 1
-                print(f"FAIL {name}: {exc}")
-    total = len(CHECKS)
+    battery, failures = proofs.Battery(), 0
+    for name, check in proofs.CHECKS:
+        try:
+            detail = check(battery)
+            print(f"PASS {name}: {detail}")
+        except Exception as exc:  # noqa: BLE001 - battery must keep going
+            failures += 1
+            print(f"FAIL {name}: {exc}")
+    total = len(proofs.CHECKS)
     print(f"{total - failures}/{total} checks passed")
     return 0 if failures == 0 else 1
 

@@ -20,15 +20,16 @@ one all-wire attack. Every function here takes one attack W, not a stack.
 
 NEW_U_ENTRIES / OLD_U_ENTRIES are deliberately plain mutable tables so a
 test harness can corrupt one entry and confirm the verification battery
-notices (see cli.cmd_verify). The battery's corr proofs read NEW_U_ENTRIES
+notices (see `proofs`). The battery's corr proofs read NEW_U_ENTRIES
 exactly, once per battery (`_exact_encoder`), and run both exact checks,
-`block_theorem_defects` and `exact_gram_defects`, on that one read:
-sqrt(6) times each entry must be 0, +-1, +-2, +-sqrt2, +-sqrt3 or +-sqrt6
-within 1e-12. So an entry moved off that set (a column rotated by 1e-4)
-fails the read, which names the entry, and one moved to another value of
-the set (two columns swapped) fails the exact block theorem or the exact
-6 U^T U = 6 I, with no tolerance. The float checks, unitarity and the
-decompositions within 1e-12, see most corruptions too.
+`block_theorem_defects` and `exact_gram_defects`, on that one read, the
+only input either takes. To read, sqrt(6) times each entry must be 0, +-1,
++-2, +-sqrt2, +-sqrt3 or +-sqrt6 within 1e-12. So an entry moved off that
+set (a column rotated by 1e-4) fails the read, which names the entry, and
+one moved to another value of the set (two columns swapped) fails the
+exact block theorem or the exact 6 U^T U = 6 I, with no tolerance. The
+float checks, unitarity and the decompositions within 1e-12, see most
+corruptions too.
 """
 from __future__ import annotations
 
@@ -220,31 +221,24 @@ def _exact_encoder(entries) -> _ExactEncoder:
     return _ExactEncoder(v, left)
 
 
-def _read_exactly(entries) -> _ExactEncoder:
-    """An 8x8 real table read by `_exact_encoder`, or such a read as it is:
-    a caller that runs both exact checks on one table reads it once."""
-    return entries if isinstance(entries, _ExactEncoder) else _exact_encoder(entries)
-
-
-def exact_gram_defects(entries) -> int:
-    """How many entries of 6 U^T U, computed exactly from the 8x8 real
-    table `entries` (or its `_exact_encoder` read), are not those of 6 I.
-    ValueError as `_exact_encoder`."""
-    v, left = _read_exactly(entries)
+def exact_gram_defects(read: _ExactEncoder) -> int:
+    """How many entries of 6 U^T U, computed exactly from an encoder
+    table's `_exact_encoder` read, are not those of 6 I."""
+    v, left = read
     gram = (left @ v.transpose(0, 2, 1).reshape(32, 8)).reshape(8, 4, 8)  # p, basis element, q
     return int(((gram[:, 0] != 6 * np.eye(8)) | gram[:, 1:].any(axis=1)).sum())
 
 
-def block_theorem_defects(entries) -> tuple[int, int]:
+def block_theorem_defects(read: _ExactEncoder) -> tuple[int, int]:
     """Expand 6 U^T (W (x) 3) U exactly, as polynomials in the four entries
-    of W, for the 8x8 real table `entries` (or its `_exact_encoder` read),
-    and count the entries that break the block theorem: (those of the two
-    off-diagonal 4x4 blocks that are not identically 0, those of the
-    top-left block that are not identically 6 det(W) (I (x) W)). (0, 0) proves, with no tolerance,
-    that U^T (W (x) 3) U maps ancilla |0> to itself as det(W) (I (x) W)
-    for every W in GL(2). One (32, 32) @ (32, 160) product of small
-    integers. ValueError as `_exact_encoder`."""
-    v, left = _read_exactly(entries)
+    of W, for an encoder table's `_exact_encoder` read, and count the
+    entries that break the block theorem: (those of the two off-diagonal
+    4x4 blocks that are not identically 0, those of the top-left block that
+    are not identically 6 det(W) (I (x) W)). (0, 0) proves, with no
+    tolerance, that U^T (W (x) 3) U maps ancilla |0> to itself as
+    det(W) (I (x) W) for every W in GL(2). One (32, 32) @ (32, 160)
+    product of small integers."""
+    v, left = read
     # right[(i, b), (q, m)] = sum_j monomial m's count at (i, j) times v[j, q, b]
     right = (_MONOMIAL_ROWS @ v.reshape(8, 32)).reshape(8, 20, 8, 4).transpose(0, 3, 2, 1).reshape(32, 160)
     wrong = ((left @ right).reshape(8, 4, 8, 20) != _BLOCK_FORM).any(axis=(1, 3))

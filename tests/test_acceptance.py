@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from corrqec import circuit, cli, correlated, hybrid, noise_exp
+from corrqec import circuit, cli, correlated, hybrid, noise_exp, proofs
 from corrqec.circuit import (
     Circuit,
     StateVector,
@@ -34,10 +34,10 @@ from test_correlated import PRINTED_PRODUCT, rand_qubit
 BUDGET_S = 5.0
 
 
-@pytest.mark.parametrize("name, check", cli.CHECKS, ids=[n.replace(" ", "_") for n, _ in cli.CHECKS])
+@pytest.mark.parametrize("name, check", proofs.CHECKS, ids=[n.replace(" ", "_") for n, _ in proofs.CHECKS])
 def test_check(name, check):
     t0 = time.perf_counter()
-    detail = check()
+    detail = check(proofs.Battery())
     elapsed = time.perf_counter() - t0
     assert isinstance(detail, str) and detail, name
     assert elapsed < BUDGET_S, f"{name}: runtime {elapsed:.2f}s exceeds budget {BUDGET_S}s"
@@ -47,15 +47,15 @@ def test_hybrid_proofs_report_exact_zeros():
     # the hybrid encoders and their conjugated attacks are exact: both
     # details print a deviation of exactly zero, not a rounding residual,
     # and all three state their claim for every width
-    checks = dict(cli.CHECKS)
-    assert checks["hybrid circuits realize their matrices"]() == (
+    checks = dict(proofs.CHECKS)
+    assert checks["hybrid circuits realize their matrices"](proofs.Battery()) == (
         "every n >= 2 by induction: n=2, 3 realize P2, P3 exactly (max deviation 0.000e+00, "
         "identity wire order), and n=4..8 stack as P_n does"
     )
-    assert checks["hybrid conjugated attacks are identity on data"]() == (
+    assert checks["hybrid conjugated attacks are identity on data"](proofs.Battery()) == (
         "every n >= 2 by induction: the n=3 walk leaves each attack on wire 0 alone (residual 0.000e+00)"
     )
-    assert checks["even-width ancilla bits read back deterministically"]() == (
+    assert checks["even-width ancilla bits read back deterministically"](proofs.Battery()) == (
         "every even n by induction: the n=2 walk has no x bit, so all four bit pairs survive X, Y, Z"
     )
 
@@ -97,9 +97,9 @@ def test_hybrid_conjugation_fails_on_a_broken_encoder(monkeypatch, dropped):
     assert _dense_attacks_factor(broken) == (dropped < 3)
     real = hybrid.encoder_circuit
     monkeypatch.setattr(hybrid, "encoder_circuit", lambda n: broken if n == 8 else real(n))
-    check = dict(cli.CHECKS)["hybrid conjugated attacks are identity on data"]
+    check = dict(proofs.CHECKS)["hybrid conjugated attacks are identity on data"]
     with pytest.raises(AssertionError, match=r"^n=8: the encoder is not the n=2 encoder then the n=7 encoder"):
-        check()
+        check(proofs.Battery())
 
 
 def _dense_readback_holds(c: Circuit) -> bool:
@@ -129,9 +129,9 @@ def test_hybrid_readback_fails_exactly_when_a_dense_readback_does(monkeypatch, n
     broken = Circuit(n, full.gates[:dropped] + full.gates[dropped + 1:])
     real = hybrid.encoder_circuit
     monkeypatch.setattr(hybrid, "encoder_circuit", lambda m: broken if m == n else real(m))
-    check = dict(cli.CHECKS)["even-width ancilla bits read back deterministically"]
+    check = dict(proofs.CHECKS)["even-width ancilla bits read back deterministically"]
     with pytest.raises(AssertionError, match=rf"^n={n}: the encoder is not the n=2 encoder"):
-        check()
+        check(proofs.Battery())
 
 
 @pytest.mark.parametrize("control, readback", [(0, "10"), (1, "01")])
@@ -144,16 +144,16 @@ def test_hybrid_readback_names_the_flipped_ancilla_bit(monkeypatch, control, rea
     assert not _dense_readback_holds(fake)
     real = hybrid.encoder_circuit
     monkeypatch.setattr(hybrid, "encoder_circuit", lambda m: fake if m == 4 else real(m))
-    check = dict(cli.CHECKS)["even-width ancilla bits read back deterministically"]
+    check = dict(proofs.CHECKS)["even-width ancilla bits read back deterministically"]
     with pytest.raises(AssertionError, match=r"^n=4: the encoder is not"):
-        check()
+        check(proofs.Battery())
     # as the two-wire stage, one CNOT turns X on both wires into X on the
     # control: every even width flips that bit, and the n=2 walk names it
     monkeypatch.setattr(hybrid, "_TWO", ((CNOT, (control, 1 - control)),))
     _rebuilt_encoders(monkeypatch)
     assert not _dense_readback_holds(hybrid.encoder_circuit(4))
     with pytest.raises(AssertionError, match=f"^n=2 bits=00 tag=X readback {readback}$"):
-        check()
+        check(proofs.Battery())
 
 
 def _swap_gate(stage, i, wires):
@@ -172,9 +172,9 @@ def test_hybrid_realize_check_kills_a_swapped_stage_gate(monkeypatch, stage, mut
     # the shape holds, and the base circuit no longer realizes its matrix
     monkeypatch.setattr(hybrid, stage, mutant)
     _rebuilt_encoders(monkeypatch)
-    check = dict(cli.CHECKS)["hybrid circuits realize their matrices"]
+    check = dict(proofs.CHECKS)["hybrid circuits realize their matrices"]
     with pytest.raises(AssertionError, match=rf"^n={n}: the circuit deviates from P{n}"):
-        check()
+        check(proofs.Battery())
 
 
 def _shift_inner_encoders_short(monkeypatch) -> None:
@@ -190,10 +190,10 @@ def _shift_inner_encoders_short(monkeypatch) -> None:
 
 def test_every_hybrid_check_kills_an_off_by_one_shift(monkeypatch):
     _shift_inner_encoders_short(monkeypatch)
-    checks = dict(cli.CHECKS)
+    checks = dict(proofs.CHECKS)
     for name in _HYBRID_CHECKS:
         with pytest.raises(AssertionError, match=r"^n=4: the encoder is not the n=2 encoder then the n=3"):
-            checks[name]()
+            checks[name](proofs.Battery())
 
 
 @pytest.mark.parametrize("extra, first_broken, tag, message", [
@@ -210,10 +210,10 @@ def test_hybrid_conjugation_kills_a_wrong_ancilla_pauli_at_n3(monkeypatch, extra
     for n in (3, 5):
         assert _dense_attacks_factor(hybrid.encoder_circuit(n)) == (n < first_broken)
     assert not all(_dense_readback_holds(hybrid.encoder_circuit(n)) for n in (4, 6))
-    checks = dict(cli.CHECKS)
+    checks = dict(proofs.CHECKS)
     for name in _HYBRID_CHECKS[1:]:
         with pytest.raises(AssertionError, match=rf"^n=3 tag={tag}: .*{message}"):
-            checks[name]()
+            checks[name](proofs.Battery())
 
 
 def _within(budget_s: float, body) -> None:
@@ -231,15 +231,15 @@ _CORR_CHECKS = (
 
 
 def test_corr_proofs_state_their_claims_exactly():
-    checks = dict(cli.CHECKS)
-    assert checks[_CORR_CHECKS[0]]() == (
+    checks = dict(proofs.CHECKS)
+    assert checks[_CORR_CHECKS[0]](proofs.Battery()) == (
         "exact for every W in GL(2): off-diagonal blocks 0, top-left det(W) (I (x) W), "
         "sqrt6 U read over Z[sqrt2, sqrt3]"
     )
-    assert checks[_CORR_CHECKS[1]]() == (
+    assert checks[_CORR_CHECKS[1]](proofs.Battery()) == (
         "6 U^T U = 6 I exactly, and block forms det(W) (I (x) W) compose over rounds and mixtures"
     )
-    assert checks[_CORR_CHECKS[2]]() == (
+    assert checks[_CORR_CHECKS[2]](proofs.Battery()) == (
         "every k >= 1 by induction: k=2..8 peel to det(W)^k W on the sink wire, through the exact block theorem"
     )
 
@@ -302,7 +302,7 @@ def test_the_five_wire_proof_fails_a_broken_layout(monkeypatch, capsys, mutate, 
         assert correlated.recursive_encoder(3).gates[0].wires == tuple(first[w] for w in base.wires)
         failed = _failed_checks(capsys)
         with pytest.raises(AssertionError, match=re.escape(message)):
-            dict(cli.CHECKS)["five-wire recursive recovery"]()
+            dict(proofs.CHECKS)["five-wire recursive recovery"](proofs.Battery())
     finally:
         correlated._recursive_encoder.cache_clear()
     assert failed == {"five-wire recursive recovery"}
@@ -339,8 +339,8 @@ def test_a_battery_proves_each_shared_lemma_once(monkeypatch, capsys):
     assert _passes(capsys)  # fills the caches, so `_sources` has read each gate's Pauli bits
     theorem = _count_calls(monkeypatch, correlated, "block_theorem_defects")
     refuted = _count_calls(monkeypatch, correlated, "erroneous_decomposition_product")
-    walks = _count_calls(monkeypatch, cli, "_walk_attacks")
-    words = _count_calls(monkeypatch, cli, "_gate_words")
+    walks = _count_calls(monkeypatch, proofs, "_walk_attacks")
+    words = _count_calls(monkeypatch, proofs, "_gate_words")
     exact = _count_calls(monkeypatch, correlated, "_exact_encoder")
     new_u = _count_calls(monkeypatch, correlated, "build_new_U")
     old_u = _count_calls(monkeypatch, correlated, "build_old_U")
@@ -350,23 +350,23 @@ def test_a_battery_proves_each_shared_lemma_once(monkeypatch, capsys):
     assert len(words) == 7  # the shape reads each width n=2..8 once
     # each table is read once, and the walks start from bits, not matrices
     assert (len(exact), len(new_u), len(old_u), len(bits)) == (1, 1, 1, 0)
-    # outside a battery, every check proves and reads for itself
+    # in a battery of its own, every check proves and reads for itself
     for calls in (theorem, exact, new_u, old_u):
         calls.clear()
-    checks = dict(cli.CHECKS)
+    checks = dict(proofs.CHECKS)
     for name in _CORR_CHECKS:
-        checks[name]()
-    assert (len(theorem), len(exact)) == (3, 4)  # the Gram check reads the table once more
+        checks[name](proofs.Battery())
+    assert (len(theorem), len(exact)) == (3, 3)  # the Gram check shares its battery's one read
     for name in ("corrected encoder is unitary", "legacy encoder is unitary", *list(_SWAPPED_COLUMNS_FAIL)[:3],
                  "six-stage refutation product is far from the legacy encoder"):
-        checks[name]()
+        checks[name](proofs.Battery())
     assert (len(new_u), len(old_u)) == (4, 3)
     # a table corrupted between two batteries is read afresh by the second
     u = np.array(correlated.NEW_U_ENTRIES)
     _swap_columns(u)
     monkeypatch.setattr(correlated, "NEW_U_ENTRIES", u.tolist())
     assert _fail_lines(capsys) == _SWAPPED_COLUMNS_FAIL
-    assert (len(exact), len(new_u)) == (5, 5)
+    assert (len(exact), len(new_u)) == (4, 5)
 
 
 def test_the_hadamard_check_reads_the_exact_theorem(monkeypatch, capsys):
@@ -375,13 +375,13 @@ def test_the_hadamard_check_reads_the_exact_theorem(monkeypatch, capsys):
     # table, and then requires the determinant -1 that fixes the sign
     theorem = _count_calls(monkeypatch, correlated, "block_theorem_defects")
     product = _count_calls(monkeypatch, correlated, "verify_block_structure")
-    check = dict(cli.CHECKS)["block structure with the Hadamard atom"]
-    assert check() == "top-left = -(I (x) H) exactly; phase matches the determinant"
+    check = dict(proofs.CHECKS)["block structure with the Hadamard atom"]
+    assert check(proofs.Battery()) == "top-left = -(I (x) H) exactly; phase matches the determinant"
     assert (len(theorem), len(product)) == (1, 0)
-    monkeypatch.setattr(cli, "H", I)  # determinant 1: the block would be +(I (x) W)
+    monkeypatch.setattr(proofs, "H", I)  # determinant 1: the block would be +(I (x) W)
     with pytest.raises(AssertionError, match=r"^det\(H\) = 1\.000000\+0\.000000j, expected -1$"):
-        check()
-    monkeypatch.setattr(cli, "H", H)
+        check(proofs.Battery())
+    monkeypatch.setattr(proofs, "H", H)
     u = np.array(correlated.NEW_U_ENTRIES)
     _swap_columns(u)
     monkeypatch.setattr(correlated, "NEW_U_ENTRIES", u.tolist())
@@ -410,21 +410,29 @@ def test_a_battery_replays_a_failed_lemma_to_every_check_that_shares_it(monkeypa
     assert re.match(r"n=4: the encoder is not the n=2 encoder then the n=3", messages.pop())
 
 
+def _module_state() -> list[dict[str, int]]:
+    """What `proofs` and `cli` bind at module level, by identity."""
+    return [{k: id(v) for k, v in vars(module).items()} for module in (proofs, cli)]
+
+
 def test_an_interrupted_battery_leaves_no_proof_behind(monkeypatch, capsys):
-    def interrupt():
+    def interrupt(b):
         raise KeyboardInterrupt
 
+    state = _module_state()
+    assert _passes(capsys)
+    assert _module_state() == state
     # interrupted after the block theorem is proved, and before its second use
-    checks = list(cli.CHECKS)
+    checks = list(proofs.CHECKS)
     at = [name for name, _ in checks].index(_CORR_CHECKS[1])
-    monkeypatch.setattr(cli, "CHECKS", (*checks[:at], ("interrupt", interrupt), *checks[at:]))
+    monkeypatch.setattr(proofs, "CHECKS", (*checks[:at], ("interrupt", interrupt), *checks[at:]))
     with pytest.raises(KeyboardInterrupt):
         cli.cmd_verify()
     monkeypatch.undo()
-    assert cli._proved is None
+    assert _module_state() == state
     theorem = _count_calls(monkeypatch, correlated, "block_theorem_defects")
-    cli._block_theorem()
-    cli._block_theorem()
+    proofs._block_theorem(proofs.Battery())
+    proofs._block_theorem(proofs.Battery())
     assert len(theorem) == 2
     assert _passes(capsys)
     assert len(theorem) == 3

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from corrqec import cli
+from corrqec import proofs
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_times.py"
 
@@ -21,7 +21,7 @@ def test_one_battery_prints_a_row_per_check():
     assert head and float(head[1]) > 0
     assert lines[1].split()[-3:] == ["ms", "share", "faults"]
     rows = [line.rsplit(None, 3) for line in lines[2:-1]]
-    assert [name for name, _, _, _ in rows] == [name for name, _ in cli.CHECKS]
+    assert [name for name, _, _, _ in rows] == [name for name, _ in proofs.CHECKS]
     assert len(rows) == 18
     assert all(float(ms) >= 0 and share.endswith("%") and float(faults) >= 0 for _, ms, share, faults in rows)
     total = lines[-1].split()

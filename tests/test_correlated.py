@@ -22,6 +22,7 @@ from corrqec.correlated import (
     THIRD_ANGLE,
     CorrelatedChannel,
     _erroneous_decomposition,
+    _exact_encoder,
     apply_channel,
     atom_from_selector,
     basic_decomposition,
@@ -234,41 +235,43 @@ def test_the_exact_tables_evaluate_to_their_float_meaning():
 def test_the_exact_block_theorem_holds_for_both_encoder_tables():
     # the published encoder's error was in its decomposition, not its table
     for entries in (NEW_U_ENTRIES, OLD_U_ENTRIES):
-        assert block_theorem_defects(entries) == (0, 0)
-        assert exact_gram_defects(entries) == 0
+        read = _exact_encoder(entries)
+        assert block_theorem_defects(read) == (0, 0)
+        assert exact_gram_defects(read) == 0
 
 
 def test_a_column_swap_breaks_the_exact_block_theorem_but_not_orthogonality():
     u = np.array(NEW_U_ENTRIES)
     u[:, [3, 4]] = u[:, [4, 3]]
-    assert block_theorem_defects(u) == (8, 3)
-    assert exact_gram_defects(u) == 0
+    read = _exact_encoder(u)
+    assert block_theorem_defects(read) == (8, 3)
+    assert exact_gram_defects(read) == 0
     # a swap inside the bottom-right block leaves the theorem true
     u = np.array(NEW_U_ENTRIES)
     u[:, [4, 5]] = u[:, [5, 4]]
-    assert block_theorem_defects(u) == (0, 0)
+    assert block_theorem_defects(_exact_encoder(u)) == (0, 0)
 
 
 def test_a_zeroed_entry_breaks_the_exact_gram_matrix():
     u = np.array(NEW_U_ENTRIES)
     u[0, 7] = 0.0  # 0 is a ring value, so only the Gram matrix sees it
-    assert exact_gram_defects(u) == 1
-    assert block_theorem_defects(u) == (0, 0)
+    read = _exact_encoder(u)
+    assert exact_gram_defects(read) == 1
+    assert block_theorem_defects(read) == (0, 0)
 
 
 def test_the_exact_reader_rejects_a_rotated_column_and_a_bad_shape():
     u, t = np.array(NEW_U_ENTRIES), 1e-4
     u[:, 4], u[:, 5] = np.cos(t) * u[:, 4] + np.sin(t) * u[:, 5], np.cos(t) * u[:, 5] - np.sin(t) * u[:, 4]
     assert is_unitary(u, 1e-12)  # still an encoder, but not the corrected one
-    for fn in (block_theorem_defects, exact_gram_defects):
-        with pytest.raises(ValueError, match=r"entry \(1, 4\) = .*: sqrt\(6\) times it is not 0"):
-            fn(u)
-        with pytest.raises(ValueError, match="8x8"):
-            fn(np.eye(4))
+    with pytest.raises(ValueError, match=r"entry \(1, 4\) = .*: sqrt\(6\) times it is not 0"):
+        _exact_encoder(u)
+    with pytest.raises(ValueError, match="8x8"):
+        _exact_encoder(np.eye(4))
     # 1e-12 is the reading tolerance: a rounding residual reads exactly
     u = np.array(NEW_U_ENTRIES)
     u[1, 0] += 1e-14
-    assert block_theorem_defects(u) == (0, 0)
+    assert block_theorem_defects(_exact_encoder(u)) == (0, 0)
 
 
 def test_verify_block_structure_rejects_bad_input():

@@ -2,12 +2,12 @@
 
 Usage: python tools/check_times.py [BATTERIES]
 
-Runs the `cli.CHECKS` battery BATTERIES times (default 15) in this
+Runs the `proofs.CHECKS` battery BATTERIES times (default 15) in this
 process and prints, for each check in battery order, its median process-CPU
 time in ms, its share of the median battery and its median count of minor
 page faults (`getrusage(RUSAGE_SELF).ru_minflt`), then the median battery
-totals. Each battery runs in the scope `corrqec verify` runs it in
-(`cli._battery`), so the rows add up to what a real battery costs: a
+totals. Each battery's checks share one `proofs.Battery()`, as in
+`corrqec verify`, so the rows add up to what a real battery costs: a
 lemma that several checks share is proved once per battery, and its time
 is charged to the first check that uses it. The first battery fills the
 package's caches; the median keeps it out of the result once there are
@@ -41,7 +41,7 @@ sys.path.insert(0, str(_ROOT / "perfbench"))
 
 from probe import PROBE_REF_S, probe_seconds  # noqa: E402
 
-from corrqec import cli  # noqa: E402
+from corrqec import proofs  # noqa: E402
 
 
 def _minor_faults() -> int:
@@ -52,23 +52,22 @@ def check_times(batteries: int) -> tuple[dict[str, tuple[float, float]], tuple[f
     """Each check's median probe-scaled process-CPU time in ms and median
     minor page faults, in battery order, the medians of one battery's
     totals, and the median slowdown."""
-    samples = {name: [] for name, _ in cli.CHECKS}
+    samples = {name: [] for name, _ in proofs.CHECKS}
     totals, slowdowns = [], []
     probe_seconds()  # the first run pays for numpy's lazy set-up
     before = probe_seconds()
     for _ in range(batteries):
-        battery = []
-        with cli._battery():
-            for name, check in cli.CHECKS:
-                f0, t0 = _minor_faults(), process_time()
-                check()
-                battery.append((name, 1e3 * (process_time() - t0), _minor_faults() - f0))
+        battery, rows = proofs.Battery(), []
+        for name, check in proofs.CHECKS:
+            f0, t0 = _minor_faults(), process_time()
+            check(battery)
+            rows.append((name, 1e3 * (process_time() - t0), _minor_faults() - f0))
         after = probe_seconds()
         slowdown = (before + after) / (2 * PROBE_REF_S)
         before = after
-        for name, ms, faults in battery:
+        for name, ms, faults in rows:
             samples[name].append((ms / slowdown, faults))
-        totals.append((sum(ms for _, ms, _ in battery) / slowdown, sum(f for _, _, f in battery)))
+        totals.append((sum(ms for _, ms, _ in rows) / slowdown, sum(f for _, _, f in rows)))
         slowdowns.append(slowdown)
     return ({name: _medians(s) for name, s in samples.items()}, _medians(totals), statistics.median(slowdowns))
 

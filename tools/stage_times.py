@@ -5,8 +5,12 @@ Usage: python tools/stage_times.py [REPEATS [RUN-FLAG ...]]
 Runs `corrqec run RUN-FLAG ...` REPEATS times (default 100) in this
 process, through `cli.main`, and prints the median process-CPU time in ms
 of each stage of the op and its share of the median op, then the median op
-total. Without RUN-FLAGs the op is a noisy five-wire corr run. Reports go to
-a temporary directory unless the flags give --out.
+total. Without RUN-FLAGs the op is a noisy five-wire corr run. Unless the
+flags give --out, each run writes its report into one temporary directory,
+which the tool empties after the run by moving the report aside. So the
+"write" stage times what a one-shot run writing a fresh name pays: a new
+file in an existing directory, not a rewrite of the last run's report,
+which can cost several times less on ext4.
 
 The stages are timed by wrapping the module attributes the op looks up, so
 the op runs the same code as without the tool:
@@ -129,8 +133,10 @@ def stage_times(flags, repeats: int) -> tuple[dict[str, float], float, float]:
     probe_seconds()  # the first run pays for numpy's lazy set-up
     before = probe_seconds()
     with tempfile.TemporaryDirectory() as tmp, _stages_timed(spent):
-        os.environ["CORRQEC_OUTPUT_DIR"] = tmp
-        for _ in range(repeats):
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+        os.environ["CORRQEC_OUTPUT_DIR"] = out
+        for i in range(repeats):
             spent.update(dict.fromkeys(STAGES, 0.0))
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -139,6 +145,8 @@ def stage_times(flags, repeats: int) -> tuple[dict[str, float], float, float]:
                 total = process_time() - start
             if code != 0:
                 raise ValueError(f"`corrqec {' '.join(argv)}` exited {code}: {err.getvalue().strip()}")
+            for name in os.listdir(out):
+                os.replace(os.path.join(out, name), os.path.join(tmp, f"{i}-{name}"))
             spent["other"] = total - sum(spent.values())
             after = probe_seconds()
             slowdown = (before + after) / (2 * PROBE_REF_S)
