@@ -6,7 +6,8 @@ encoder pushes an arbitrary identical single-qubit attack onto a sink wire,
 plus its recursive extension to 2k+1 wires; `hybrid` covers the n-qubit
 encoders that turn collective Pauli attacks into ancilla-only operations.
 `noise_exp` wraps both in depolarizing-noise experiments with reproducible
-sampled reports, and `cli` exposes everything as the `corrqec` command.
+sampled reports, `proofs` holds the `verify` battery that checks both
+schemes' claims, and `cli` exposes everything as the `corrqec` command.
 """
 from __future__ import annotations
 

@@ -115,10 +115,6 @@ class BlockReport:
     bottom_right: np.ndarray
     off_diag_norm: float
 
-    def __post_init__(self):
-        if self.off_diag_norm < 0:
-            raise ValueError("off_diag_norm must be non-negative")
-
 
 def verify_block_structure(u, w) -> BlockReport:
     """Report the block structure of U-dagger (W tensor W tensor W) U for

@@ -141,10 +141,6 @@ class HybridEncoder:
     matrix: np.ndarray  # read-only
     circuit: Circuit
 
-    def __post_init__(self):
-        if self.circuit.n_wires != self.n_qubits:
-            raise ValueError("circuit width does not match encoder width")
-
 
 def encoder_circuit(n: int) -> Circuit:
     """The CNOT/H encoder circuit alone, without building its matrix."""

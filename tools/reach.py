@@ -39,8 +39,7 @@ _PACKAGE = _SRC / "corrqec"
 # Kept in src though no command reaches them:
 ALLOWED = frozenset({
     # perfbench traces these names (perfbench/tracer.py), and
-    # _wire_permutation serves embed and BlockReport.__post_init__ the
-    # report of verify_block_structure; they move to a test helper once the
+    # _wire_permutation serves embed; they move to a test helper once the
     # benchmark stops pinning them
     "circuit.born_distribution",
     "gates.embed",
@@ -51,7 +50,6 @@ ALLOWED = frozenset({
     "correlated.three_qubit_protect",
     "circuit.partial_trace",
     "correlated.verify_block_structure",
-    "correlated.BlockReport.__post_init__",
     "linalg.equal_up_to_global_phase",
     # the dense all-wire attack, used by hybrid_protect, apply_channel and
     # the tests
