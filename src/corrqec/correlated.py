@@ -423,12 +423,15 @@ _NAMED_ATOMS = {g.name.lower(): g for g in (I, X, Y, Z, H)}
 
 
 def _json_entry(pair) -> complex:
-    """One entry of a `matrix:` selector, a JSON [re, im] pair of numbers;
-    TypeError for a boolean, which complex() would read as 0 or 1."""
-    re, im = pair
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise TypeError(f"entry {json.dumps(pair)} is not a pair of numbers")
-    return complex(re, im)
+    """One entry of a `matrix:` selector, a JSON [re, im] pair of numbers
+    that fit a float; TypeError for anything else, a boolean included,
+    which complex() would read as 0 or 1."""
+    if type(pair) is list and len(pair) == 2 and all(type(x) in (int, float) for x in pair):
+        try:
+            return complex(*pair)
+        except OverflowError:
+            pass
+    raise TypeError(f"entry {json.dumps(pair)} is not a pair of numbers")
 
 
 def atom_from_selector(sel: str) -> np.ndarray:

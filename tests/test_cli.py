@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,13 +19,13 @@ from hypothesis import strategies as st
 from corrqec import cli, correlated, hybrid, noise_exp
 from corrqec.linalg import max_abs_diff
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "perfbench"))
+sys.path.insert(0, str(_ROOT / "tools"))
 
+from snapshot import USAGE_ERRORS  # noqa: E402
+from test_linalg import parse_matrix_text  # noqa: E402
 from workloads import oracle_grid  # noqa: E402
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    return np.loadtxt(io.StringIO(text), dtype=complex, ndmin=2)
 
 
 def run_cli(argv, capsys):
@@ -227,45 +226,6 @@ def test_run_uses_output_dir_env(tmp_path, capsys, monkeypatch):
     assert json.loads(target.read_text())["seed"] == 2
 
 
-# Command lines that must exit 2 and write nothing.
-USAGE_ERRORS = [
-    ["run", "--scheme", "bogus"],
-    ["run", "--scheme", "corr3", "--noise", "p9=0.1"],
-    ["run", "--scheme", "corr3", "--noise", "p1"],
-    ["run", "--scheme", "corr3", "--noise", "p1=0.1,p1=0.2"],
-    ["run", "--scheme", "corr3", "--noise", "readout=0.1,p_readout=0.3"],
-    ["run", "--scheme", "corr3", "--w", "nope"],
-    ["run", "--scheme", "hybrid", "--n", "4", "--ancilla", "ry:0.5"],
-    ["run", "--scheme", "hybrid", "--n", "2"],
-    ["run", "--scheme", "corr3", "--shots", "0"],
-    ["run", "--scheme", "corr3", "--seed", "-1"],
-    ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[1,0]],[[0,0],[1,0]]]"],
-    ["run", "--scheme", "corr3", "--w", "matrix:[[[2,0],[0,0]],[[0,0],[0.5,0]]]"],
-    ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],
-    ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0],[0,0]]"],
-    ["run", "--scheme", "corr3", "--w", "matrix:" + "[" * 5000],
-    ["run", "--scheme", "hybrid", "--n", "5", "--w", "h"],
-    ["run", "--scheme", "hybrid", "--n", "5", "--rounds", "2"],
-    ["run", "--scheme", "corr3", "--n", "5"],
-    ["run", "--scheme", "corr5", "--errors", "x"],
-    ["run", "--scheme", "corr3-basic", "--ancilla", "0"],
-    ["run", "--scheme", "hybrid", "--n", "5", "--errors", ","],
-    ["run", "--scheme", "hybrid", "--n", "5", "--errors", "x,,y"],
-    ["dump", "nonsense"],
-    ["dump", "circuit:hybrid11"],
-    ["nonsense-command"],
-]
-
-
-def test_usage_errors_exit_2_without_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
-    for argv in USAGE_ERRORS:
-        code = cli.main(argv)
-        capsys.readouterr()
-        assert code == 2, argv
-    assert list(tmp_path.iterdir()) == []  # no partial files left behind
-
-
 def _case(number, argv, message):
     """A case of the test below. Its id is its fixed number and its message,
     so a case added anywhere takes a new number and renames no other test."""
@@ -301,19 +261,25 @@ def _case(number, argv, message):
     _case(16, ["dump", "pn:True"], "dump target 'pn:True': width 'True' is not an integer"),
     _case(17, ["dump", "Circuit:HYBRIDx"], "dump target 'Circuit:HYBRIDx': width 'x' is not an integer"),
     _case(18, ["dump", "PN:Five"], "dump target 'PN:Five': width 'Five' is not an integer"),
+    # a matrix: entry is a pair of numbers that fit a float, or it is named
+    _case(19, ["run", "--scheme", "corr3", "--w", "matrix:[[[1" + "0" * 400 + ",0],[0,0]],[[0,0],[1,0]]]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (entry [1" + "0" * 400
+          + ", 0] is not a pair of numbers)"),
+    _case(20, ["run", "--scheme", "corr3", "--w", "matrix:[[1]]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (entry 1 is not a pair of numbers)"),
+    _case(21, ["run", "--scheme", "corr3", "--w", 'matrix:[["a",0],[0,1]]'],
+          'matrix selector must be a JSON 2x2 of [re, im] pairs (entry "a" is not a pair of numbers)'),
+    _case(22, ["run", "--scheme", "corr3", "--w", 'matrix:[[[1,"0"],[0,0]],[[0,0],[1,0]]]'],
+          'matrix selector must be a JSON 2x2 of [re, im] pairs (entry [1, "0"] is not a pair of numbers)'),
+    _case(23, ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0,0],[0,0]],[[0,0],[1,0]]]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (entry [1, 0, 0] is not a pair of numbers)"),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
-    # kept out of USAGE_ERRORS, whose messages the byte-identity snapshot pins
+    # the byte-identity snapshot pins the messages of USAGE_ERRORS; these
+    # are named here
     monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_every_scheme_runs_with_only_its_name(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CORRQEC_OUTPUT_DIR", str(tmp_path))
-    for scheme in noise_exp._SCHEMES:
-        code, _, err = run_cli(["run", "--scheme", scheme], capsys)
-        assert code == 0, (scheme, err)
 
 
 def test_a_flag_left_out_takes_the_spec_default_on_a_second_call(tmp_path, capsys, monkeypatch):
@@ -387,7 +353,7 @@ def test_fuzzed_argv_exits_0_or_2(argv):
 
 def test_readme_quick_start_runs(capsys):
     """The README's library example runs as written."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3

@@ -1,20 +1,24 @@
 """`tools/snapshot.py`, the byte-identity snapshot, is itself deterministic,
-and `tools/snapshot_diff.py` lets only rounding moves of a probability through."""
+names each command line of its corpus that exits with the wrong code (as
+`tools/reach.py` does) and refuses to snapshot another tree, and
+`tools/snapshot_diff.py` lets only rounding moves of a probability through."""
 from __future__ import annotations
 
-import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from corrqec.noise_exp import _SCHEMES
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "snapshot.py"
-_SPEC = importlib.util.spec_from_file_location("snapshot", _PATH)
-snapshot = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(snapshot)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(_TOOLS))
 
-USAGE_ERRORS = snapshot.usage_errors()  # read from tests/test_cli.py's source, not imported
+import reach  # noqa: E402
+import snapshot  # noqa: E402
+import snapshot_diff  # noqa: E402
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -23,16 +27,16 @@ def _files(root: Path) -> dict[str, bytes]:
 
 def test_two_snapshots_of_one_tree_are_identical(tmp_path):
     ops = snapshot.oracle_grid()[::97]
-    snapshot.write_snapshot(tmp_path / "a", ops)
-    snapshot.write_snapshot(tmp_path / "b", ops)
+    assert snapshot.write_snapshot(tmp_path / "a", ops) == []
+    assert snapshot.write_snapshot(tmp_path / "b", ops) == []
     a, b = _files(tmp_path / "a"), _files(tmp_path / "b")
     assert a == b
     assert sum(name.startswith("reports") for name in a) == 2 * len(ops)
     assert a["runs.txt"].count(b" exit=0\n") == 2 * len(ops)
     assert a["dump.txt"].count(b"== ") == len(snapshot.DUMP_TARGETS) == 21
     assert a["verify.txt"].endswith(b"18/18 checks passed\nexit=0\n")
-    assert a["cli.txt"].count(b" exit=0\n") == len(_SCHEMES) == 4
-    assert a["cli.txt"].count(b" exit=2\n") == len(USAGE_ERRORS) == 25
+    cli_lines = len(_SCHEMES) + len(snapshot.EXTRA_RUNS) + len(snapshot.USAGE_ERRORS)
+    assert a["cli.txt"].count(b"== ") == cli_lines == 4 + 3 + 25
     realized = a["realize.txt"].decode().splitlines()
     assert [line.split()[0] for line in realized[:12]] == [
         "standard", "basic", "refutation", "recursive2", "recursive3",
@@ -41,15 +45,9 @@ def test_two_snapshots_of_one_tree_are_identical(tmp_path):
     assert [line.split()[0] for line in realized[12:]] == [f"{line.split()[0]}-dagger" for line in realized[:12]]
     assert all(len(line.split()[1]) == 64 for line in realized)  # a sha256 in hex
     assert sorted(name for name in a if name.startswith("cli")) == [
-        "cli.txt", "cli/corr3-basic-seed0.json", "cli/corr3-seed0.json",
-        "cli/corr5-seed0.json", "cli/hybrid3-seed0.json",
-    ]
-
-
-_DIFF_PATH = Path(__file__).resolve().parents[1] / "tools" / "snapshot_diff.py"
-_DIFF_SPEC = importlib.util.spec_from_file_location("snapshot_diff", _DIFF_PATH)
-snapshot_diff = importlib.util.module_from_spec(_DIFF_SPEC)
-_DIFF_SPEC.loader.exec_module(snapshot_diff)
+        "cli.txt", "cli/corr3-basic-seed0.json", "cli/corr3-seed0.json", "cli/corr3-seed1.json",
+        "cli/corr5-seed0.json", "cli/hybrid3-seed0.json", "cli/hybrid4-seed0.csv", "cli/hybrid4-seed0.json",
+    ]  # so no usage error wrote a file
 
 
 def _edit(path: Path, old: str, new: str) -> None:
@@ -84,3 +82,34 @@ def test_snapshot_diff_accepts_only_moved_probabilities(tmp_path, capsys):
     (missing / "reports/0000.csv").unlink()
     assert snapshot_diff.main([str(a), str(missing)]) == 1
     assert snapshot_diff.main([str(missing), str(a)]) == 1
+
+
+def test_a_line_with_the_wrong_exit_code_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # both tools prepend a src
+    ops = snapshot.oracle_grid()[:1]
+    monkeypatch.setattr(snapshot, "oracle_grid", lambda: ops)
+    monkeypatch.setattr(snapshot, "DUMP_TARGETS", ("u", "nonsense"))
+    assert snapshot.write_snapshot(tmp_path / "a", ops) == [(["dump", "nonsense"], 2)]
+    capsys.readouterr()
+    assert snapshot.main([str(_TOOLS.parent), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "error: dump nonsense exited 2\n"
+    assert (tmp_path / "b" / "realize.txt").exists()  # every file is still written
+    assert reach.main() == 2
+    assert capsys.readouterr() == ("", "error: dump nonsense exited 2\n")
+
+
+def test_a_snapshot_of_another_tree_or_into_a_used_outdir_is_refused(tmp_path, capsys, monkeypatch):
+    # corrqec comes from src by PYTHONPATH, so a checkout with no src of
+    # its own would silently snapshot this tree
+    proc = subprocess.run(
+        [sys.executable, str(_TOOLS / "snapshot.py"), str(tmp_path / "no-such-checkout"), str(tmp_path / "x")],
+        env=dict(os.environ, PYTHONPATH=str(_TOOLS.parent / "src")), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: corrqec imports from ")
+    assert not (tmp_path / "x").exists()
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    (tmp_path / "used" / "reports").mkdir(parents=True)
+    assert snapshot.main([str(_TOOLS.parent), str(tmp_path / "used")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'used' / 'reports'} exists already\n"
