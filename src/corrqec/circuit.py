@@ -36,13 +36,16 @@ density matrix at all when the circuit is Clifford and the attack a Pauli,
 as in the hybrid scheme, and lets the other wires start in any state: every
 kick is then a Pauli fault, pushed to the output on GF(2) bits
 (`_faults`), its distribution without the attack is cached
-(`_fault_base`), and a run only shifts it by the attack's flips. The dense
-pass `apply`, `attack`, `born_distribution` is the tests' reference for
-both. `_conjugated_pauli` carries several all-wire Paulis, given as their
-(x, z) bit pairs, back through a Clifford circuit in one walk by the same
-step as `_faults` (`_carry_back`), which is how `verify` proves the hybrid
-factorization. Both hold their Paulis packed: one Python int per x or z
-bit row of a wire, one bit per Pauli, so a gate costs a few XORs of ints.
+(`_fault_base`), and a run only shifts it by the attack's flips. A run
+reads the attack's (x, z) bits from a cache keyed on the factor's bytes
+(`_attack_bits`), since a hybrid factor is one of 16 phase x Pauli
+values. The dense pass `apply`, `attack`, `born_distribution` is the
+tests' reference for both. `_conjugated_pauli` carries several all-wire
+Paulis, given as their (x, z) bit pairs, back through a Clifford circuit
+in one walk by the same step as `_faults` (`_carry_back`), which is how
+`verify` proves the hybrid factorization. Both hold their Paulis packed:
+one Python int per x or z bit row of a wire, one bit per Pauli, so a gate
+costs a few XORs of ints.
 
 Bitstring convention for measurement results: measured wires are sorted
 ascending and the smallest wire index becomes the LEFTMOST character of
@@ -444,7 +447,6 @@ _PAULI_TAGS, _PAULIS = zip(*((g.name, g.matrix.array) for g in (I, X, Y, Z)))
 _PAULI_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-@lru_cache(maxsize=None)  # one entry per gate width
 def _pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 4^k Paulis on k wires in kron order, as a read-only
     (4^k, 2^k, 2^k) stack, and each one's symplectic bits: x on wires
@@ -470,6 +472,20 @@ def _pauli_bits(ops: np.ndarray) -> np.ndarray:
     if np.abs(weight - (np.arange(4**k) == best[:, None])).max() > 1e-12:
         raise ValueError("not a Pauli up to phase")
     return bits[best]
+
+
+@lru_cache(maxsize=64)  # a hybrid factor is one of the 16 phase x Pauli values
+def _attack_bits(w: bytes) -> tuple[int, int]:
+    """The (x, z) bits of a 2x2 attack factor, given as the bytes of its
+    complex (2, 2) array, so a run reads them off its factor's bytes
+    instead of matching the factor against the Paulis. ValueError unless
+    the factor is a Pauli up to phase (`_pauli_bits`), raised afresh on
+    every call, since a raise is not cached."""
+    try:
+        x, z = _pauli_bits(np.frombuffer(w, dtype=complex).reshape(1, 2, 2))[0]
+    except ValueError:
+        raise ValueError("attack factor must be a Pauli up to phase") from None
+    return int(x), int(z)
 
 
 @lru_cache(maxsize=64)  # a few gate types per circuit
@@ -611,16 +627,13 @@ def pauli_fault_distribution(c: Circuit, w, measured, noise: NoiseModel | None =
     (-1)^(u . mask_P)), and its inverse Walsh-Hadamard transform, shifted
     by the attack's mask, is the distribution (Aaronson & Gottesman,
     arXiv:quant-ph/0406196). The transform is taken once per (circuit,
-    measured wires, p1, p2) (`_fault_base`); a run validates its input and
-    gathers the shift."""
+    measured wires, p1, p2) (`_fault_base`) and w's bits once per factor
+    (`_attack_bits`); a run validates its input and gathers the shift."""
     measured = _wire_subset(measured, c.n_wires, "measured wire")
     w = np.asarray(w, dtype=complex)
     if w.shape != (2, 2):
         raise ValueError("attack factor must be a 2x2 matrix")
-    try:
-        x, z = _pauli_bits(w[None])[0]
-    except ValueError:
-        raise ValueError("attack factor must be a Pauli up to phase") from None
+    x, z = _attack_bits(w.tobytes())
     nm = noise or NoiseModel()
     base, (x_flip, z_flip) = _fault_base(c, measured, nm.p1, nm.p2)
     return np.maximum(base[np.arange(len(base)) ^ (x_flip if x else 0) ^ (z_flip if z else 0)], 0.0)

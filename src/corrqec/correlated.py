@@ -445,7 +445,10 @@ def atom_from_selector(sel: str) -> np.ndarray:
         return ry_from_text(sel, "attack selector").matrix.array
     if s.startswith("matrix:"):
         try:
-            rows = [[_json_entry(z) for z in row] for row in json.loads(sel.strip()[7:])]
+            value = json.loads(sel.strip()[7:])
+            if type(value) is not list or any(type(row) is not list for row in value):
+                raise ValueError(f"got {json.dumps(value)}, not a list of lists")
+            rows = [[_json_entry(z) for z in row] for row in value]
             if [len(row) for row in rows] != [2, 2]:
                 raise ValueError(f"got rows of lengths {[len(row) for row in rows]}")
         except (TypeError, ValueError, RecursionError) as exc:

@@ -17,13 +17,17 @@ distribution of the measured wires, per run.
 success_probability is always computed from that exact distribution (the
 same one the sampler draws from), so it is independent of shot count.
 Reports serialize with sorted keys and fixed indentation, making repeat
-runs byte-identical for a given experiment spec and seed.
+runs byte-identical for a given experiment spec and seed. `report_to_json`
+writes the text `json.dumps(..., sort_keys=True, indent=2)` would, without
+json's pure-Python indent encoder.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -147,7 +151,7 @@ def _normalize_spec(spec: dict) -> tuple[dict, Circuit, np.ndarray, list[int]]:
             raise ValueError("hybrid errors list is empty; use ['i'] for a run without attack")
         out["n"] = n
         out["ancilla"] = ancilla.strip().lower()
-        out["errors"] = [hybrid.normalize_tag(t) for t in errors]
+        out["errors"] = [hybrid.normalize_tag(t).lower() for t in errors]  # in the report's case
         out["name"] = name or f"hybrid{n}"
         w = hybrid.attack_factor(out["errors"])
         circ = hybrid.encoder_circuit(n)
@@ -194,9 +198,7 @@ def run_named(spec: dict) -> ExperimentReport:
     hist = Histogram(n_measured=m, counts=counts, shots=ns["shots"])
 
     config = {k: v for k, v in ns.items() if k not in ("name", "shots", "seed")}
-    config["noise"] = asdict(ns["noise"])
-    if "errors" in config:
-        config["errors"] = [t.lower() for t in config["errors"]]
+    config["noise"] = dict(vars(ns["noise"]))
     return ExperimentReport(
         name=ns["name"],
         histogram=hist,
@@ -210,17 +212,43 @@ def _flip_keys(counts: dict[str, int]) -> dict[str, int]:
     return {k[::-1]: v for k, v in counts.items()}
 
 
+def _json(v, pad: str) -> str:
+    """v as `json.dumps(v, sort_keys=True, indent=2)` writes it, nested at
+    indent pad. Non-empty dicts with string keys, lists and tuples are
+    written here, and so are strings (json's own ASCII escaper), ints and
+    finite floats (their reprs, as json writes them); anything else goes
+    through `json.dumps`. With an indent, json takes its pure-Python
+    encoder, whose closures leave a reference cycle per call."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int or (t is float and math.isfinite(v)):
+        return repr(v)
+    inner = pad + "  "
+    if t is dict and v and all(type(k) is str for k in v):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v[k], inner)}" for k in sorted(v)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if (t is list or t is tuple) and v:
+        return "[\n" + ",\n".join(inner + _json(x, inner) for x in v) + "\n" + pad + "]"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def report_to_json(rep: ExperimentReport, ibm_bit_order: bool = False) -> str:
+    """The report's six fields as `json.dumps(..., sort_keys=True,
+    indent=2)` plus a newline writes them: the keys in sorted order,
+    each count as a `"<bits>": <int>` line, since a bitstring needs no
+    escaping, and every other value through `_json`."""
     counts = _flip_keys(rep.histogram.counts) if ibm_bit_order else rep.histogram.counts
-    payload = {
-        "name": rep.name,
-        "seed": rep.seed,
-        "config": rep.config,
-        "shots": rep.histogram.shots,
-        "counts": {k: int(v) for k, v in counts.items()},
-        "success_probability": rep.success_probability,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    lines = [f'    "{k}": {int(counts[k])}' for k in sorted(counts)]
+    fields = (
+        ("config", _json(rep.config, "  ")),
+        ("counts", "{\n" + ",\n".join(lines) + "\n  }" if lines else "{}"),
+        ("name", _json(rep.name, "  ")),
+        ("seed", _json(rep.seed, "  ")),
+        ("shots", _json(rep.histogram.shots, "  ")),
+        ("success_probability", _json(rep.success_probability, "  ")),
+    )
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
 
 
 def report_to_csv(rep: ExperimentReport, ibm_bit_order: bool = False) -> str:

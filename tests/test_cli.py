@@ -273,6 +273,17 @@ def _case(number, argv, message):
           'matrix selector must be a JSON 2x2 of [re, im] pairs (entry [1, "0"] is not a pair of numbers)'),
     _case(23, ["run", "--scheme", "corr3", "--w", "matrix:[[[1,0,0],[0,0]],[[0,0],[1,0]]]"],
           "matrix selector must be a JSON 2x2 of [re, im] pairs (entry [1, 0, 0] is not a pair of numbers)"),
+    # a matrix: selector is a list of lists, or its JSON is named
+    _case(24, ["run", "--scheme", "corr3", "--w", "matrix:5"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (got 5, not a list of lists)"),
+    _case(25, ["run", "--scheme", "corr3", "--w", "matrix:null"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (got null, not a list of lists)"),
+    _case(26, ["run", "--scheme", "corr3", "--w", "matrix:[5,[0,1]]"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (got [5, [0, 1]], not a list of lists)"),
+    _case(27, ["run", "--scheme", "corr3", "--w", "matrix:{}"],
+          "matrix selector must be a JSON 2x2 of [re, im] pairs (got {}, not a list of lists)"),
+    _case(28, ["run", "--scheme", "corr3", "--w", 'matrix:"ab"'],
+          'matrix selector must be a JSON 2x2 of [re, im] pairs (got "ab", not a list of lists)'),
 ])
 def test_a_malformed_number_is_named_with_its_argument(tmp_path, capsys, monkeypatch, argv, message):
     # the byte-identity snapshot pins the messages of USAGE_ERRORS; these
@@ -427,7 +438,7 @@ def test_run_help_quotes_the_spec_defaults():
     corr = noise_exp._normalize_spec({"scheme": "corr3"})[0]
     hyb = noise_exp._normalize_spec({"scheme": "hybrid"})[0]
     expect = {"w": corr["w"], "rounds": str(corr["rounds"]), "n": str(hyb["n"]),
-              "errors": ",".join(t.lower() for t in hyb["errors"])}
+              "errors": ",".join(hyb["errors"])}
     for dest, value in expect.items():
         assert helps[dest].endswith(f"(default {value})"), (dest, helps[dest])
 

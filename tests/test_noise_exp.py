@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -259,8 +260,8 @@ def test_folded_pauli_attack_matches_pauli_by_pauli():
         rho = apply(circ, to_density(initial_state(ns, n)), ns["noise"])
         dec = dagger_circuit(circ)
         folded = apply(dec, attack(rho, w), ns["noise"])
-        for tag in ns["errors"]:
-            rho = attack(rho, circuit._PAULIS[PAULI_TAGS.index(tag)])
+        for tag in ns["errors"]:  # in the report's case
+            rho = attack(rho, circuit._PAULIS[PAULI_TAGS.index(tag.upper())])
         rho = apply(dec, rho, ns["noise"])
         expect = born_distribution(DensityMatrix(rho.matrix, n), data)
         assert np.array_equal(born_distribution(DensityMatrix(folded.matrix, n), data), expect)
@@ -452,6 +453,21 @@ def test_report_json_layout():
     assert set(d) == {"name", "seed", "config", "shots", "counts", "success_probability"}
     assert d["counts"] == {"0": 10}
     assert d["config"]["noise"] == {"p1": 0.0, "p2": 0.0, "p_readout": 0.0}
+
+
+def test_a_json_report_leaves_no_reference_cycle():
+    # json's indent encoder left a 33-object cycle per report, work for the
+    # cyclic collector on every run of a long sweep
+    rep = run_named({"scheme": "hybrid", "n": 4, "errors": ["x"], "shots": 8})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        report_to_json(rep)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_report_bit_order_flip():

@@ -18,7 +18,9 @@ marginal, readout flip); the fault engine's cached attack-free part gives
 the bytes of its former per-run formula. Hybrid success cannot increase
 with gate noise or with readout noise up to 0.5, does not depend on the
 ancilla or on the Pauli list, and is the same at widths 2j+1 and 2j+2. So is the
-reporting of a failing property: it must not abort the test session.
+reporting of a failing property: it must not abort the test session. The
+report writer is held to `json.dumps(..., sort_keys=True, indent=2)` and the
+attack-bits cache to `_pauli_bits`.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from corrqec import circuit
 from corrqec.circuit import (
     Circuit,
     DensityMatrix,
+    Histogram,
     NoiseModel,
     StateVector,
     _conjugated_pauli,
@@ -61,10 +64,12 @@ from corrqec.gates import CNOT, H, X, Y, Z, Gate, PlacedGate, controlled, embed,
 from corrqec.hybrid import encoder_circuit
 from corrqec.linalg import ComplexMatrix, kron, tensor_power
 from corrqec.noise_exp import (
+    ExperimentReport,
     _exact_distribution,
     _normalize_spec,
     _readout_flip,
     exact_success,
+    report_to_json,
 )
 from test_noise_exp import initial_state
 
@@ -555,6 +560,75 @@ def test_the_walks_bit_table_is_each_paulis_own():
     bits = _pauli_bits(np.stack(circuit._PAULIS))
     assert [tuple(row) for row in bits.tolist()] == list(circuit._PAULI_XZ)
     assert circuit._PAULI_TAGS == ("I", "X", "Y", "Z")
+
+
+def test_the_attack_bits_cache_gives_each_factors_pauli_bits():
+    # a hybrid factor is a Pauli times +-1 or +-i: 16 factors in all
+    for phase in (1, -1, 1j, -1j):
+        for pauli in circuit._PAULIS:
+            w = phase * pauli
+            assert circuit._attack_bits(w.tobytes()) == tuple(_pauli_bits(w[None])[0].tolist())
+
+
+@_SETTINGS
+@given(seeds)
+def test_a_non_pauli_factor_raises_on_every_call(seed):
+    # a raise is not cached, so the second call checks the factor afresh
+    w = random_su2(np.random.default_rng(seed))
+    entries = circuit._attack_bits.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^attack factor must be a Pauli up to phase$"):
+            circuit._attack_bits(w.tobytes())
+    assert circuit._attack_bits.cache_info().currsize == entries
+
+
+def json_report(rep, ibm_bit_order=False):
+    """A report as `json` writes it, the writer `report_to_json` replaced."""
+    counts = rep.histogram.counts
+    if ibm_bit_order:
+        counts = {k[::-1]: v for k, v in counts.items()}
+    payload = {
+        "name": rep.name,
+        "seed": rep.seed,
+        "config": rep.config,
+        "shots": rep.histogram.shots,
+        "counts": {k: int(v) for k, v in counts.items()},
+        "success_probability": rep.success_probability,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def reports(draw):
+    """A report of any name, seed, nested config and counts: the text may
+    hold quotes, backslashes, control and non-ASCII characters, the config
+    dicts, lists, tuples, bools, None, ints and floats (NaN and the
+    infinities too), and a count a Python or a numpy int."""
+    m = draw(st.integers(0, 4))
+    counts = draw(st.dictionaries(st.text("01", min_size=m, max_size=m),
+                                  st.integers(0, 10**6) | st.integers(0, 10**6).map(np.int64)))
+    return ExperimentReport(
+        name=draw(st.text()),
+        histogram=Histogram(n_measured=m, counts=counts, shots=int(sum(counts.values()))),
+        success_probability=draw(probabilities),
+        config=draw(st.dictionaries(st.text(), json_values, max_size=5)),
+        seed=draw(st.integers(0, 2**70)),
+    )
+
+
+@_SETTINGS
+@given(reports(), st.booleans())
+def test_the_report_writer_writes_what_json_writes(rep, ibm_bit_order):
+    assert report_to_json(rep, ibm_bit_order) == json_report(rep, ibm_bit_order)
 
 
 @st.composite
